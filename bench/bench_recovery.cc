@@ -25,6 +25,8 @@
 #include "maps/mutex_hashmap.h"
 #include "pheap/heap.h"
 
+#include "bench_util.h"
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -232,7 +234,8 @@ void BenchShardedRecovery(int shards, std::uint64_t total_entries) {
 }  // namespace
 
 int main() {
-  std::printf("Recovery-cost ablation (E9)\n");
+  std::printf("Recovery-cost ablation (E9); build %s, nproc %u\n",
+              tsp::bench::BuildType(), std::thread::hardware_concurrency());
   std::printf("\n(a) Atlas rollback vs. interrupted-OCS size:\n");
   for (const std::uint64_t stores : {10ULL, 1000ULL, 10000ULL, 100000ULL}) {
     BenchRollback(stores);

@@ -70,17 +70,15 @@ MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
   // attach the same map: lock i → robust word i is deterministic, so
   // each process's facade picks the same word for the same stripe and
   // the words arbitrate across processes. All-or-nothing: one unbound
-  // stripe would silently lose cross-process exclusion.
+  // stripe would silently lose cross-process exclusion, so a map with
+  // more stripes than words keeps process-local locks and reports so
+  // through cross_process_locks().
   if (runtime_ != nullptr && runtime_->robust_lock_count() >= lock_count) {
     for (std::uint64_t i = 0; i < lock_count; ++i) {
       locks_[i]->BindRobust(
           runtime_->robust_lock(static_cast<std::uint32_t>(i)));
     }
-  } else if (runtime_ != nullptr && runtime_->robust_lock_count() > 0) {
-    TSP_LOG(WARNING) << "map needs " << lock_count
-                     << " locks but the Atlas area has only "
-                     << runtime_->robust_lock_count()
-                     << " robust words; cross-process locking disabled";
+    cross_process_locks_ = true;
   }
 }
 

@@ -82,6 +82,10 @@ class MutexHashMap final : public Map {
 
   std::uint64_t bucket_count() const { return bucket_count_; }
   std::size_t lock_count() const { return locks_.size(); }
+  /// True when every lock stripe is bound to an Atlas robust word, so
+  /// the locks exclude other processes attached to the same map; false
+  /// without a runtime or with more stripes than robust words.
+  bool cross_process_locks() const { return cross_process_locks_; }
 
  private:
   static std::uint64_t Hash(std::uint64_t key);
@@ -111,6 +115,7 @@ class MutexHashMap final : public Map {
   std::uint64_t bucket_count_;
   std::uint64_t buckets_per_lock_;
   std::vector<std::unique_ptr<atlas::PMutex>> locks_;
+  bool cross_process_locks_ = false;
 };
 
 }  // namespace tsp::maps

@@ -1,7 +1,9 @@
 #include "pheap/gc.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstddef>
 #include <vector>
 
 #include "common/logging.h"
@@ -10,10 +12,11 @@
 namespace tsp::pheap {
 namespace {
 
-struct LiveBlock {
-  std::uint64_t offset;  // of the BlockHeader
-  std::uint64_t size;    // block_size (header included)
-};
+// Entries of the mark's prefetch ring.
+constexpr std::size_t kPrefetchDepth = 16;
+
+// Granules covered by one mark-bitmap word.
+constexpr std::uint64_t kWordBits = 64;
 
 // Validates that `payload` points at the payload of a plausible
 // allocated block and returns its header offset, or 0.
@@ -50,57 +53,80 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
   [[maybe_unused]] const auto mark_start = std::chrono::steady_clock::now();
 
   // --- mark ---
+  // One bit per arena granule, set at the header granule of every live
+  // block, so the set bits in address order are the live blocks in
+  // address order: the sweep needs no other record of them.
+  const std::uint64_t arena_begin = rh->arena_offset;
+  const std::uint64_t arena_end = arena_begin + rh->arena_size;
+  std::vector<std::uint64_t> marks(
+      ((arena_end - arena_begin) / kGranule + kWordBits - 1) / kWordBits);
+  // End of the highest live block: the rebuilt bump pointer.
+  std::uint64_t new_bump = arena_begin;
+
+  // Only in-region pointers are kept: pointers to non-heap memory (e.g.
+  // static data) are legal and not counted as invalid.
   std::vector<const void*> pending;
-  std::vector<LiveBlock> live;
-  // Visited bitmap over granules of the arena, indexed by header offset.
-  const std::uint64_t arena_end_bound = rh->arena_offset + rh->arena_size;
-  const std::size_t granules =
-      static_cast<std::size_t>((arena_end_bound - rh->arena_offset) /
-                               kGranule);
-  std::vector<bool> visited(granules, false);
-  auto granule_index = [&](std::uint64_t header_offset) {
-    return static_cast<std::size_t>((header_offset - rh->arena_offset) /
-                                    kGranule);
+  const PointerVisitor visit = [&pending, region](const void* p) {
+    if (p != nullptr && region->Contains(p)) pending.push_back(p);
   };
-
   const std::uint64_t root = rh->root_offset.load(std::memory_order_relaxed);
-  if (root != 0) {
-    pending.push_back(region->FromOffset(root));
-  }
+  if (root != 0) visit(region->FromOffset(root));
 
-  const PointerVisitor visit = [&pending](const void* p) {
-    if (p != nullptr) pending.push_back(p);
-  };
+  // Pointers leave the mark stack through a FIFO ring (Cher, Hosking &
+  // Vijaykumar, ASPLOS 2004): each block is prefetched as its pointer
+  // enters and validated, marked and traced only as it leaves, after
+  // the kPrefetchDepth - 1 entries ahead of it. Up to kPrefetchDepth
+  // independent cache misses are in flight instead of one.
+  const void* ring[kPrefetchDepth];
+  std::size_t ring_head = 0;
+  std::size_t ring_size = 0;
+  std::vector<std::uint32_t> warned_types;
+  for (;;) {
+    while (ring_size < kPrefetchDepth && !pending.empty()) {
+      const void* payload = pending.back();
+      pending.pop_back();
+      // The block's first 64 bytes: the header and the payload fields a
+      // trace function reads first. They straddle two cache lines
+      // unless the block starts one.
+      const char* header =
+          static_cast<const char*>(payload) - sizeof(BlockHeader);
+      __builtin_prefetch(header);
+      __builtin_prefetch(header + kCacheLine - 1);
+      ring[(ring_head + ring_size++) % kPrefetchDepth] = payload;
+    }
+    if (ring_size == 0) break;
+    const void* payload = ring[ring_head];
+    ring_head = (ring_head + 1) % kPrefetchDepth;
+    --ring_size;
 
-  while (!pending.empty()) {
-    const void* payload = pending.back();
-    pending.pop_back();
     const std::uint64_t header_offset = ValidateBlock(region, payload);
     if (header_offset == 0) {
-      // Pointers may legitimately reference non-heap memory (e.g. static
-      // data); count only in-region failures as suspicious.
-      if (payload != nullptr && region->Contains(payload)) {
-        ++stats.invalid_pointers;
-      }
+      ++stats.invalid_pointers;
       continue;
     }
-    const std::size_t index = granule_index(header_offset);
-    if (visited[index]) continue;
-    visited[index] = true;
+    const std::uint64_t granule = (header_offset - arena_begin) / kGranule;
+    std::uint64_t& word = marks[granule / kWordBits];
+    const std::uint64_t bit = 1ULL << (granule % kWordBits);
+    if ((word & bit) != 0) continue;
+    word |= bit;
 
     const auto* block =
         static_cast<const BlockHeader*>(region->FromOffset(header_offset));
-    live.push_back({header_offset, block->size()});
+    const std::uint64_t size = block->size();
     ++stats.live_objects;
-    stats.live_bytes += block->size();
+    stats.live_bytes += size;
+    new_bump = std::max(new_bump, header_offset + size);
 
     if (block->type_id != 0) {
       const TypeInfo* info = registry.Find(block->type_id);
       if (info != nullptr && info->trace) {
         info->trace(block + 1, visit);
-      } else if (info == nullptr) {
+      } else if (info == nullptr &&
+                 std::find(warned_types.begin(), warned_types.end(),
+                           block->type_id) == warned_types.end()) {
+        warned_types.push_back(block->type_id);
         TSP_LOG(WARNING) << "GC: unregistered type id " << block->type_id
-                         << "; treating object as a leaf";
+                         << "; treating objects of this type as leaves";
       }
     }
   }
@@ -112,18 +138,9 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
                         std::chrono::duration_cast<std::chrono::microseconds>(
                             sweep_start - mark_start)
                             .count()));
-  std::sort(live.begin(), live.end(),
-            [](const LiveBlock& a, const LiveBlock& b) {
-              return a.offset < b.offset;
-            });
 
-  const std::uint64_t old_bump =
-      std::min<std::uint64_t>(rh->bump_offset.load(std::memory_order_relaxed),
-                              arena_end_bound);
-  std::uint64_t new_bump = rh->arena_offset;
-  for (const LiveBlock& block : live) {
-    new_bump = std::max(new_bump, block.offset + block.size);
-  }
+  const std::uint64_t old_bump = std::min<std::uint64_t>(
+      rh->bump_offset.load(std::memory_order_relaxed), arena_end);
   stats.tail_reclaimed_bytes = old_bump > new_bump ? old_bump - new_bump : 0;
 
   // Discards every advisory structure at once: free lists, bump pointer,
@@ -155,14 +172,27 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
     stats.sliver_bytes += end - at;
   };
 
-  std::uint64_t cursor = rh->arena_offset;
-  for (const LiveBlock& block : live) {
-    if (block.offset > cursor) carve_gap(cursor, block.offset);
-    cursor = std::max(cursor, block.offset + block.size);
+  // Walks the live blocks in address order, carving each gap before
+  // one. Gaps lie strictly below the next live header, so carving never
+  // overwrites a header the walk has yet to read. No bit is set at or
+  // above new_bump, and the space between the last live block and the
+  // old bump pointer returns to the bump region (new_bump == cursor at
+  // the end), so there is no trailing gap to carve.
+  std::uint64_t cursor = arena_begin;
+  const std::uint64_t words =
+      ((new_bump - arena_begin) / kGranule + kWordBits - 1) / kWordBits;
+  for (std::uint64_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t offset =
+          arena_begin +
+          (w * kWordBits + static_cast<std::uint64_t>(std::countr_zero(bits))) *
+              kGranule;
+      if (offset > cursor) carve_gap(cursor, offset);
+      const auto* block =
+          static_cast<const BlockHeader*>(region->FromOffset(offset));
+      cursor = std::max(cursor, offset + block->size());
+    }
   }
-  // Space between the last live block and the old bump pointer returns
-  // to the bump region implicitly (new_bump == cursor), so there is no
-  // trailing gap to carve.
 
   TSP_HISTOGRAM_OBSERVE(
       "gc.sweep_us", static_cast<std::uint64_t>(

@@ -9,6 +9,21 @@
 // every object reachable from the heap root via registered trace
 // functions, and rebuilds the free lists from the unreachable gaps.
 //
+// The GC is most of a crash's recovery time, so both phases run at
+// memory speed:
+// - The mark bitmap gives the sweep order. The mark sets one bit per
+//   16-byte granule at each live block's header; walking the set bits
+//   in address order visits the live blocks in address order, so the
+//   sweep carves the gaps between them without a list or a sort.
+// - The mark stack feeds a 16-entry FIFO prefetch ring (Cher, Hosking
+//   & Vijaykumar, ASPLOS 2004). A block's first 64 bytes are prefetched
+//   when its pointer enters the ring, and the block is validated,
+//   marked and traced when it leaves, so up to 16 independent cache
+//   misses overlap instead of one.
+// - The mark stays single-threaded. It is bound by memory latency,
+//   which the ring already overlaps; more marking threads would add
+//   atomic bitmap updates and work sharing on the mark stack.
+//
 // Must run single-threaded, with no concurrent heap mutators (it is a
 // recovery/quiesced-state operation).
 

@@ -108,6 +108,14 @@ Status MapSession::Init() {
         "per-process; use the mutex+Atlas variants for multi-process "
         "domains");
   }
+  if (config_.attach && config_.variant == MapVariant::kMutexNative) {
+    // Without an Atlas runtime there is no robust lock table, so the
+    // native map's locks are process-local and exclude no peer.
+    return Status::InvalidArgument(
+        "variant mutex-native does not support attach: it has no Atlas "
+        "runtime, hence no robust lock table to share its locks across "
+        "processes");
+  }
   if (config_.shards > 1 && config_.base_address != 0) {
     return Status::InvalidArgument(
         "sharded sessions place every shard in its own address slot; "
@@ -271,8 +279,23 @@ StatusOr<std::unique_ptr<maps::Map>> MapSession::InitShard(int shard) {
         }
         root->map_root = map_root;
       }
-      return std::unique_ptr<maps::Map>(std::make_unique<maps::MutexHashMap>(
-          heap, map_root, runtime, config_.hash_options));
+      auto map = std::make_unique<maps::MutexHashMap>(
+          heap, map_root, runtime, config_.hash_options);
+      // Unbound locks exclude nothing across processes, so a joiner
+      // would race the owner's writes. Init() refused native attach, so
+      // `runtime` is set here.
+      if (config_.attach && !map->cross_process_locks()) {
+        const std::uint32_t words = runtime->robust_lock_count();
+        return Status::FailedPrecondition(
+            "attach needs one robust lock word per map lock stripe, but "
+            "shard " + std::to_string(shard) + "'s map has " +
+            std::to_string(map->lock_count()) + " stripes and " +
+            std::to_string(words) + " robust words; " +
+            (words == 0 ? "the runtime area was too small for the robust "
+                          "lock table"
+                        : "raise buckets_per_lock or use fewer buckets"));
+      }
+      return std::unique_ptr<maps::Map>(std::move(map));
     }
     case MapVariant::kLockFreeSkipList: {
       auto* map_root = static_cast<lockfree::SkipListRoot*>(root->map_root);

@@ -86,8 +86,12 @@ class MapSession {
     /// recover it wholesale; dead peers are harvested per-slot at
     /// attach. Close such a session with CloseDetach, never CloseClean.
     /// Only the mutex+Atlas variants support attach: the lock-free
-    /// variants' epoch reclamation is per-process volatile state, so a
-    /// cooperative join is rejected (OpenOrCreate fails).
+    /// variants' epoch reclamation is per-process volatile state, and
+    /// mutex-native has no robust lock table, so a cooperative join is
+    /// rejected (OpenOrCreate fails InvalidArgument). The attached map
+    /// also needs a robust lock word per lock stripe (256 words:
+    /// bucket_count <= 256 * buckets_per_lock); a map with more stripes
+    /// than words fails FailedPrecondition.
     bool attach = false;
   };
 

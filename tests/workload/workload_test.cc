@@ -135,11 +135,13 @@ TEST(MapSessionTest, VariantMismatchIsRejected) {
 
 // Lock-free variants keep per-process volatile state (epoch
 // reclamation domain, descent hints) that a cooperative multi-process
-// join cannot share, so attach must be rejected up front for them.
+// join cannot share, and mutex-native has no robust lock table to
+// share its locks through, so attach must be rejected up front for
+// all of them.
 TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
   for (const MapVariant variant :
        {MapVariant::kLockFreeSkipList, MapVariant::kLockFreeSkipListSharded,
-        MapVariant::kLockFreeHashMap}) {
+        MapVariant::kLockFreeHashMap, MapVariant::kMutexNative}) {
     ScopedRegionFile file("lf_attach");
     auto config = SmallConfig(variant, file.path(), 0);
     config.attach = true;
@@ -147,6 +149,35 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
     ASSERT_FALSE(session.ok()) << MapVariantName(variant);
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
         << MapVariantName(variant);
+  }
+}
+
+// A log-only map binds its lock stripes to the Atlas robust words only
+// when there is a word for each (256 words, 1000 buckets per stripe).
+// With more stripes its locks are process-local, so attach must fail.
+TEST(MapSessionTest, AttachRefusedWhenStripesOutnumberRobustWords) {
+  for (const std::uint64_t buckets : {300000u, 256000u}) {
+    ScopedRegionFile file("stripe_attach");
+    auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path(), 0);
+    config.hash_options.bucket_count = buckets;
+    {
+      auto owner = MapSession::OpenOrCreate(config);
+      ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+      ASSERT_EQ((*owner)->runtime()->robust_lock_count(), 256u);
+      (*owner)->CloseClean();
+    }
+    config.attach = true;
+    auto session = MapSession::OpenOrCreate(config);
+    if (buckets == 300000u) {
+      ASSERT_FALSE(session.ok());
+      EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition)
+          << session.status().ToString();
+    } else {
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      (*session)->map()->Put(1, 2);
+      EXPECT_EQ((*session)->map()->Get(1), std::optional<std::uint64_t>(2));
+      (*session)->CloseDetach();
+    }
   }
 }
 
