@@ -29,7 +29,7 @@ struct Env {
   std::unique_ptr<AtlasRuntime> runtime;
   std::string path;
 
-  explicit Env(PersistencePolicy policy) {
+  explicit Env(PersistencePolicy policy, bool counter_slots = true) {
     path = "/dev/shm/tsp_bench_log_" + std::to_string(getpid()) + ".heap";
     unlink(path.c_str());
     tsp::pheap::RegionOptions options;
@@ -37,7 +37,10 @@ struct Env {
     options.runtime_area_size = 64u << 20;
     auto heap_or = PersistentHeap::Create(path, options);
     heap = std::move(heap_or).value();
-    runtime = std::make_unique<AtlasRuntime>(heap.get(), policy);
+    AtlasRuntime::Options runtime_options;
+    runtime_options.use_counter_slots = counter_slots;
+    runtime = std::make_unique<AtlasRuntime>(heap.get(), policy,
+                                             runtime_options);
     (void)runtime->Initialize();
   }
   ~Env() {
@@ -115,15 +118,17 @@ void BM_LoggedStoreUniqueLocations(benchmark::State& state) {
 }
 BENCHMARK(BM_LoggedStoreUniqueLocations);
 
-// Multi-word guarded store: all undo entries of one StoreBytes are
+// Multi-word guarded store: one undo record per uncovered word, all
 // published as one batch — a single tail advance and (in sync-flush
 // mode) one contiguous write-back + one fence, instead of a flush and
 // fence per word entry. The log+flush instance is the E7 ablation that
-// batching targets.
+// batching targets. Counter slots are off so every word's record lands
+// in the ring batch.
 template <bool kFlush>
 void BM_StoreBytesBatch(benchmark::State& state) {
   Env env(kFlush ? PersistencePolicy::SyncFlush()
-                 : PersistencePolicy::TspLogOnly());
+                 : PersistencePolicy::TspLogOnly(),
+          /*counter_slots=*/false);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   auto* dst = static_cast<char*>(env.heap->Alloc(bytes));
   std::vector<char> src(bytes, 0x5A);
@@ -149,44 +154,13 @@ BENCHMARK(BM_StoreBytesBatch<true>)
     ->Arg(64)
     ->Arg(256);
 
-// The range-record win in isolation: one kStoreRange header + raw-byte
-// continuation entries per guarded memcpy, instead of one 32-byte
-// record per word. records_per_op and log_bytes_per_op come straight
-// from the runtime counters, so the record-count collapse is visible
-// next to the throughput numbers.
-void BM_StoreBytesRange(benchmark::State& state) {
-  Env env(PersistencePolicy::TspLogOnly());
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  auto* dst = static_cast<char*>(env.heap->Alloc(bytes));
-  std::vector<char> src(bytes, 0x5A);
-  AtlasThread* thread = env.runtime->CurrentThread();
-  PMutex mutex(env.runtime.get());
-  for (auto _ : state) {
-    tsp::atlas::PMutexLock lock(&mutex);
-    thread->StoreBytes(dst, src.data(), bytes);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-  const tsp::atlas::AtlasRuntimeStats stats = thread->local_stats();
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["records_per_op"] =
-      static_cast<double>(stats.undo_records) / iters;
-  state.counters["range_records_per_op"] =
-      static_cast<double>(stats.range_records) / iters;
-  state.counters["log_bytes_per_op"] =
-      static_cast<double>(stats.log_entries_appended) *
-      sizeof(tsp::atlas::LogEntry) / iters;
-  env.runtime->UnregisterCurrentThread();
-}
-BENCHMARK(BM_StoreBytesRange)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
-
 void BM_AddressSetInsert(benchmark::State& state) {
   tsp::atlas::AddressSet set;
   std::uint64_t i = 0;
   while (state.KeepRunningBatch(1024)) {
     set.NewEpoch();
     for (int s = 0; s < 1024; ++s) {
-      benchmark::DoNotOptimize(set.CoverWord((i++ % 512) * 8).newly_covered);
+      benchmark::DoNotOptimize(set.CoverWord((i++ % 512) * 8));
     }
   }
 }

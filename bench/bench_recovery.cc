@@ -4,12 +4,9 @@
 //   (a) rollback time vs. the number of undo records in the
 //       crash-interrupted OCS,
 //   (b) recovery-GC time vs. the number of live objects in the heap, and
-//   (c) sharded recovery: K crashed shard heaps recovered in parallel
-//       vs. one equal-total single heap recovered sequentially. Per-
-//       shard undo logs mean shard recoveries share no state, so the
-//       critical path drops from O(total) to O(largest shard) — on a
-//       multicore host the parallel number beats the single-heap one
-//       by up to the core count.
+//   (c) sharded recovery: K crashed shard heaps recovered one after
+//       another vs. one equal-total single heap — what splitting the
+//       same data across shards costs or saves at recovery time.
 
 #include <unistd.h>
 
@@ -154,7 +151,7 @@ void BuildCrashedHeaps(const std::vector<std::string>& paths,
   // crash all at once
 }
 
-// (c) One equal-total single heap vs. K shards recovered in parallel.
+// (c) One equal-total single heap vs. K shards recovered in turn.
 void BenchShardedRecovery(int shards, std::uint64_t total_entries) {
   tsp::pheap::TypeRegistry registry;
   MutexHashMap::RegisterTypes(&registry);
@@ -187,48 +184,31 @@ void BenchShardedRecovery(int shards, std::uint64_t total_entries) {
                     total_entries / static_cast<unsigned>(shards),
                     kPendingStores / static_cast<unsigned>(shards),
                     kTotalArenaMb / static_cast<unsigned>(shards));
-  double seq_ms = 0, par_ms = 0;
-  std::vector<int> thread_counts = {1};
-  if (shards > 1) thread_counts.push_back(shards);
-  for (const int threads : thread_counts) {
+  double seq_ms = 0;
+  {
     std::vector<std::unique_ptr<PersistentHeap>> heaps;
-    std::vector<PersistentHeap*> raw;
     for (const std::string& path : shard_paths) {
       heaps.push_back(std::move(PersistentHeap::Open(path)).value());
-      raw.push_back(heaps.back().get());
     }
     const auto start = Clock::now();
-    const auto results =
-        tsp::atlas::RecoverHeapsParallel(raw, registry, threads);
-    const double ms = MsSince(start);
-    for (const auto& shard : results) {
-      if (!shard.status.ok()) {
+    for (const auto& heap : heaps) {
+      auto result = tsp::atlas::RecoverHeap(heap.get(), registry);
+      if (!result.ok()) {
         std::printf("  shard recovery FAILED: %s\n",
-                    shard.status.ToString().c_str());
+                    result.status().ToString().c_str());
       }
     }
-    (threads == 1 ? seq_ms : par_ms) = ms;
-    if (threads != 1) break;
-    // Re-crash the shards so the parallel pass has identical work:
-    // recovery above consumed the logs, so rebuild from scratch.
-    heaps.clear();
-    if (shards > 1) {
-      BuildCrashedHeaps(shard_paths,
-                        total_entries / static_cast<unsigned>(shards),
-                        kPendingStores / static_cast<unsigned>(shards),
-                        kTotalArenaMb / static_cast<unsigned>(shards));
-    }
+    seq_ms = MsSince(start);
   }
-  if (shards == 1) par_ms = seq_ms;
   for (const std::string& path : shard_paths) unlink(path.c_str());
 
   std::printf(
       "  %2d shards x %8llu entries: single heap %9.3f ms | shards "
-      "sequential %9.3f ms | parallel %9.3f ms (%.2fx vs single)\n",
+      "sequential %9.3f ms (%.2fx vs single)\n",
       shards,
       static_cast<unsigned long long>(total_entries /
                                       static_cast<unsigned>(shards)),
-      single_ms, seq_ms, par_ms, single_ms / par_ms);
+      single_ms, seq_ms, single_ms / seq_ms);
 }
 
 }  // namespace
@@ -245,9 +225,7 @@ int main() {
        {1000ULL, 10000ULL, 100000ULL, 1000000ULL}) {
     BenchGc(entries);
   }
-  std::printf("\n(c) Sharded parallel recovery vs. equal-total single "
-              "heap (%u cores):\n",
-              std::thread::hardware_concurrency());
+  std::printf("\n(c) Sharded recovery vs. equal-total single heap:\n");
   for (const int shards : {1, 2, 4}) {
     BenchShardedRecovery(shards, 400000);
   }

@@ -162,8 +162,6 @@ void RunVariant(const WorkloadOptions& workload, int shards, Row* row) {
     row->atlas.seq_resyncs += stats.seq_resyncs;
     row->atlas.batched_publishes += stats.batched_publishes;
     row->atlas.elided_fresh += stats.elided_fresh;
-    row->atlas.range_records += stats.range_records;
-    row->atlas.line_dedup_hits += stats.line_dedup_hits;
     row->atlas.flit_repeat_hits += stats.flit_repeat_hits;
     row->atlas.flit_rearms += stats.flit_rearms;
     row->atlas.addrset_shrinks += stats.addrset_shrinks;
@@ -236,11 +234,6 @@ bool WriteJson(const std::string& json_path, const WorkloadOptions& workload,
                        row.atlas.batched_publishes));
       std::fprintf(f, "          \"elided_fresh\": %llu,\n",
                    static_cast<unsigned long long>(row.atlas.elided_fresh));
-      std::fprintf(f, "          \"range_records\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.range_records));
-      std::fprintf(f, "          \"line_dedup_hits\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.line_dedup_hits));
       std::fprintf(f, "          \"flit_repeat_hits\": %llu,\n",
                    static_cast<unsigned long long>(
                        row.atlas.flit_repeat_hits));
@@ -464,15 +457,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row.magazine_allocs));
     }
     const Row& logged = run.rows[1];
-    std::printf("\nUndo-log diet (log-only run): %llu ring records "
-                "(%llu ranges), %llu slot arms, %llu fresh-store elisions, "
-                "%llu line-dedup hits\n",
+    std::printf("\nUndo-log diet (log-only run): %llu ring records, %llu "
+                "slot arms, %llu fresh-store elisions\n",
                 static_cast<unsigned long long>(logged.atlas.undo_records),
-                static_cast<unsigned long long>(logged.atlas.range_records),
                 static_cast<unsigned long long>(logged.atlas.flit_rearms),
-                static_cast<unsigned long long>(logged.atlas.elided_fresh),
-                static_cast<unsigned long long>(
-                    logged.atlas.line_dedup_hits));
+                static_cast<unsigned long long>(logged.atlas.elided_fresh));
     std::printf("\nDerived (paper §5.2 reports desktop/server):\n");
     std::printf("  Atlas log-only overhead vs native:   %5.1f%%  "
                 "(paper: ~35%% / ~30%%)\n",

@@ -37,15 +37,6 @@ class AddressSet {
   /// every later OCS's per-store probe footprint.
   static constexpr std::uint64_t kShrinkAfterQuietEpochs = 16;
 
-  /// Result of a word-coverage probe.
-  struct Probe {
-    /// True if the word was not yet covered (caller must log it).
-    bool newly_covered;
-    /// True if the probe landed on a line slot that already existed in
-    /// this epoch (an adjacent-field or repeat store sharing the line).
-    bool line_hit;
-  };
-
   AddressSet() : slots_(kInitialCapacity) {}
 
   /// Starts a new OCS: logically empties the set. Retires an inflated
@@ -69,36 +60,15 @@ class AddressSet {
   }
 
   /// Marks the aligned 8-byte word at region offset `word_offset`
-  /// (multiple of 8) covered and reports whether it was covered before.
-  Probe CoverWord(std::uint64_t word_offset) {
+  /// (multiple of 8) covered. Returns true if it was not covered yet
+  /// (the caller must log it).
+  bool CoverWord(std::uint64_t word_offset) {
     Slot& slot = FindLine(word_offset >> 6);
     const std::uint8_t bit =
         static_cast<std::uint8_t>(1u << ((word_offset >> 3) & 7));
-    Probe probe{(slot.mask & bit) == 0, slot.line_hit};
+    const bool newly_covered = (slot.mask & bit) == 0;
     slot.mask |= bit;
-    return probe;
-  }
-
-  /// Covers every aligned word of [word_offset, word_offset + len) (both
-  /// multiples of 8). Returns true if *all* words were already covered
-  /// (the whole range dedups away).
-  bool CoverRange(std::uint64_t word_offset, std::uint64_t len) {
-    bool all_covered = true;
-    std::uint64_t line = word_offset >> 6;
-    const std::uint64_t last_line = (word_offset + len - 1) >> 6;
-    std::uint64_t first_word = (word_offset >> 3) & 7;
-    std::uint64_t words_left = len >> 3;
-    for (; line <= last_line; ++line, first_word = 0) {
-      const std::uint64_t words_here =
-          words_left < 8 - first_word ? words_left : 8 - first_word;
-      const std::uint8_t bits = static_cast<std::uint8_t>(
-          ((1u << words_here) - 1) << first_word);
-      Slot& slot = FindLine(line);
-      if ((slot.mask & bits) != bits) all_covered = false;
-      slot.mask |= bits;
-      words_left -= words_here;
-    }
-    return all_covered;
+    return newly_covered;
   }
 
   std::size_t size() const { return size_; }
@@ -110,9 +80,6 @@ class AddressSet {
     std::uint64_t line = 0;
     std::uint64_t epoch = 0;  // 0 = never used (epoch_ starts at 1)
     std::uint8_t mask = 0;    // words of the line already captured
-    /// Scratch for CoverWord's Probe report, valid only within the
-    /// FindLine call that set it.
-    bool line_hit = false;
   };
 
   static std::uint64_t Hash(std::uint64_t line) {
@@ -120,7 +87,7 @@ class AddressSet {
     return line * 0x9e3779b97f4a7c15ULL;
   }
 
-  /// Finds (or inserts empty) the slot for `line`, setting line_hit.
+  /// Finds (or inserts empty) the slot for `line`.
   Slot& FindLine(std::uint64_t line) {
     if ((size_ + 1) * 4 >= slots_.size() * 3) Grow();
     const std::uint64_t mask = slots_.size() - 1;
@@ -131,14 +98,10 @@ class AddressSet {
         slot.line = line;
         slot.epoch = epoch_;
         slot.mask = 0;
-        slot.line_hit = false;
         ++size_;
         return slot;
       }
-      if (slot.line == line) {
-        slot.line_hit = true;
-        return slot;
-      }
+      if (slot.line == line) return slot;
       index = (index + 1) & mask;
     }
   }

@@ -1,6 +1,7 @@
 #include "atlas/log_layout.h"
 
 #include <cstring>
+#include <string>
 
 namespace tsp::atlas {
 namespace {
@@ -80,47 +81,164 @@ std::uint64_t AtlasArea::Format(void* base, std::size_t size,
 }
 
 bool AtlasArea::Validate(const void* base, std::size_t size) {
-  if (size < sizeof(AtlasAreaHeader)) return false;
-  const auto* header = static_cast<const AtlasAreaHeader*>(base);
-  if (header->magic != kAtlasMagic) return false;
-  // Older versions decode with the added fields reading as zero (Format
-  // has always zeroed the whole prefix); newer versions may have moved
-  // the geometry and must be rejected, not guessed at.
-  if (header->version == 0 || header->version > kAtlasFormatVersion) {
-    return false;
-  }
-  if (header->max_threads == 0 || header->entries_per_thread == 0) {
-    return false;
-  }
-  const std::uint64_t needed =
-      header->entries_offset + header->entries_per_thread *
-                                   header->max_threads * sizeof(LogEntry);
-  if (needed > size) return false;
-  if (header->counter_slots_per_thread > 0) {
-    const std::uint64_t counter_end =
-        header->counter_slots_offset +
-        static_cast<std::uint64_t>(header->counter_slots_per_thread) *
-            header->max_threads * sizeof(CounterSlot);
-    if (header->counter_slots_offset == 0 || counter_end > size) {
-      return false;
-    }
-  }
-  if (header->robust_lock_count > 0) {
-    const std::uint64_t robust_end =
-        header->robust_locks_offset + sizeof(RobustTableHeader) +
-        static_cast<std::uint64_t>(header->robust_lock_count) *
-            sizeof(RobustLockWord);
-    if (header->robust_locks_offset == 0 || robust_end > size) {
-      return false;
-    }
-  }
-  return true;
+  return Check(base, size).ok();
 }
 
-std::uint32_t AtlasArea::VersionOf(const void* base, std::size_t size) {
-  if (size < sizeof(AtlasAreaHeader)) return 0;
+Status AtlasArea::Check(const void* base, std::size_t size) {
   const auto* header = static_cast<const AtlasAreaHeader*>(base);
-  return header->magic == kAtlasMagic ? header->version : 0;
+  if (size < sizeof(AtlasAreaHeader) || header->magic != kAtlasMagic) {
+    return Status::NotFound("no Atlas log area");
+  }
+  if (header->version != kAtlasFormatVersion) {
+    return Status::Corruption(
+        "Atlas log area has format version " +
+        std::to_string(header->version) + ", but this build reads only "
+        "version " + std::to_string(kAtlasFormatVersion) +
+        "; use the build that wrote it");
+  }
+  // `rows` rows of `per_row` units of `unit` bytes starting at `offset`
+  // fit inside the area (overflow-safe).
+  auto fits = [size](std::uint64_t offset, std::uint64_t rows,
+                     std::uint64_t per_row, std::uint64_t unit) {
+    return offset <= size && per_row <= (size - offset) / unit / rows;
+  };
+  const std::uint64_t threads = header->max_threads;
+  const bool ok =
+      threads > 0 && header->entries_per_thread > 0 &&
+      fits(header->slots_offset, threads, 1, sizeof(ThreadLogHeader)) &&
+      fits(header->entries_offset, threads, header->entries_per_thread,
+           sizeof(LogEntry)) &&
+      (header->counter_slots_per_thread == 0 ||
+       (header->counter_slots_offset != 0 &&
+        fits(header->counter_slots_offset, threads,
+             header->counter_slots_per_thread, sizeof(CounterSlot)))) &&
+      (header->robust_lock_count == 0 ||
+       (header->robust_locks_offset != 0 &&
+        fits(header->robust_locks_offset, 1, 1, sizeof(RobustTableHeader)) &&
+        fits(header->robust_locks_offset + sizeof(RobustTableHeader), 1,
+             header->robust_lock_count, sizeof(RobustLockWord))));
+  if (!ok) {
+    return Status::Corruption(
+        "Atlas log area header is malformed: its geometry exceeds the "
+        "area or is empty");
+  }
+  return Status::OK();
+}
+
+DecodedRing DecodeRing(const AtlasArea& area, std::uint32_t thread,
+                       std::uint64_t head, std::uint64_t tail,
+                       const RecordWindows& windows) {
+  DecodedRing ring;
+  const std::string name = "ring " + std::to_string(thread);
+  auto defect = [&ring, &name](std::uint64_t index, const std::string& what,
+                               bool unusable) {
+    ring.defects.push_back(name + " " + what + " at entry " +
+                           std::to_string(index));
+    if (unusable && ring.unusable.empty()) ring.unusable = ring.defects.back();
+  };
+  if (tail < head || tail - head > area.entries_per_thread()) {
+    ring.defects.push_back(name + " indices are corrupt (head " +
+                           std::to_string(head) + ", tail " +
+                           std::to_string(tail) + ")");
+    ring.unusable = ring.defects.back();
+    return ring;
+  }
+  DecodedOcs* open = nullptr;  // OCS being parsed; null at depth 0
+  std::uint64_t depth = 0;
+  for (std::uint64_t i = head; i < tail; ++i) {
+    const LogEntry& entry = *area.entry(thread, i);
+    ++ring.entries;
+    switch (entry.kind) {
+      case EntryKind::kAcquire:
+        if (depth++ == 0) {
+          ring.ocses.push_back(DecodedOcs{});
+          open = &ring.ocses.back();
+          open->id = entry.addr_offset;
+          open->begin = i;
+        }
+        if (entry.payload != 0) open->deps.push_back(entry.payload);
+        break;
+      case EntryKind::kRelease:
+        // A crash can cut trailing entries, but the window always starts
+        // at an OCS boundary: a release with no acquire before it means
+        // the trim protocol dropped the wrong entries.
+        if (depth == 0) {
+          defect(i, "release without matching acquire", false);
+        } else if (--depth == 0) {
+          open->committed = true;
+          open = nullptr;
+        } else {
+          open->released_nested = true;
+        }
+        break;
+      case EntryKind::kStore:
+        ++ring.stores;
+        // Leased stamp blocks are per-thread and monotone, so stamps
+        // strictly increase along one ring.
+        if (entry.seq <= ring.last_store_seq) {
+          defect(i,
+                 "stamp not monotone (" + std::to_string(entry.seq) +
+                     " after " + std::to_string(ring.last_store_seq) + ")",
+                 false);
+        }
+        ring.last_store_seq = entry.seq;
+        if (entry.size == 0 || entry.size > 8 ||
+            entry.addr_offset < windows.store_begin ||
+            entry.addr_offset > windows.store_end - entry.size) {
+          defect(i, "store record targets outside the arena", false);
+        }
+        if (open != nullptr) {
+          open->undo.push_back(UndoRecord{entry.seq, entry.addr_offset,
+                                          entry.payload, entry.size});
+        }
+        break;
+      case EntryKind::kAlloc:
+        // Leaked blocks are the recovery GC's concern; only the payload
+        // offset is checked.
+        if (entry.addr_offset < windows.alloc_begin ||
+            entry.addr_offset > windows.alloc_end) {
+          defect(i, "alloc record payload outside the arena", false);
+        }
+        break;
+      default: {
+        const int kind = static_cast<int>(entry.kind);
+        defect(i,
+               kind > kMaxKnownEntryKind
+                   ? "record kind " + std::to_string(kind) +
+                         " is newer than this build understands (max " +
+                         std::to_string(kMaxKnownEntryKind) + ")"
+                   : "invalid entry kind " + std::to_string(kind),
+               true);
+        break;
+      }
+    }
+  }
+
+  // Armed counter slots are undo records at fixed locations. One whose
+  // OCS is absent from the window is safe to skip: either that OCS is
+  // stable (unstable OCS logs are never trimmed), or its staged kAcquire
+  // was never published — and every capture publishes the bracket
+  // before its guarded store runs, so such a slot guards a store that
+  // never ran.
+  if (area.counter_slots_per_thread() > 0 && !ring.ocses.empty()) {
+    const std::uint64_t stable =
+        area.slot(thread)->stable_ocs.load(std::memory_order_relaxed);
+    const CounterSlot* slots = area.counter_slots(thread);
+    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
+      const CounterSlot& cs = slots[s];
+      if (cs.addr_offset == 0 || cs.ocs_id <= stable) continue;
+      if (cs.version.load(std::memory_order_relaxed) % 2 != 0) continue;
+      // Unstable occupants belong to the newest OCSes: search backwards.
+      for (auto it = ring.ocses.rbegin(); it != ring.ocses.rend(); ++it) {
+        if (it->id != cs.ocs_id) continue;
+        it->undo.push_back(
+            UndoRecord{cs.seq, cs.addr_offset, cs.old_value, 8});
+        ++ring.slot_records;
+        break;
+      }
+    }
+  }
+  return ring;
 }
 
 }  // namespace tsp::atlas

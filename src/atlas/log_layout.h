@@ -18,6 +18,10 @@
 // fully written *before* the owning ring's tail index is advanced past
 // it. Recovery trusts only entries below the persisted tail, so a crash
 // mid-append simply drops the torn batch.
+//
+// One format version, one reader: DecodeRing is the only code that
+// interprets a ring's entries. Recovery, dead-slot harvest, CheckHeap
+// and tsp_inspect all read the log through it.
 
 #ifndef TSP_ATLAS_LOG_LAYOUT_H_
 #define TSP_ATLAS_LOG_LAYOUT_H_
@@ -25,19 +29,25 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/status.h"
+#include "obs/trace_layout.h"
 
 namespace tsp::atlas {
 
 inline constexpr std::uint64_t kAtlasMagic = 0x31474F4C4C54414DULL;
 
-/// Kinds of log entries.
+/// Kinds of log entries. OCS boundaries are not entries of their own:
+/// an acquire at nesting depth 0 opens an OCS and the release that
+/// returns the depth to 0 commits it (DecodeRing).
 enum class EntryKind : std::uint8_t {
   kInvalid = 0,
-  /// Outermost critical section begins; payload = OCS id.
-  kOcsBegin,
-  /// Mutex acquired inside an OCS; aux = lock id, payload = packed
-  /// (thread, ocs) of the previous releaser (0 = none): a dependency
-  /// edge for cascading rollback.
+  /// Mutex acquired inside an OCS; addr_offset = OCS id, aux = lock id,
+  /// payload = packed (thread, ocs) of the previous releaser (0 = none):
+  /// a dependency edge for cascading rollback.
   kAcquire,
   /// Mutex released; aux = lock id, payload = current OCS id, seq = the
   /// releaser's sequence-stamp frontier at release time (diagnostics).
@@ -45,34 +55,16 @@ enum class EntryKind : std::uint8_t {
   /// Undo record: addr_offset = region offset of the stored-to word,
   /// payload = the *old* value (1..8 bytes, in `size`).
   kStore,
-  /// Outermost critical section committed; payload = OCS id.
-  kOcsCommit,
   /// Allocation inside an OCS; addr_offset = block payload offset.
   /// Rollback does not undo allocations — the recovery GC reclaims
   /// anything the rolled-back OCS never published.
   kAlloc,
-  /// Variable-length undo record for a guarded memcpy: addr_offset =
-  /// word-aligned region offset of the range, payload = range length in
-  /// bytes (a multiple of 8), aux = number of continuation entries
-  /// (ceil(payload / 32)) immediately following in the ring. Each
-  /// continuation entry is 32 raw bytes of the range's *old* contents —
-  /// not a LogEntry at all — so every ring scanner must skip `aux`
-  /// entries after a kStoreRange header (see kContinuationBytes).
-  kStoreRange,
 };
 
 /// Highest EntryKind this build can decode. A log written by a newer
-/// producer is reported as a versioned-format error, not generic
-/// corruption (see AtlasArea version checks below).
+/// producer is reported as such, not as generic corruption.
 inline constexpr std::uint8_t kMaxKnownEntryKind =
-    static_cast<std::uint8_t>(EntryKind::kStoreRange);
-
-/// Old-value bytes carried per kStoreRange continuation entry.
-inline constexpr std::uint64_t kContinuationBytes = 32;
-
-constexpr std::uint64_t RangeContinuationCount(std::uint64_t len) {
-  return (len + kContinuationBytes - 1) / kContinuationBytes;
-}
+    static_cast<std::uint8_t>(EntryKind::kAlloc);
 
 /// Packed (thread id, OCS id) used for dependency edges; 0 = none.
 constexpr std::uint64_t PackThreadOcs(std::uint16_t thread_id,
@@ -123,7 +115,7 @@ struct alignas(64) ThreadLogHeader {
   /// Next append position. Published with release order after the entry
   /// bytes are written.
   std::atomic<std::uint64_t> tail;
-  /// Highest OCS id that reached kOcsCommit.
+  /// Highest OCS id that committed (its outermost release ran).
   std::atomic<std::uint64_t> committed_ocs;
   /// Highest OCS id that is *stable*: committed and transitively
   /// dependent only on stable OCSes. Stable OCS logs are trimmed and
@@ -131,22 +123,21 @@ struct alignas(64) ThreadLogHeader {
   std::atomic<std::uint64_t> stable_ocs;
   /// Next OCS id to hand out (OCS ids are per-thread, starting at 1).
   std::atomic<std::uint64_t> next_ocs;
-  /// Claimant identity (version ≥ 3; zero on older formats): the kernel
-  /// pid + tid of the claiming thread and the process's birth epoch
-  /// (/proc/<pid>/stat start-time). (pid, birth, tid) is unique for the
-  /// life of a boot, so slot ownership survives both pid reuse across
-  /// processes and tid reuse *within* one (a recycled kernel tid used
-  /// to be able to collide with a not-yet-freed slot of an exited
-  /// thread). A harvester re-stamps these with its own identity while
-  /// in_use == kSlotHarvesting so a crashed harvest is itself
-  /// detectable and restartable.
+  /// Claimant identity: the kernel pid + tid of the claiming thread
+  /// and the process's birth epoch (/proc/<pid>/stat start-time).
+  /// (pid, birth, tid) is unique for the life of a boot, so slot
+  /// ownership survives both pid reuse across processes and tid reuse
+  /// *within* one (a recycled kernel tid used to be able to collide
+  /// with a not-yet-freed slot of an exited thread). A harvester
+  /// re-stamps these with its own identity while in_use ==
+  /// kSlotHarvesting so a crashed harvest is itself detectable and
+  /// restartable.
   std::atomic<std::uint32_t> owner_pid;
   std::uint32_t owner_tid;
   std::atomic<std::uint64_t> owner_birth;
 };
 
-static_assert(sizeof(ThreadLogHeader) == 64,
-              "v2 areas index slots by sizeof(ThreadLogHeader)");
+static_assert(sizeof(ThreadLogHeader) == 64);
 
 /// Persistent FliT-style "logged counter" slot (one cache line). Each
 /// thread owns a private direct-mapped array of these; a slot *is* an
@@ -205,8 +196,8 @@ struct PLockWord {
 /// inline trim, which happens before the mutex can change hands.
 inline constexpr std::uint64_t kLastReleaseStable = 1ULL << 47;
 
-/// One robust lock word (version ≥ 3), the TSP analog of a robust futex
-/// word. `owner` holds the claiming thread's *slot token* — its Atlas
+/// One robust lock word, the TSP analog of a robust futex word.
+/// `owner` holds the claiming thread's *slot token* — its Atlas
 /// slot index + 1 (0 = unowned) — not a raw pid: liveness is resolved
 /// through the slot header's (owner_pid, owner_birth, owner_tid) stamp,
 /// which is written before any lock can be taken and cannot change
@@ -227,7 +218,7 @@ struct alignas(64) RobustLockWord {
 
 static_assert(sizeof(RobustLockWord) == 64);
 
-/// Header of the robust lock table (version ≥ 3), one cache line before
+/// Header of the robust lock table, one cache line before
 /// the RobustLockWord array. The counters are persistent and shared by
 /// every attached process — a killed worker's steals stay countable by
 /// the parent, which is how bench_table1 --procs reports
@@ -246,14 +237,10 @@ struct alignas(64) RobustTableHeader {
 
 static_assert(sizeof(RobustTableHeader) == 64);
 
-/// Current on-media format version. Version 2 adds the per-thread
-/// CounterSlot arrays (counter_slots_offset / counter_slots_per_thread)
-/// and the kStoreRange record kind. Version 3 adds the robust lock
-/// table (robust_locks_offset / robust_lock_count) and the claimant
-/// identity stamp in ThreadLogHeader; both additions live in bytes
-/// older formats always zeroed, so v1/v2 areas decode with the
-/// features absent and are reformatted on the next clean Initialize.
-inline constexpr std::uint32_t kAtlasFormatVersion = 3;
+/// The on-media format version, and the only one this build reads:
+/// an area stamped with any other version is refused (AtlasArea::Check
+/// names both versions), and a clean Initialize reformats it.
+inline constexpr std::uint32_t kAtlasFormatVersion = 4;
 
 /// Header of the Atlas area, placed at the start of the region's
 /// runtime area.
@@ -266,19 +253,16 @@ struct AtlasAreaHeader {
   /// the entry rings follow it.
   std::uint64_t slots_offset;
   std::uint64_t entries_offset;
-  /// Offset of the CounterSlot arrays (version ≥ 2; 0 = none).
+  /// Offset of the CounterSlot arrays (0 = none).
   std::uint64_t counter_slots_offset;
-  /// CounterSlots per thread (version ≥ 2; 0 disables the fast path).
+  /// CounterSlots per thread (0 disables the fast path).
   std::uint32_t counter_slots_per_thread;
-  /// RobustLockWords in the table (version ≥ 3; 0 = robust locking off).
+  /// RobustLockWords in the table (0 = robust locking off).
   std::uint32_t robust_lock_count;
   /// Offset of the RobustTableHeader, immediately followed by the
-  /// RobustLockWord array (version ≥ 3; 0 = none).
+  /// RobustLockWord array (0 = none).
   std::uint64_t robust_locks_offset;
 };
-
-static_assert(sizeof(AtlasAreaHeader) <= 64,
-              "v1 headers must keep their slots_offset (64) valid");
 
 inline constexpr std::uint32_t kDefaultMaxThreads = 64;
 
@@ -292,6 +276,15 @@ inline constexpr std::uint32_t kDefaultCounterSlotsPerThread = 256;
 /// bounds the robust stripes per heap.
 inline constexpr std::uint32_t kDefaultRobustLockCount = 256;
 
+/// Bytes of a heap's runtime area that belong to the Atlas area: the
+/// flight recorder owns the tail (obs::TraceReservationBytes). Every
+/// writer and reader of the area bounds it by this size, so a header
+/// whose tables reach into the trace reservation fails validation
+/// everywhere instead of having trace events read as log entries.
+inline std::size_t AtlasAreaSize(std::size_t runtime_area_size) {
+  return runtime_area_size - obs::TraceReservationBytes(runtime_area_size);
+}
+
 /// Accessors over a formatted Atlas area.
 class AtlasArea {
  public:
@@ -300,17 +293,15 @@ class AtlasArea {
   static std::uint64_t Format(void* base, std::size_t size,
                               std::uint32_t max_threads);
 
-  /// Attaches to an already formatted area (crash recovery path).
-  /// Returns false if the magic does not match. Accepts format
-  /// versions up to kAtlasFormatVersion (older versions decode with
-  /// the missing features absent); rejects newer ones — use
-  /// VersionOf to report *why* validation failed.
+  /// True when `size` bytes at `base` hold an area of exactly
+  /// kAtlasFormatVersion whose every table fits inside `size`.
   static bool Validate(const void* base, std::size_t size);
 
-  /// Format version of an area with a matching magic, or 0 when the
-  /// bytes are not an Atlas area at all. Lets diagnostics distinguish
-  /// "newer than this decoder" from garbage.
-  static std::uint32_t VersionOf(const void* base, std::size_t size);
+  /// Validate, with the reason when it fails: kNotFound when the bytes
+  /// carry no Atlas magic (never formatted — nothing to roll back),
+  /// kCorruption naming both versions for an area of another format
+  /// version, kCorruption for a malformed geometry.
+  static Status Check(const void* base, std::size_t size);
 
   AtlasArea(void* base, std::size_t size)
       : base_(static_cast<char*>(base)), size_(size) {}
@@ -329,8 +320,7 @@ class AtlasArea {
            thread_id;
   }
 
-  /// CounterSlots per thread (0 on v1 areas or areas too small for a
-  /// slot carve-out).
+  /// CounterSlots per thread (0 on areas too small for the carve-out).
   std::uint32_t counter_slots_per_thread() const {
     return header()->counter_slots_per_thread;
   }
@@ -344,8 +334,8 @@ class AtlasArea {
                header()->counter_slots_per_thread;
   }
 
-  /// RobustLockWords in the table (0 on pre-v3 areas or areas too small
-  /// for the carve-out; robust locking is then off for the heap).
+  /// RobustLockWords in the table (0 on areas too small for the
+  /// carve-out; robust locking is then off for the heap).
   std::uint32_t robust_lock_count() const {
     return header()->robust_lock_count;
   }
@@ -378,6 +368,74 @@ class AtlasArea {
   char* base_;
   std::size_t size_;
 };
+
+/// One undo record: restoring `size` bytes of `old_value` at region
+/// offset `addr_offset` undoes a guarded store. Comes from a kStore
+/// ring entry or from an armed counter slot.
+struct UndoRecord {
+  std::uint64_t seq;
+  std::uint64_t addr_offset;
+  std::uint64_t old_value;
+  std::uint32_t size;
+};
+
+/// One outermost critical section of a ring, as DecodeRing rebuilds it.
+struct DecodedOcs {
+  std::uint64_t id = 0;
+  /// Ring index of the kAcquire that opened it.
+  std::uint64_t begin = 0;
+  /// Its outermost release is in the ring; false = cut off by a crash.
+  bool committed = false;
+  /// A nested lock was released while the OCS stayed open, so a peer
+  /// may have recorded a dependency on this OCS.
+  bool released_nested = false;
+  /// Dependency edges: PackThreadOcs of the releasers it acquired from.
+  std::vector<std::uint64_t> deps;
+  /// Its kStore entries plus the counter slots armed for it.
+  std::vector<UndoRecord> undo;
+};
+
+/// Region-offset windows a ring's records must fall in; a record
+/// outside is a defect. The defaults accept any offset (CheckHeap
+/// passes the heap's arena).
+struct RecordWindows {
+  std::uint64_t store_begin = 0;
+  std::uint64_t store_end = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t alloc_begin = 0;
+  std::uint64_t alloc_end = std::numeric_limits<std::uint64_t>::max();
+};
+
+/// What DecodeRing found in one ring.
+struct DecodedRing {
+  /// Ring entries walked, and the kStore entries among them.
+  std::uint64_t entries = 0;
+  std::uint64_t stores = 0;
+  /// Stamp of the last kStore entry (0 = none).
+  std::uint64_t last_store_seq = 0;
+  /// Counter-slot records attached to the OCSes below.
+  std::uint64_t slot_records = 0;
+  /// The ring's OCSes in program order. Only the last can be open.
+  std::vector<DecodedOcs> ocses;
+  /// Every defect found, each a "ring <t> ..." sentence.
+  std::vector<std::string> defects;
+  /// The first defect that makes the ring unfit for rollback (indices
+  /// out of range, or an entry of an invalid or unknown kind); empty
+  /// when recovery may trust the ring. The other defects (stamp order,
+  /// unmatched release, record outside its window) do not stop
+  /// recovery, which checks every record it applies.
+  std::string unusable;
+};
+
+/// Decodes ring `thread` of `area` over the window [head, tail) — the
+/// caller loads head and tail with the ordering its context needs — in
+/// one pass. OCS boundaries come from acquire/release nesting: an
+/// acquire at depth 0 opens an OCS, the release that returns the depth
+/// to 0 commits it. Armed counter slots join the OCS they belong to
+/// unless their OCS is stable (never needed again) or their seqlock
+/// version is odd (torn: the guarded store never ran).
+DecodedRing DecodeRing(const AtlasArea& area, std::uint32_t thread,
+                       std::uint64_t head, std::uint64_t tail,
+                       const RecordWindows& windows = {});
 
 }  // namespace tsp::atlas
 

@@ -1,10 +1,8 @@
 #include "atlas/recovery.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -17,27 +15,39 @@
 namespace tsp::atlas {
 namespace {
 
-struct UndoRecord {
-  std::uint64_t seq;
-  std::uint64_t addr_offset;
-  /// Old bytes for records of up to one word (size <= 8). Larger
-  /// records (kStoreRange) park their bytes in the recovery-local blob
-  /// arena and carry the blob's index here instead.
-  std::uint64_t old_value;
-  std::uint32_t size;
-  std::int32_t blob = -1;
-};
-
-struct OcsRecord {
-  std::uint16_t thread = 0;
-  std::uint64_t ocs_id = 0;
-  /// Position of this OCS within its thread's ring scan (program order).
-  std::uint32_t position = 0;
-  bool committed = false;
-  bool rolled_back = false;
-  std::vector<std::uint64_t> deps;  // packed (thread, ocs)
-  std::vector<UndoRecord> undo;
-};
+/// Replays `undo` into `region` newest stamp first. Leased stamps are
+/// sparse (handed out in per-thread blocks of the global counter) and
+/// unique per undo record; only their relative order matters. Records
+/// racing on the same location are always ordered consistently with
+/// the actual write order: same-thread records by lease monotonicity,
+/// cross-thread records because the locks serializing the writes force
+/// a stamp resync at every release→acquire edge. Reverse-stamp replay
+/// therefore restores each location's oldest overwritten value last.
+/// Every record is checked against the region before any is applied.
+/// Returns the number of records applied.
+StatusOr<std::uint64_t> ApplyUndo(std::vector<UndoRecord> undo,
+                                  const pheap::MappedRegion* region) {
+  for (const UndoRecord& record : undo) {
+    if (record.size > 8 || record.addr_offset > region->size() ||
+        record.size > region->size() - record.addr_offset) {
+      return Status::Corruption("undo record points outside the region");
+    }
+  }
+  std::sort(undo.begin(), undo.end(),
+            [](const UndoRecord& a, const UndoRecord& b) {
+              return a.seq > b.seq;
+            });
+  for (const UndoRecord& record : undo) {
+    void* target = region->FromOffset(record.addr_offset);
+    // Rollback is a blessed writer under TSPSan: it restores the logged
+    // old value, which is by definition the logged state. TSPRace
+    // resets the restored span's shadow for the same reason.
+    analysis::HookRollback(target, record.size);
+    pheap::ScopedWriteWindow window(target, record.size);
+    std::memcpy(target, &record.old_value, record.size);
+  }
+  return undo.size();
+}
 
 }  // namespace
 
@@ -76,161 +86,41 @@ StatusOr<RecoveryStats> RecoverAtlas(pheap::PersistentHeap* heap) {
   [[maybe_unused]] auto phase_start = Clock::now();
 
   void* area_base = heap->runtime_area();
-  const std::size_t area_size = heap->runtime_area_size();
-  if (!AtlasArea::Validate(area_base, area_size)) {
+  const std::size_t area_size = AtlasAreaSize(heap->runtime_area_size());
+  const Status area_status = AtlasArea::Check(area_base, area_size);
+  if (area_status.code() == StatusCode::kNotFound) {
     // A heap that crashed before the Atlas area was ever formatted (or
     // that never used Atlas at all, e.g. the non-blocking case study):
-    // the zeroed runtime area fails validation, and there is nothing to
-    // roll back. A log written by a newer producer gets a versioned
-    // error (its geometry cannot be guessed at); a partially formatted
-    // area is indistinguishable from garbage, so reject anything else
-    // with a matching magic but bad shape.
-    const std::uint32_t version = AtlasArea::VersionOf(area_base, area_size);
-    if (version > kAtlasFormatVersion) {
-      return Status::Corruption(
-          "Atlas log format version " + std::to_string(version) +
-          " is newer than this decoder (understands up to version " +
-          std::to_string(kAtlasFormatVersion) + "); recover with a newer "
-          "build");
-    }
-    if (version != 0) {
-      return Status::Corruption("Atlas log area header is malformed");
-    }
+    // there is nothing to roll back.
     return stats;
   }
+  TSP_RETURN_IF_ERROR(area_status);
   AtlasArea area(area_base, area_size);
 
-  // --- scan every ring and reconstruct OCS records ---
-  std::vector<OcsRecord> records;
-  /// Old-bytes storage for variable-length (kStoreRange) undo records.
-  std::vector<std::vector<std::uint8_t>> blobs;
-  std::unordered_map<std::uint64_t, std::size_t> index;  // packed → idx
-  std::vector<std::uint32_t> thread_positions(area.max_threads(), 0);
+  // --- decode every ring ---
+  // Every OCS, ring by ring in program order, so an OCS's same-thread
+  // successor is the next node when it has the same thread.
+  struct OcsNode {
+    std::uint16_t thread;
+    DecodedOcs* ocs;
+    bool rolled_back = false;
+  };
+  std::vector<DecodedRing> rings(area.max_threads());
+  std::vector<OcsNode> nodes;
   for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
-    ThreadLogHeader* slot = area.slot(t);
+    const ThreadLogHeader* slot = area.slot(t);
     const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
     const std::uint64_t tail = slot->tail.load(std::memory_order_relaxed);
     if (tail == head) continue;
-    if (tail < head || tail - head > area.entries_per_thread()) {
-      return Status::Corruption("thread log ring indices are inconsistent");
+    rings[t] = DecodeRing(area, t, head, tail);
+    if (!rings[t].unusable.empty()) {
+      return Status::Corruption("undo log " + rings[t].unusable);
     }
     ++stats.rings_scanned;
-
-    // OCS boundaries are reconstructed from acquire/release nesting:
-    // an acquire at depth 0 opens an OCS; the release that returns the
-    // depth to 0 commits it. An OCS still open at the end of the ring
-    // was interrupted by the crash.
-    OcsRecord* open = nullptr;  // OCS currently being parsed
-    int depth = 0;
-    for (std::uint64_t i = head; i < tail; ++i) {
-      const LogEntry* entry = area.entry(t, i);
-      ++stats.entries_scanned;
-      switch (entry->kind) {
-        case EntryKind::kAcquire: {
-          if (depth++ == 0) {
-            OcsRecord record;
-            record.thread = static_cast<std::uint16_t>(t);
-            record.ocs_id = entry->addr_offset;
-            record.position = thread_positions[t]++;
-            index[PackThreadOcs(record.thread, record.ocs_id)] =
-                records.size();
-            records.push_back(std::move(record));
-            open = &records.back();
-            ++stats.ocses_seen;
-          }
-          if (open != nullptr && entry->payload != 0) {
-            open->deps.push_back(entry->payload);
-          }
-          break;
-        }
-        case EntryKind::kRelease:
-          if (depth > 0 && --depth == 0 && open != nullptr) {
-            open->committed = true;
-            open = nullptr;
-          }
-          break;
-        case EntryKind::kStore:
-          if (open != nullptr) {
-            open->undo.push_back(UndoRecord{entry->seq, entry->addr_offset,
-                                            entry->payload, entry->size});
-          }
-          break;
-        case EntryKind::kStoreRange: {
-          // Header entry followed by `aux` continuation entries of raw
-          // old bytes; the whole batch was published with one tail
-          // advance, so a header without its continuations is corrupt,
-          // not torn.
-          const std::uint64_t len = entry->payload;
-          if (len == 0 || len % 8 != 0 ||
-              entry->aux != RangeContinuationCount(len) ||
-              i + entry->aux >= tail) {
-            return Status::Corruption(
-                "malformed range undo record in ring");
-          }
-          if (open != nullptr) {
-            std::vector<std::uint8_t> bytes(len);
-            for (std::uint32_t c = 0; c < entry->aux; ++c) {
-              const std::uint64_t at =
-                  static_cast<std::uint64_t>(c) * kContinuationBytes;
-              const std::uint64_t take = len - at < kContinuationBytes
-                                             ? len - at
-                                             : kContinuationBytes;
-              std::memcpy(bytes.data() + at, area.entry(t, i + 1 + c),
-                          take);
-            }
-            open->undo.push_back(
-                UndoRecord{entry->seq, entry->addr_offset, 0,
-                           static_cast<std::uint32_t>(len),
-                           static_cast<std::int32_t>(blobs.size())});
-            blobs.push_back(std::move(bytes));
-          }
-          stats.entries_scanned += entry->aux;
-          i += entry->aux;  // skip the raw continuation entries
-          break;
-        }
-        case EntryKind::kAlloc:
-          break;  // leaked blocks are the recovery GC's concern
-        case EntryKind::kOcsBegin:
-        case EntryKind::kOcsCommit:
-          break;  // legacy kinds, no longer emitted
-        case EntryKind::kInvalid:
-          return Status::Corruption("invalid log entry kind in ring");
-        default:
-          return Status::Corruption(
-              "log entry kind " +
-              std::to_string(static_cast<int>(entry->kind)) +
-              " is newer than this decoder (understands up to kind " +
-              std::to_string(static_cast<int>(kMaxKnownEntryKind)) + ")");
-      }
-      // `records` may reallocate, but only when an OCS opens, which
-      // immediately reassigns `open`; no stale pointer survives.
-    }
-  }
-
-  // --- harvest FliT counter slots ---
-  // Each armed slot is an undo record at a fixed location. A slot whose
-  // owning OCS is stable can never be needed; an odd version marks a
-  // torn rewrite, which is safe to skip because the slot update is
-  // ordered before the guarded store it protects (that store never
-  // executed). Every other slot joins its OCS's undo list. An OCS
-  // absent from the scan is safe to skip for one of two reasons: either
-  // it is stable (unstable OCS logs are never trimmed), or its staged
-  // kAcquire bracket was never published — and every capture path
-  // publishes the bracket *before* its guarded store executes, so an
-  // armed slot with no ring presence guards a store that never ran.
-  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
-    if (area.counter_slots_per_thread() == 0) break;
-    const std::uint64_t stable =
-        area.slot(t)->stable_ocs.load(std::memory_order_relaxed);
-    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
-      const CounterSlot& cs = area.counter_slots(t)[s];
-      if (cs.addr_offset == 0 || cs.ocs_id <= stable) continue;
-      if (cs.version.load(std::memory_order_relaxed) % 2 != 0) continue;
-      const auto it = index.find(PackThreadOcs(t, cs.ocs_id));
-      if (it == index.end()) continue;
-      ++stats.entries_scanned;
-      records[it->second].undo.push_back(
-          UndoRecord{cs.seq, cs.addr_offset, cs.old_value, 8});
+    stats.entries_scanned += rings[t].entries + rings[t].slot_records;
+    stats.ocses_seen += rings[t].ocses.size();
+    for (DecodedOcs& ocs : rings[t].ocses) {
+      nodes.push_back(OcsNode{static_cast<std::uint16_t>(t), &ocs});
     }
   }
 
@@ -244,54 +134,43 @@ StatusOr<RecoveryStats> RecoverAtlas(pheap::PersistentHeap* heap) {
   // on values its rolled-back earlier OCS produced, so they roll back
   // too — Atlas's durability order includes program order).
   std::vector<std::size_t> worklist;
-  std::vector<std::vector<std::size_t>> per_thread(area.max_threads());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    per_thread[records[i].thread].push_back(i);  // in scan (program) order
-  }
   auto mark = [&](std::size_t i, bool incomplete) {
-    if (records[i].rolled_back) return;
-    records[i].rolled_back = true;
-    const std::uint64_t packed =
-        PackThreadOcs(records[i].thread, records[i].ocs_id);
+    if (nodes[i].rolled_back) return;
+    nodes[i].rolled_back = true;
+    std::vector<std::uint64_t>* reported = &stats.rolled_back_cascaded;
     if (incomplete) {
       ++stats.ocses_incomplete;
-      if (stats.rolled_back_incomplete.size() <
-          RecoveryStats::kMaxReportedRollbacks) {
-        stats.rolled_back_incomplete.push_back(packed);
-      }
+      reported = &stats.rolled_back_incomplete;
     } else {
       ++stats.ocses_cascaded;
-      if (stats.rolled_back_cascaded.size() <
-          RecoveryStats::kMaxReportedRollbacks) {
-        stats.rolled_back_cascaded.push_back(packed);
-      }
+    }
+    if (reported->size() < RecoveryStats::kMaxReportedRollbacks) {
+      reported->push_back(PackThreadOcs(nodes[i].thread, nodes[i].ocs->id));
     }
     worklist.push_back(i);
   };
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!records[i].committed) mark(i, /*incomplete=*/true);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!nodes[i].ocs->committed) mark(i, /*incomplete=*/true);
   }
-  // Reverse edges: dependents of each record.
+  // Reverse edges: dependents of each OCS.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> dependents;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    for (const std::uint64_t dep : records[i].deps) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (const std::uint64_t dep : nodes[i].ocs->deps) {
       dependents[dep].push_back(i);
     }
   }
   while (!worklist.empty()) {
     const std::size_t current = worklist.back();
     worklist.pop_back();
-    // Program-order successors on the same thread.
-    for (const std::size_t successor :
-         per_thread[records[current].thread]) {
-      if (records[successor].position > records[current].position) {
-        mark(successor, /*incomplete=*/false);
-      }
+    // The program-order successor on the same thread (which in turn
+    // marks its own successor).
+    if (current + 1 < nodes.size() &&
+        nodes[current + 1].thread == nodes[current].thread) {
+      mark(current + 1, /*incomplete=*/false);
     }
     // Lock-dependency successors.
-    const std::uint64_t packed =
-        PackThreadOcs(records[current].thread, records[current].ocs_id);
-    const auto it = dependents.find(packed);
+    const auto it = dependents.find(
+        PackThreadOcs(nodes[current].thread, nodes[current].ocs->id));
     if (it == dependents.end()) continue;
     for (const std::size_t dependent : it->second) {
       mark(dependent, /*incomplete=*/false);
@@ -303,46 +182,12 @@ StatusOr<RecoveryStats> RecoverAtlas(pheap::PersistentHeap* heap) {
 
   // --- apply undo records in reverse global order ---
   std::vector<UndoRecord> undo;
-  for (const OcsRecord& record : records) {
-    if (!record.rolled_back) continue;
-    undo.insert(undo.end(), record.undo.begin(), record.undo.end());
+  for (const OcsNode& node : nodes) {
+    if (!node.rolled_back) continue;
+    undo.insert(undo.end(), node.ocs->undo.begin(), node.ocs->undo.end());
   }
-  // Leased stamps are sparse (handed out in per-thread blocks of the
-  // global counter) and unique per undo record; only their relative
-  // order matters here. Records racing on the same location are always
-  // ordered consistently with the actual write order: same-thread
-  // records by lease monotonicity, cross-thread records because the
-  // locks serializing the writes force a stamp resync at every
-  // release→acquire edge. Reverse-stamp replay therefore restores each
-  // location's oldest overwritten value last, exactly as with dense
-  // per-record stamps.
-  std::sort(undo.begin(), undo.end(),
-            [](const UndoRecord& a, const UndoRecord& b) {
-              return a.seq > b.seq;
-            });
-  const pheap::MappedRegion* region = heap->region();
-  for (const UndoRecord& record : undo) {
-    if (record.addr_offset + record.size > region->size() ||
-        record.addr_offset + record.size < record.addr_offset ||
-        (record.blob < 0 && record.size > 8)) {
-      return Status::Corruption("undo record points outside the region");
-    }
-    const void* old_bytes = record.blob >= 0
-                                ? static_cast<const void*>(
-                                      blobs[record.blob].data())
-                                : static_cast<const void*>(
-                                      &record.old_value);
-    // Rollback is a blessed writer under TSPSan: it restores the logged
-    // old value, which is by definition the logged state. TSPRace
-    // resets the restored span's shadow for the same reason.
-    analysis::HookRollback(region->FromOffset(record.addr_offset),
-                           record.size);
-    pheap::ScopedWriteWindow window(region->FromOffset(record.addr_offset),
-                                    record.size);
-    std::memcpy(region->FromOffset(record.addr_offset), old_bytes,
-                record.size);
-    ++stats.stores_undone;
-  }
+  TSP_ASSIGN_OR_RETURN(stats.stores_undone,
+                       ApplyUndo(std::move(undo), heap->region()));
 
   observe_us("recovery.rollback_us", phase_start);
   TSP_COUNTER_ADD("recovery.ocses_rolled_back",
@@ -392,127 +237,30 @@ SlotHarvestStats HarvestDeadSlot(const AtlasArea& area,
   ThreadLogHeader* slot = area.slot(thread_id);
   const std::uint64_t head = slot->head.load(std::memory_order_acquire);
   const std::uint64_t tail = slot->tail.load(std::memory_order_acquire);
-  if (tail < head || tail - head > area.entries_per_thread()) {
-    stats.status =
-        Status::Corruption("dead slot's ring indices are inconsistent");
+
+  // The owner died mid-OCS, so like RecoverAtlas we decode the ring —
+  // but only the *tail* open OCS can need rollback (everything before
+  // it committed; see the header comment for why committed OCSes of a
+  // dead slot can never cascade).
+  DecodedRing ring = DecodeRing(area, thread_id, head, tail);
+  stats.entries_scanned = ring.entries;
+  if (!ring.unusable.empty()) {
+    stats.status = Status::Corruption("dead slot's " + ring.unusable);
     return stats;
   }
-
-  // Scan the dead slot's ring for the OCS still open at the end. The
-  // owner died mid-OCS, so like RecoverAtlas we reconstruct boundaries
-  // from acquire/release nesting — but only the *tail* open OCS can need
-  // rollback (everything before it committed; see the header comment
-  // for why committed OCSes of a dead slot can never cascade).
-  std::uint64_t open_ocs = 0;
-  std::uint64_t open_begin = tail;
-  bool open_released_nested = false;
-  int depth = 0;
-  std::vector<UndoRecord> undo;
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (std::uint64_t i = head; i < tail; ++i) {
-    const LogEntry* entry = area.entry(thread_id, i);
-    ++stats.entries_scanned;
-    switch (entry->kind) {
-      case EntryKind::kAcquire:
-        if (depth++ == 0) {
-          open_ocs = entry->addr_offset;
-          open_begin = i;
-          open_released_nested = false;
-          undo.clear();
-          blobs.clear();
-        }
-        break;
-      case EntryKind::kRelease:
-        if (depth > 0 && --depth == 0) {
-          open_ocs = 0;  // committed; its undo can never be needed
-        } else if (depth > 0) {
-          // A nested lock went free while the OCS stayed open: a peer
-          // may have acquired it and recorded a dependency this
-          // slot-local rollback cannot cascade into.
-          open_released_nested = true;
-        }
-        break;
-      case EntryKind::kStore:
-        if (depth > 0) {
-          undo.push_back(UndoRecord{entry->seq, entry->addr_offset,
-                                    entry->payload, entry->size});
-        }
-        break;
-      case EntryKind::kStoreRange: {
-        const std::uint64_t len = entry->payload;
-        if (len == 0 || len % 8 != 0 ||
-            entry->aux != RangeContinuationCount(len) ||
-            i + entry->aux >= tail) {
-          stats.status =
-              Status::Corruption("malformed range undo record in dead ring");
-          return stats;
-        }
-        if (depth > 0) {
-          std::vector<std::uint8_t> bytes(len);
-          for (std::uint32_t c = 0; c < entry->aux; ++c) {
-            const std::uint64_t at =
-                static_cast<std::uint64_t>(c) * kContinuationBytes;
-            const std::uint64_t take = len - at < kContinuationBytes
-                                           ? len - at
-                                           : kContinuationBytes;
-            std::memcpy(bytes.data() + at,
-                        area.entry(thread_id, i + 1 + c), take);
-          }
-          undo.push_back(UndoRecord{entry->seq, entry->addr_offset, 0,
-                                    static_cast<std::uint32_t>(len),
-                                    static_cast<std::int32_t>(blobs.size())});
-          blobs.push_back(std::move(bytes));
-        }
-        stats.entries_scanned += entry->aux;
-        i += entry->aux;
-        break;
-      }
-      case EntryKind::kAlloc:
-      case EntryKind::kOcsBegin:
-      case EntryKind::kOcsCommit:
-        break;
-      default:
-        stats.status = Status::Corruption(
-            "unknown log entry kind in dead slot's ring");
-        return stats;
+  std::uint64_t rewind = tail;
+  if (!ring.ocses.empty() && !ring.ocses.back().committed) {
+    DecodedOcs& open = ring.ocses.back();
+    StatusOr<std::uint64_t> undone =
+        ApplyUndo(std::move(open.undo), region);
+    if (!undone.ok()) {
+      stats.status = undone.status();
+      return stats;
     }
-  }
-
-  if (depth > 0 && open_ocs != 0) {
-    // Counter slots armed by the open OCS are undo records too.
-    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
-      const CounterSlot& cs = area.counter_slots(thread_id)[s];
-      if (cs.addr_offset == 0 || cs.ocs_id != open_ocs) continue;
-      if (cs.version.load(std::memory_order_relaxed) % 2 != 0) continue;
-      undo.push_back(UndoRecord{cs.seq, cs.addr_offset, cs.old_value, 8});
-    }
-    std::sort(undo.begin(), undo.end(),
-              [](const UndoRecord& a, const UndoRecord& b) {
-                return a.seq > b.seq;
-              });
-    for (const UndoRecord& record : undo) {
-      if (record.addr_offset + record.size > region->size() ||
-          record.addr_offset + record.size < record.addr_offset ||
-          (record.blob < 0 && record.size > 8)) {
-        stats.status =
-            Status::Corruption("dead slot's undo record points outside "
-                               "the region");
-        return stats;
-      }
-      const void* old_bytes =
-          record.blob >= 0
-              ? static_cast<const void*>(blobs[record.blob].data())
-              : static_cast<const void*>(&record.old_value);
-      analysis::HookRollback(region->FromOffset(record.addr_offset),
-                             record.size);
-      pheap::ScopedWriteWindow window(
-          region->FromOffset(record.addr_offset), record.size);
-      std::memcpy(region->FromOffset(record.addr_offset), old_bytes,
-                  record.size);
-      ++stats.stores_undone;
-    }
+    stats.stores_undone = *undone;
     stats.rolled_back = true;
-    stats.nested_release_hazard = open_released_nested;
+    stats.nested_release_hazard = open.released_nested;
+    rewind = open.begin;
   }
 
   // Rewind past the open OCS's bracket ("it never happened") and trim
@@ -520,8 +268,8 @@ SlotHarvestStats HarvestDeadSlot(const AtlasArea& area,
   // Order matters for harvest-crash idempotency: undo application above
   // reads the entries these stores drop, and a re-harvest that finds
   // the rewound ring simply has nothing left to undo.
-  slot->tail.store(open_begin, std::memory_order_release);
-  slot->head.store(open_begin, std::memory_order_release);
+  slot->tail.store(rewind, std::memory_order_release);
+  slot->head.store(rewind, std::memory_order_release);
 
   // The open OCS's id is burned, never re-issued, and now recorded as
   // "committed, stable, did nothing" — the same bookkeeping Initialize
@@ -555,6 +303,37 @@ SlotHarvestStats HarvestDeadSlot(const AtlasArea& area,
   return stats;
 }
 
+void AccumulateRecovery(const FullRecoveryResult& shard,
+                        FullRecoveryResult* total) {
+  RecoveryStats& atlas = total->atlas;
+  atlas.performed |= shard.atlas.performed;
+  atlas.rings_scanned += shard.atlas.rings_scanned;
+  atlas.entries_scanned += shard.atlas.entries_scanned;
+  atlas.ocses_seen += shard.atlas.ocses_seen;
+  atlas.ocses_incomplete += shard.atlas.ocses_incomplete;
+  atlas.ocses_cascaded += shard.atlas.ocses_cascaded;
+  atlas.stores_undone += shard.atlas.stores_undone;
+  auto append_capped = [](const std::vector<std::uint64_t>& from,
+                          std::vector<std::uint64_t>* to) {
+    for (const std::uint64_t id : from) {
+      if (to->size() >= RecoveryStats::kMaxReportedRollbacks) return;
+      to->push_back(id);
+    }
+  };
+  append_capped(shard.atlas.rolled_back_incomplete,
+                &atlas.rolled_back_incomplete);
+  append_capped(shard.atlas.rolled_back_cascaded,
+                &atlas.rolled_back_cascaded);
+  pheap::GcStats& gc = total->gc;
+  gc.live_objects += shard.gc.live_objects;
+  gc.live_bytes += shard.gc.live_bytes;
+  gc.free_blocks += shard.gc.free_blocks;
+  gc.free_bytes += shard.gc.free_bytes;
+  gc.tail_reclaimed_bytes += shard.gc.tail_reclaimed_bytes;
+  gc.sliver_bytes += shard.gc.sliver_bytes;
+  gc.invalid_pointers += shard.gc.invalid_pointers;
+}
+
 StatusOr<FullRecoveryResult> RecoverHeap(
     pheap::PersistentHeap* heap, const pheap::TypeRegistry& registry) {
   FullRecoveryResult result;
@@ -562,54 +341,6 @@ StatusOr<FullRecoveryResult> RecoverHeap(
   result.gc = heap->RunRecoveryGc(registry);
   heap->FinishRecovery();
   return result;
-}
-
-std::vector<ShardRecovery> RecoverHeapsParallel(
-    const std::vector<pheap::PersistentHeap*>& heaps,
-    const pheap::TypeRegistry& registry, int threads) {
-  std::vector<ShardRecovery> results(heaps.size());
-  if (heaps.empty()) return results;
-
-  std::size_t worker_count = threads > 0
-                                 ? static_cast<std::size_t>(threads)
-                                 : std::thread::hardware_concurrency();
-  if (worker_count == 0) worker_count = 1;
-  worker_count = std::min(worker_count, heaps.size());
-
-  // Shard recoveries share no state (per-heap logs, locks, counters;
-  // see the header comment), so a work-stealing index is all the
-  // coordination needed.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < heaps.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      [[maybe_unused]] const auto shard_start =
-          std::chrono::steady_clock::now();
-      auto recovered = RecoverHeap(heaps[i], registry);
-      TSP_HISTOGRAM_OBSERVE(
-          "recovery.shard_us",
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - shard_start)
-                  .count()));
-      if (recovered.ok()) {
-        results[i].result = *std::move(recovered);
-      } else {
-        results[i].status = recovered.status();
-      }
-    }
-  };
-
-  if (worker_count == 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  return results;
 }
 
 }  // namespace tsp::atlas

@@ -102,35 +102,19 @@ struct FullRecoveryResult {
   pheap::GcStats gc;
 };
 
+/// Adds one shard's recovery result to a domain-wide total: counters
+/// sum, the reported rollback ids concatenate up to their cap.
+void AccumulateRecovery(const FullRecoveryResult& shard,
+                        FullRecoveryResult* total);
+
 /// The complete post-crash pipeline: Atlas rollback, then mark-sweep GC
 /// with `registry`, then FinishRecovery. Safe to call on clean heaps
 /// (the rollback is skipped but the GC still runs, which is harmless).
+/// A sharded domain recovers its shards one after another with this:
+/// each shard's logs, locks and counters live in its own runtime area,
+/// so shard recoveries are independent (DESIGN.md §7.3).
 StatusOr<FullRecoveryResult> RecoverHeap(pheap::PersistentHeap* heap,
                                          const pheap::TypeRegistry& registry);
-
-/// Per-shard outcome of RecoverHeapsParallel; `result` is meaningful
-/// only when `status` is OK.
-struct ShardRecovery {
-  Status status;
-  FullRecoveryResult result;
-};
-
-/// Runs RecoverHeap over every heap on up to `threads` worker threads
-/// (0 = min(heaps, hardware concurrency)). Heaps that do not need
-/// recovery still get the (harmless) GC pass, like RecoverHeap.
-///
-/// Soundness of the parallelism: every undo-log ring, lock word, and
-/// sequence counter lives inside its own heap's runtime area, and OCS
-/// dependency edges (lock-dependency and program order) can only link
-/// OCSes that touched the same heap's locks — sharded maps take one
-/// shard's locks per operation — so there are no cross-shard rollback
-/// dependencies and shard recoveries commute. Recovery cost drops from
-/// O(total heap), sequential, to O(largest shard).
-///
-/// The returned vector is index-aligned with `heaps`.
-std::vector<ShardRecovery> RecoverHeapsParallel(
-    const std::vector<pheap::PersistentHeap*>& heaps,
-    const pheap::TypeRegistry& registry, int threads = 0);
 
 }  // namespace tsp::atlas
 

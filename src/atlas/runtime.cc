@@ -32,7 +32,7 @@ AtlasRuntime::AtlasRuntime(pheap::PersistentHeap* heap,
     : heap_(heap),
       policy_(policy),
       options_(options),
-      area_(heap->runtime_area(), heap->runtime_area_size()),
+      area_(heap->runtime_area(), AtlasAreaSize(heap->runtime_area_size())),
       instance_id_(g_next_instance_id.fetch_add(1)) {}
 
 AtlasRuntime::~AtlasRuntime() {
@@ -55,18 +55,9 @@ Status AtlasRuntime::Initialize() {
     return Status::FailedPrecondition(
         "heap needs recovery; run RecoverAtlas before Initialize");
   }
-  // The flight recorder owns the tail of the runtime area; the Atlas log
-  // gets the rest. Validating against the carved size also reformats
-  // clean legacy heaps whose log geometry extended over the (then
-  // nonexistent) trace reservation — safe here because Initialize only
-  // runs on heaps with nothing to roll back.
-  const std::size_t atlas_size =
-      heap_->runtime_area_size() -
-      obs::TraceReservationBytes(heap_->runtime_area_size());
-  if (!AtlasArea::Validate(heap_->runtime_area(), atlas_size) ||
-      AtlasArea::VersionOf(heap_->runtime_area(), atlas_size) <
-          kAtlasFormatVersion) {
-    // Unformatted, malformed, or an older-format area: reformat to the
+  const std::size_t atlas_size = AtlasAreaSize(heap_->runtime_area_size());
+  if (!AtlasArea::Validate(heap_->runtime_area(), atlas_size)) {
+    // Unformatted, malformed, or another format version: reformat to the
     // current version — safe here because Initialize only runs on heaps
     // with nothing to roll back.
     if (AtlasArea::Format(heap_->runtime_area(), atlas_size,
@@ -118,19 +109,15 @@ Status AtlasRuntime::Initialize() {
 
 Status AtlasRuntime::Attach() {
   if (options_.seq_block_size == 0) options_.seq_block_size = 1;
-  const std::size_t atlas_size =
-      heap_->runtime_area_size() -
-      obs::TraceReservationBytes(heap_->runtime_area_size());
   // Unlike Initialize, a joiner may never format or reset anything: the
-  // area's rings can be live in other processes right now. It also
-  // cannot serve pre-v3 areas — without claimant identities there is no
-  // way to tell a live peer's slot from a dead one's.
-  if (!AtlasArea::Validate(heap_->runtime_area(), atlas_size) ||
-      AtlasArea::VersionOf(heap_->runtime_area(), atlas_size) <
-          kAtlasFormatVersion) {
+  // area's rings can be live in other processes right now.
+  const Status area_status = AtlasArea::Check(
+      heap_->runtime_area(), AtlasAreaSize(heap_->runtime_area_size()));
+  if (!area_status.ok()) {
     return Status::FailedPrecondition(
-        "attach requires a current-format Atlas area; open the domain "
-        "exclusively (Initialize) first");
+        "attach requires a current-format Atlas area (" +
+        area_status.message() +
+        "); open the domain exclusively (Initialize) first");
   }
   attach_mode_ = true;
   FinishSetup();
@@ -153,9 +140,7 @@ void AtlasRuntime::FinishSetup() {
                             stats.log_entries_appended);
         builder->AddCounter("atlas.undo_records", stats.undo_records);
         builder->AddCounter("atlas.dedup_hits", stats.dedup_hits);
-        builder->AddCounter("atlas.line_dedup_hits", stats.line_dedup_hits);
         builder->AddCounter("atlas.elided_fresh", stats.elided_fresh);
-        builder->AddCounter("atlas.range_records", stats.range_records);
         builder->AddCounter("atlas.flit_repeat_hits",
                             stats.flit_repeat_hits);
         builder->AddCounter("atlas.flit_rearms", stats.flit_rearms);
@@ -204,9 +189,7 @@ AtlasRuntimeStats AtlasRuntime::GetStats() {
     total.log_entries_appended += s.log_entries_appended;
     total.undo_records += s.undo_records;
     total.dedup_hits += s.dedup_hits;
-    total.line_dedup_hits += s.line_dedup_hits;
     total.elided_fresh += s.elided_fresh;
-    total.range_records += s.range_records;
     total.flit_repeat_hits += s.flit_repeat_hits;
     total.flit_rearms += s.flit_rearms;
     total.addrset_shrinks += s.addrset_shrinks;
@@ -437,7 +420,7 @@ AtlasThread::AtlasThread(AtlasRuntime* runtime, std::uint16_t thread_id)
   if (recorder != nullptr) trace_ = recorder->writer();
   // The FliT fast path needs a power-of-two slot count for the
   // direct-mapped index; any other value (including 0 on areas too
-  // small for the carve-out, or legacy v1 areas) just disables it.
+  // small for the carve-out) just disables it.
   const std::uint32_t slots = runtime->area().counter_slots_per_thread();
   if (runtime->use_counter_slots() && slots > 0 &&
       (slots & (slots - 1)) == 0) {
@@ -504,9 +487,7 @@ void AtlasThread::StageWord(std::uint64_t word_offset) {
       return;
     }
   }
-  const AddressSet::Probe probe = logged_addresses_.CoverWord(word_offset);
-  if (probe.line_hit) ++stats_.line_dedup_hits;
-  if (!probe.newly_covered) {
+  if (!logged_addresses_.CoverWord(word_offset)) {
     ++stats_.dedup_hits;
     return;
   }
@@ -517,7 +498,7 @@ void AtlasThread::StageWord(std::uint64_t word_offset) {
   StageEntry(EntryKind::kStore, 8, 0, word_offset, old_value);
 }
 
-bool AtlasThread::StageOldValue(const void* addr, std::uint8_t size) {
+bool AtlasThread::StageOldValue(const void* addr, std::size_t size) {
   // Undo coverage is tracked at aligned-word granularity (the AddressSet
   // line masks and the counter slots both assert "this whole word is
   // captured"), so every store decomposes into full 8-byte words — a
@@ -536,58 +517,17 @@ bool AtlasThread::StageOldValue(const void* addr, std::uint8_t size) {
   return true;
 }
 
-void AtlasThread::StageRange(std::uint64_t word_offset, std::uint64_t len) {
-  const std::uint32_t continuations =
-      static_cast<std::uint32_t>(RangeContinuationCount(len));
-  ++stats_.undo_records;
-  ++stats_.range_records;
-  StageEntry(EntryKind::kStoreRange, 0, continuations, word_offset, len);
-  const char* old_bytes = static_cast<const char*>(
-      runtime_->heap()->region()->FromOffset(word_offset));
-  for (std::uint32_t c = 0; c < continuations; ++c) {
-    LogEntry* raw = ReserveEntry();
-    const std::uint64_t at = static_cast<std::uint64_t>(c) *
-                             kContinuationBytes;
-    const std::uint64_t take =
-        len - at < kContinuationBytes ? len - at : kContinuationBytes;
-    if (take < kContinuationBytes) std::memset(raw, 0, sizeof(LogEntry));
-    std::memcpy(raw, old_bytes + at, take);
-  }
-}
-
-void AtlasThread::LogOldValue(const void* addr, std::uint8_t size) {
+void AtlasThread::LogOldValue(const void* addr, std::size_t size) {
   if (StageOldValue(addr, size)) PublishStaged(/*ordered=*/true);
 }
 
 void AtlasThread::StoreBytes(void* dst, const void* src, std::size_t n) {
-  if (depth_ > 0 && n > 0) {
-    // Stage undo coverage for the whole word-aligned span, then publish
-    // as one batch: a single tail advance and, in sync-flush mode, one
-    // contiguous write-back plus one fence — the whole batch is durable
-    // before any of the guarded stores execute (§4.2). Ranges beyond
-    // two words become one variable-length kStoreRange record (header
-    // plus raw-byte continuation entries) instead of a header per word.
-    const std::uint64_t offset =
-        runtime_->heap()->region()->ToOffset(dst);
-    const std::uint64_t first = offset & ~7ULL;
-    const std::uint64_t end = (offset + n + 7) & ~7ULL;
-    const std::uint64_t len = end - first;
-    if (!fresh_spans_.empty() && IsFreshSpan(first, len)) {
-      ++stats_.elided_fresh;  // no coverage needed; bracket stays staged
-    } else {
-      if (len <= 16) {
-        for (std::uint64_t word = first; word < end; word += 8) {
-          StageWord(word);
-        }
-      } else if (logged_addresses_.CoverRange(first, len)) {
-        ++stats_.dedup_hits;
-        ++stats_.line_dedup_hits;
-      } else {
-        StageRange(first, len);
-      }
-      PublishStaged(/*ordered=*/true);
-    }
-  }
+  // Stage undo coverage for the whole word-aligned span, one record per
+  // uncovered word, then publish as one batch: a single tail advance
+  // and, in sync-flush mode, one contiguous write-back plus one fence —
+  // the whole batch is durable before any of the guarded stores
+  // execute (§4.2).
+  if (depth_ > 0 && n > 0) LogOldValue(dst, n);
   analysis::HookStore(dst, n, thread_id_, current_ocs_);
   pheap::ScopedWriteWindow window(dst, n);
   std::memcpy(dst, src, n);
@@ -815,7 +755,10 @@ void AtlasThread::DeferFree(void* payload) {
   current_deferred_frees_.push_back(payload);
 }
 
-LogEntry* AtlasThread::ReserveEntry() {
+LogEntry* AtlasThread::StageEntry(EntryKind kind, std::uint8_t size,
+                                  std::uint32_t aux,
+                                  std::uint64_t addr_offset,
+                                  std::uint64_t payload) {
   const std::uint64_t capacity = runtime_->area().entries_per_thread();
   const std::uint64_t position =
       slot_->tail.load(std::memory_order_relaxed) + staged_;
@@ -826,14 +769,7 @@ LogEntry* AtlasThread::ReserveEntry() {
     HandleRingFull();
   }
   ++staged_;
-  return runtime_->area().entry(thread_id_, position);
-}
-
-LogEntry* AtlasThread::StageEntry(EntryKind kind, std::uint8_t size,
-                                  std::uint32_t aux,
-                                  std::uint64_t addr_offset,
-                                  std::uint64_t payload) {
-  LogEntry* entry = ReserveEntry();
+  LogEntry* entry = runtime_->area().entry(thread_id_, position);
   entry->addr_offset = addr_offset;
   entry->payload = payload;
   entry->kind = kind;
@@ -844,9 +780,7 @@ LogEntry* AtlasThread::StageEntry(EntryKind kind, std::uint8_t size,
   // replay; they are stamped from the thread's leased block. Release
   // entries record the stamp frontier for diagnostics (tsp_inspect);
   // other control entries carry no stamp.
-  entry->seq = kind == EntryKind::kStore ||
-                       kind == EntryKind::kStoreRange
-                   ? IssueSeq()
+  entry->seq = kind == EntryKind::kStore     ? IssueSeq()
                : kind == EntryKind::kRelease ? seq_frontier_
                                              : 0;
   return entry;

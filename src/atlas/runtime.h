@@ -59,14 +59,9 @@ struct AtlasRuntimeStats {
   std::uint64_t log_entries_appended = 0;
   std::uint64_t undo_records = 0;
   std::uint64_t dedup_hits = 0;  // stores filtered by first-store-per-OCS
-  /// Dedup probes that landed on an already-present cache-line slot
-  /// (adjacent-field or repeat stores sharing one line entry).
-  std::uint64_t line_dedup_hits = 0;
   /// Stores elided because their target was allocated inside the
   /// current OCS (rollback unreaches fresh objects; GC reclaims them).
   std::uint64_t elided_fresh = 0;
-  /// kStoreRange records staged (each replaces len/8 word records).
-  std::uint64_t range_records = 0;
   /// FliT counter-slot fast path: repeat stores absorbed by a slot
   /// already armed for the same word in the current OCS (no AddressSet
   /// probe, no record), and slots (re-)armed in place of a ring append.
@@ -104,8 +99,13 @@ struct AtlasRuntimeStats {
 // embed the dependency channel in the persistent RobustLockWord.
 
 /// Per-thread logging context. Obtain via AtlasRuntime::CurrentThread();
-/// owned by the runtime.
-class AtlasThread {
+/// owned by the runtime. Written on every guarded store and OCS
+/// boundary, so it is cache-line aligned: no other allocation can share
+/// its lines. Unaligned, whether another thread's hot heap data landed
+/// beside it depended on allocation history: dropping two 8-byte
+/// counters from it once moved the put p50 of perfbench's
+/// table1-logonly workload by 45% (4-vCPU KVM guest).
+class alignas(64) AtlasThread {
  public:
   AtlasThread(AtlasRuntime* runtime, std::uint16_t thread_id);
 
@@ -128,11 +128,12 @@ class AtlasThread {
     *addr = value;
   }
 
-  /// Logged equivalent of memcpy into the persistent heap. The undo
-  /// record is split into word-sized entries, but all entries of the
-  /// store are published as one batch: a single tail advance and, in
-  /// sync-flush mode, one contiguous write-back plus one fence for the
-  /// whole range (instead of a flush + fence per entry).
+  /// Logged equivalent of memcpy into the persistent heap. Each
+  /// uncovered aligned word of the span costs one undo record, exactly
+  /// as Store does, but all records of the store are published as one
+  /// batch: a single tail advance and, in sync-flush mode, one
+  /// contiguous write-back plus one fence for the whole range (instead
+  /// of a flush + fence per entry).
   void StoreBytes(void* dst, const void* src, std::size_t n);
 
   /// Mutex hooks (called by PMutex with its mutex held).
@@ -179,13 +180,13 @@ class AtlasThread {
   std::uint64_t seq_frontier() const { return seq_frontier_; }
 
  private:
-  void LogOldValue(const void* addr, std::uint8_t size);
+  void LogOldValue(const void* addr, std::size_t size);
   /// Stages undo coverage for the aligned word span containing
   /// [addr, addr + size): fresh-span elision, then per-word staging.
   /// Returns false when the span was fresh-elided (nothing needs to be
   /// durable before the guarded store, so staged bracket entries may
   /// stay unpublished).
-  bool StageOldValue(const void* addr, std::uint8_t size);
+  bool StageOldValue(const void* addr, std::size_t size);
   /// Stages coverage for one aligned 8-byte word: FliT counter-slot
   /// probe first, then line-granular dedup + ring record.
   void StageWord(std::uint64_t word_offset);
@@ -193,15 +194,9 @@ class AtlasThread {
   /// stable): captures the old word and stamps the slot, with no ring
   /// traffic.
   void ArmCounterSlot(CounterSlot& cs, std::uint64_t word_offset);
-  /// Stages one kStoreRange header plus its raw-byte continuation
-  /// entries covering [word_offset, word_offset + len).
-  void StageRange(std::uint64_t word_offset, std::uint64_t len);
   /// True if [word_offset, word_offset + len) lies inside a block
   /// allocated in the current OCS.
   bool IsFreshSpan(std::uint64_t word_offset, std::uint64_t len) const;
-  /// Reserves the ring slot at tail + staged count (waiting on
-  /// HandleRingFull when the ring is full) without writing it.
-  LogEntry* ReserveEntry();
   /// Writes one entry at tail + staged count; visible only after
   /// PublishStaged. Waits on HandleRingFull when the ring is full.
   LogEntry* StageEntry(EntryKind kind, std::uint8_t size, std::uint32_t aux,
@@ -241,7 +236,7 @@ class AtlasThread {
   /// lease when an observed release frontier overtakes it).
   std::uint64_t seq_frontier_ = 0;
   std::uint64_t current_ocs_ = 0;
-  /// Ring index of the current OCS's kOcsBegin entry; when the ring head
+  /// Ring index of the current OCS's opening kAcquire; when the ring head
   /// catches up to it while full, the OCS alone overflows the ring.
   std::uint64_t current_ocs_begin_tail_ = 0;
   AddressSet logged_addresses_;
@@ -318,10 +313,9 @@ class AtlasRuntime {
   /// heap other processes may be serving right now, without resetting
   /// any slot — the reset in Initialize would erase peers' live rings.
   /// Runs a dead-slot harvest (HarvestDeadSlots) so a crashed previous
-  /// occupant never wedges the joiner, then serves normally. Requires a
-  /// current-format (v3) area: older areas lack the claimant identity
-  /// needed to tell live peers from dead ones, and must be opened
-  /// exclusively (Initialize) first.
+  /// occupant never wedges the joiner, then serves normally. Requires an
+  /// area of the current format version; any other must be opened
+  /// exclusively (Initialize, which reformats it) first.
   Status Attach();
 
   /// True when this runtime joined via Attach (cooperating processes

@@ -6,39 +6,6 @@
 #include "obs/metrics.h"
 
 namespace tsp::domain {
-namespace {
-
-void AppendCapped(const std::vector<std::uint64_t>& from,
-                  std::vector<std::uint64_t>* to) {
-  for (const std::uint64_t id : from) {
-    if (to->size() >= atlas::RecoveryStats::kMaxReportedRollbacks) return;
-    to->push_back(id);
-  }
-}
-
-void AccumulateRecovery(const atlas::FullRecoveryResult& shard,
-                        atlas::FullRecoveryResult* total) {
-  total->atlas.performed |= shard.atlas.performed;
-  total->atlas.rings_scanned += shard.atlas.rings_scanned;
-  total->atlas.entries_scanned += shard.atlas.entries_scanned;
-  total->atlas.ocses_seen += shard.atlas.ocses_seen;
-  total->atlas.ocses_incomplete += shard.atlas.ocses_incomplete;
-  total->atlas.ocses_cascaded += shard.atlas.ocses_cascaded;
-  total->atlas.stores_undone += shard.atlas.stores_undone;
-  AppendCapped(shard.atlas.rolled_back_incomplete,
-               &total->atlas.rolled_back_incomplete);
-  AppendCapped(shard.atlas.rolled_back_cascaded,
-               &total->atlas.rolled_back_cascaded);
-  total->gc.live_objects += shard.gc.live_objects;
-  total->gc.live_bytes += shard.gc.live_bytes;
-  total->gc.free_blocks += shard.gc.free_blocks;
-  total->gc.free_bytes += shard.gc.free_bytes;
-  total->gc.tail_reclaimed_bytes += shard.gc.tail_reclaimed_bytes;
-  total->gc.sliver_bytes += shard.gc.sliver_bytes;
-  total->gc.invalid_pointers += shard.gc.invalid_pointers;
-}
-
-}  // namespace
 
 std::vector<std::string> PersistenceDomain::ShardPaths(
     const Options& options) {
@@ -88,28 +55,23 @@ StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Open(
     TSP_COUNTER_INC("domain.recoveries");
     [[maybe_unused]] const auto recovery_start =
         std::chrono::steady_clock::now();
-    std::vector<pheap::PersistentHeap*> raw;
-    raw.reserve(domain->heaps_.size());
-    for (const auto& heap : domain->heaps_) raw.push_back(heap.get());
-    std::vector<atlas::ShardRecovery> recoveries =
-        atlas::RecoverHeapsParallel(raw, *registry,
-                                    options.recovery_threads);
+    for (std::size_t i = 0; i < domain->heaps_.size(); ++i) {
+      auto shard = atlas::RecoverHeap(domain->heaps_[i].get(), *registry);
+      if (!shard.ok()) {
+        return Status(shard.status().code(),
+                      "recovery of shard " + std::to_string(i) + " (" +
+                          paths[i] + ") failed: " +
+                          shard.status().message());
+      }
+      domain->shard_recoveries_.push_back(*shard);
+      atlas::AccumulateRecovery(*shard, &domain->recovery_);
+    }
     TSP_HISTOGRAM_OBSERVE(
         "domain.recovery_us",
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - recovery_start)
                 .count()));
-    for (std::size_t i = 0; i < recoveries.size(); ++i) {
-      if (!recoveries[i].status.ok()) {
-        return Status(recoveries[i].status.code(),
-                      "recovery of shard " + std::to_string(i) + " (" +
-                          paths[i] + ") failed: " +
-                          recoveries[i].status.message());
-      }
-      domain->shard_recoveries_.push_back(recoveries[i].result);
-      AccumulateRecovery(recoveries[i].result, &domain->recovery_);
-    }
     domain->recovered_ = true;
   }
 

@@ -12,8 +12,8 @@
 //
 // A domain can be sharded: Options::shards > 1 opens N heaps (path,
 // path + ".shard1", ...), each in its own address slot with its own
-// Atlas runtime and undo logs, and recovery runs per-shard in parallel
-// (atlas::RecoverHeapsParallel) — O(largest shard) instead of O(total).
+// Atlas runtime and undo logs, and recovery runs shard by shard
+// (atlas::RecoverHeap).
 // Route data to shards however the application likes; maps/ShardedMap
 // is the ready-made key-hash router.
 
@@ -46,15 +46,12 @@ class PersistenceDomain {
     pheap::RegionOptions region;
     /// Number of independent shard heaps (1 = the classic single heap).
     int shards = 1;
-    /// Worker threads for parallel shard recovery; 0 = min(shards,
-    /// hardware concurrency).
-    int recovery_threads = 0;
   };
 
   /// Opens (creating if absent) the domain. `registry` supplies the GC
   /// trace functions for recovery; keep it alive for the domain's
-  /// lifetime. Recovery (Atlas rollback + GC, per shard in parallel)
-  /// runs automatically when the previous session crashed.
+  /// lifetime. Recovery (Atlas rollback + GC, shard by shard) runs
+  /// automatically when the previous session crashed.
   static StatusOr<std::unique_ptr<PersistenceDomain>> Open(
       const Options& options, const pheap::TypeRegistry* registry);
 

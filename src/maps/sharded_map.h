@@ -5,8 +5,8 @@
 //
 // Routing is by key hash, so every operation touches exactly one
 // shard: one OCS in one shard's log, no cross-shard lock-dependency
-// edges, and therefore crash recovery that runs per-shard in parallel
-// (atlas::RecoverHeapsParallel). The workload invariants of §5.1 are
+// edges, and therefore crash recovery that runs shard by shard
+// (atlas::RecoverHeap). The workload invariants of §5.1 are
 // statements about per-key sums, so they hold over the union of shards
 // exactly as over one map.
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-// Header-only use: pheap cannot link tsp_atlas (atlas depends on
-// pheap), so the undo-log checks below validate the area's magic and
-// geometry themselves instead of calling AtlasArea::Validate.
 #include "atlas/log_layout.h"
 #include "common/process_id.h"
 #include "pheap/allocator.h"
@@ -27,6 +24,134 @@ struct Extent {
   std::uint64_t offset;
   std::uint64_t size;
 };
+
+/// The Atlas part of CheckHeap: undo-log well-formedness (through the
+/// same ring decoder recovery uses), counter slots, slot claims and
+/// robust lock words. Skipped when the runtime area holds no Atlas area
+/// (pheap-only heaps, never-initialized runtimes).
+void CheckAtlasArea(const MappedRegion& region, std::uint64_t arena_start,
+                    std::uint64_t arena_end, std::uint64_t bump,
+                    CheckReport* report) {
+  const RegionHeader* header = region.header();
+  void* area_base = region.FromOffset(header->runtime_area_offset);
+  const std::size_t area_size =
+      atlas::AtlasAreaSize(header->runtime_area_size);
+  const Status area_status = atlas::AtlasArea::Check(area_base, area_size);
+  if (area_status.code() == StatusCode::kNotFound) return;
+  if (!area_status.ok()) {
+    AddProblem(report, "undo-log: " + area_status.message());
+    return;
+  }
+  const atlas::AtlasArea area(area_base, area_size);
+  atlas::RecordWindows windows;
+  windows.store_begin = arena_start;
+  windows.store_end = arena_end;
+  windows.alloc_begin = arena_start + sizeof(BlockHeader);
+  windows.alloc_end = bump;
+  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
+    const atlas::ThreadLogHeader* slot = area.slot(t);
+    const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
+    const std::uint64_t tail = slot->tail.load(std::memory_order_relaxed);
+    if (head == tail) continue;
+    ++report->log_rings_scanned;
+    const atlas::DecodedRing ring =
+        atlas::DecodeRing(area, t, head, tail, windows);
+    report->log_entries_scanned += ring.entries;
+    for (const std::string& defect : ring.defects) {
+      AddProblem(report, "undo-log: " + defect);
+    }
+  }
+  // Armed FliT counter slots are undo records too; a consistent
+  // (even-version) slot must point at an aligned word inside the arena.
+  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
+    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
+      const atlas::CounterSlot& cs = area.counter_slots(t)[s];
+      if (cs.addr_offset == 0 ||
+          cs.version.load(std::memory_order_relaxed) % 2 != 0) {
+        continue;
+      }
+      if (cs.addr_offset % 8 != 0 || cs.addr_offset < arena_start ||
+          cs.addr_offset + 8 > arena_end) {
+        AddProblem(report, "undo-log: counter slot " + std::to_string(s) +
+                               " of thread " + std::to_string(t) +
+                               " targets outside the arena");
+      }
+    }
+  }
+  // --- slot-claim identity uniqueness ---
+  // Two claimed slots stamped with the same (pid, tid, birth) would mean
+  // one thread incarnation owns two undo rings — the tid-reuse hazard
+  // the birth epoch exists to prevent. pid == 0 stamps (mid-claim) are
+  // skipped.
+  struct SlotClaim {
+    std::uint32_t slot;
+    std::uint32_t pid;
+    std::uint32_t tid;
+    std::uint64_t birth;
+  };
+  std::vector<SlotClaim> claims;
+  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
+    const atlas::ThreadLogHeader& slot = *area.slot(t);
+    if (slot.in_use.load(std::memory_order_relaxed) == atlas::kSlotFree) {
+      continue;
+    }
+    const std::uint32_t pid = slot.owner_pid.load(std::memory_order_relaxed);
+    if (pid == 0) continue;
+    ++report->slots_claimed;
+    const SlotClaim claim{t, pid, slot.owner_tid,
+                          slot.owner_birth.load(std::memory_order_relaxed)};
+    for (const SlotClaim& other : claims) {
+      if (other.pid == claim.pid && other.tid == claim.tid &&
+          other.birth == claim.birth) {
+        AddProblem(report, "slot-claim: slots " + std::to_string(other.slot) +
+                               " and " + std::to_string(t) +
+                               " are both claimed by pid " +
+                               std::to_string(pid) + " tid " +
+                               std::to_string(claim.tid) + " birth " +
+                               std::to_string(claim.birth));
+      }
+    }
+    claims.push_back(claim);
+  }
+  // --- robust lock table ---
+  // A held word's owner token must resolve to a claimed slot with a live
+  // claimant; anything else is a wedged lock no process can ever release
+  // (the per-slot harvest missed it, or the token is garbage).
+  for (std::uint32_t w = 0; w < area.robust_lock_count(); ++w) {
+    const std::uint64_t token =
+        area.robust_lock(w)->owner.load(std::memory_order_relaxed);
+    if (token == 0) continue;
+    ++report->robust_locks_held;
+    if (token > area.max_threads()) {
+      ++report->wedged_locks;
+      AddProblem(report, "robust-lock: word " + std::to_string(w) +
+                             " owner token " + std::to_string(token) +
+                             " exceeds the slot count");
+      continue;
+    }
+    const atlas::ThreadLogHeader& slot =
+        *area.slot(static_cast<std::uint32_t>(token - 1));
+    if (slot.in_use.load(std::memory_order_relaxed) == atlas::kSlotFree) {
+      ++report->wedged_locks;
+      AddProblem(report, "robust-lock: word " + std::to_string(w) +
+                             " is held by freed slot " +
+                             std::to_string(token - 1));
+      continue;
+    }
+    const std::uint32_t pid = slot.owner_pid.load(std::memory_order_relaxed);
+    const std::uint64_t birth =
+        slot.owner_birth.load(std::memory_order_relaxed);
+    if (pid != 0 && CheckLiveness(pid, birth) != Liveness::kAlive) {
+      ++report->wedged_locks;
+      AddProblem(report, "robust-lock: word " + std::to_string(w) +
+                             " is held by slot " +
+                             std::to_string(token - 1) +
+                             " whose claimant pid " + std::to_string(pid) +
+                             " is " +
+                             LivenessName(CheckLiveness(pid, birth)));
+    }
+  }
+}
 
 }  // namespace
 
@@ -215,308 +340,7 @@ CheckReport CheckHeap(const PersistentHeap& heap,
   const std::uint64_t used = bump - arena_start;
   report.unaccounted_bytes = used > covered ? used - covered : 0;
 
-  // --- undo-log well-formedness ---
-  // Only when the runtime area holds a formatted Atlas log (pheap-only
-  // heaps and never-initialized runtimes are silently skipped).
-  const std::uint64_t area_size = header->runtime_area_size;
-  if (area_size >= sizeof(atlas::AtlasAreaHeader)) {
-    const char* area_base = static_cast<const char*>(
-        region->FromOffset(header->runtime_area_offset));
-    const auto* area =
-        reinterpret_cast<const atlas::AtlasAreaHeader*>(area_base);
-    if (area->magic == atlas::kAtlasMagic) {
-      const std::uint64_t slots_bytes =
-          static_cast<std::uint64_t>(area->max_threads) *
-          sizeof(atlas::ThreadLogHeader);
-      const std::uint64_t entries_bytes =
-          static_cast<std::uint64_t>(area->max_threads) *
-          area->entries_per_thread * sizeof(atlas::LogEntry);
-      const std::uint64_t counter_bytes =
-          static_cast<std::uint64_t>(area->max_threads) *
-          area->counter_slots_per_thread * sizeof(atlas::CounterSlot);
-      if (area->version > atlas::kAtlasFormatVersion) {
-        // A newer producer may have moved the geometry or added record
-        // kinds; guessing would report phantom corruption. Surface the
-        // version mismatch itself and skip the detailed scan.
-        AddProblem(&report,
-                   "undo-log: log format version " +
-                       std::to_string(area->version) +
-                       " is newer than this tool understands (max " +
-                       std::to_string(atlas::kAtlasFormatVersion) +
-                       "); re-run with a newer build");
-      } else if (area->max_threads == 0 || area->entries_per_thread == 0 ||
-          area->slots_offset + slots_bytes > area_size ||
-          area->entries_offset + entries_bytes > area_size ||
-          (area->counter_slots_per_thread > 0 &&
-           area->counter_slots_offset + counter_bytes > area_size)) {
-        AddProblem(&report, "undo-log: Atlas area geometry exceeds the "
-                            "runtime area");
-      } else {
-        const auto* slots = reinterpret_cast<const atlas::ThreadLogHeader*>(
-            area_base + area->slots_offset);
-        const auto* entries = reinterpret_cast<const atlas::LogEntry*>(
-            area_base + area->entries_offset);
-        for (std::uint32_t t = 0; t < area->max_threads; ++t) {
-          const atlas::ThreadLogHeader& slot = slots[t];
-          const std::uint64_t head =
-              slot.head.load(std::memory_order_relaxed);
-          const std::uint64_t tail =
-              slot.tail.load(std::memory_order_relaxed);
-          if (head == tail) continue;
-          ++report.log_rings_scanned;
-          if (head > tail || tail - head > area->entries_per_thread) {
-            AddProblem(&report, "undo-log: ring " + std::to_string(t) +
-                                    " indices are corrupt (head " +
-                                    std::to_string(head) + ", tail " +
-                                    std::to_string(tail) + ")");
-            continue;
-          }
-          const atlas::LogEntry* ring =
-              entries + static_cast<std::uint64_t>(t) *
-                            area->entries_per_thread;
-          std::uint64_t last_store_seq = 0;
-          std::int64_t acquire_depth = 0;
-          for (std::uint64_t i = head; i < tail; ++i) {
-            const atlas::LogEntry& entry =
-                ring[i % area->entries_per_thread];
-            ++report.log_entries_scanned;
-            switch (entry.kind) {
-              case atlas::EntryKind::kStoreRange: {
-                if (entry.seq <= last_store_seq) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " stamp not monotone at entry " +
-                                 std::to_string(i));
-                }
-                last_store_seq = entry.seq;
-                const std::uint64_t len = entry.payload;
-                if (len == 0 || len % 8 != 0 ||
-                    entry.addr_offset % 8 != 0 ||
-                    entry.aux != atlas::RangeContinuationCount(len) ||
-                    i + entry.aux >= tail ||
-                    entry.addr_offset < arena_start ||
-                    entry.addr_offset + len > arena_end) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " malformed range record at entry " +
-                                 std::to_string(i));
-                  break;
-                }
-                // The following `aux` entries are raw old bytes, not
-                // LogEntries; skip them.
-                report.log_entries_scanned += entry.aux;
-                i += entry.aux;
-                break;
-              }
-              case atlas::EntryKind::kStore:
-                // Leased stamp blocks are per-thread and monotone, so
-                // stamps strictly increase along one ring.
-                if (entry.seq <= last_store_seq) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " stamp not monotone at entry " +
-                                 std::to_string(i) + " (" +
-                                 std::to_string(entry.seq) + " after " +
-                                 std::to_string(last_store_seq) + ")");
-                }
-                last_store_seq = entry.seq;
-                if (entry.size == 0 || entry.size > 8 ||
-                    entry.addr_offset < arena_start ||
-                    entry.addr_offset + entry.size > arena_end) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " store record at entry " +
-                                 std::to_string(i) +
-                                 " targets outside the arena");
-                }
-                break;
-              case atlas::EntryKind::kAcquire:
-                ++acquire_depth;
-                break;
-              case atlas::EntryKind::kRelease:
-                // A crash can truncate trailing acquires, but a release
-                // without a prior acquire in the retained window means
-                // the trim protocol dropped the wrong entries.
-                if (--acquire_depth < 0) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " release without matching acquire at "
-                                 "entry " +
-                                 std::to_string(i));
-                  acquire_depth = 0;
-                }
-                break;
-              case atlas::EntryKind::kAlloc:
-                if (entry.addr_offset <
-                        arena_start + sizeof(BlockHeader) ||
-                    entry.addr_offset > bump) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " alloc record at entry " +
-                                 std::to_string(i) +
-                                 " payload outside the arena");
-                }
-                break;
-              case atlas::EntryKind::kOcsBegin:
-              case atlas::EntryKind::kOcsCommit:
-                break;
-              default:
-                if (static_cast<std::uint8_t>(entry.kind) >
-                    atlas::kMaxKnownEntryKind) {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " record kind " +
-                                 std::to_string(static_cast<int>(
-                                     entry.kind)) +
-                                 " at entry " + std::to_string(i) +
-                                 " is newer than this tool understands "
-                                 "(max " +
-                                 std::to_string(static_cast<int>(
-                                     atlas::kMaxKnownEntryKind)) +
-                                 "); re-run with a newer build");
-                } else {
-                  AddProblem(&report,
-                             "undo-log: ring " + std::to_string(t) +
-                                 " invalid entry kind " +
-                                 std::to_string(static_cast<int>(
-                                     entry.kind)) +
-                                 " at entry " + std::to_string(i));
-                }
-                break;
-            }
-          }
-        }
-        // Armed FliT counter slots are undo records too; a consistent
-        // (even-version) slot must point at an aligned word inside the
-        // arena.
-        if (area->counter_slots_per_thread > 0) {
-          const auto* counter_base =
-              reinterpret_cast<const atlas::CounterSlot*>(
-                  area_base + area->counter_slots_offset);
-          for (std::uint32_t t = 0; t < area->max_threads; ++t) {
-            const atlas::CounterSlot* counters =
-                counter_base + static_cast<std::uint64_t>(t) *
-                                   area->counter_slots_per_thread;
-            for (std::uint32_t s = 0;
-                 s < area->counter_slots_per_thread; ++s) {
-              const atlas::CounterSlot& cs = counters[s];
-              if (cs.addr_offset == 0 ||
-                  cs.version.load(std::memory_order_relaxed) % 2 != 0) {
-                continue;
-              }
-              if (cs.addr_offset % 8 != 0 ||
-                  cs.addr_offset < arena_start ||
-                  cs.addr_offset + 8 > arena_end) {
-                AddProblem(&report,
-                           "undo-log: counter slot " + std::to_string(s) +
-                               " of thread " + std::to_string(t) +
-                               " targets outside the arena");
-              }
-            }
-          }
-        }
-        // --- slot-claim identity uniqueness (version >= 3) ---
-        // Two claimed slots stamped with the same (pid, tid, birth)
-        // would mean one thread incarnation owns two undo rings — the
-        // tid-reuse hazard the birth epoch exists to prevent. pid == 0
-        // stamps (mid-claim or pre-identity areas) are skipped.
-        struct SlotClaim {
-          std::uint32_t slot;
-          std::uint32_t pid;
-          std::uint32_t tid;
-          std::uint64_t birth;
-        };
-        std::vector<SlotClaim> claims;
-        for (std::uint32_t t = 0; t < area->max_threads; ++t) {
-          const atlas::ThreadLogHeader& slot = slots[t];
-          if (slot.in_use.load(std::memory_order_relaxed) ==
-              atlas::kSlotFree) {
-            continue;
-          }
-          const std::uint32_t pid =
-              slot.owner_pid.load(std::memory_order_relaxed);
-          if (pid == 0) continue;
-          ++report.slots_claimed;
-          const SlotClaim claim{
-              t, pid, slot.owner_tid,
-              slot.owner_birth.load(std::memory_order_relaxed)};
-          for (const SlotClaim& other : claims) {
-            if (other.pid == claim.pid && other.tid == claim.tid &&
-                other.birth == claim.birth) {
-              AddProblem(&report,
-                         "slot-claim: slots " + std::to_string(other.slot) +
-                             " and " + std::to_string(t) +
-                             " are both claimed by pid " +
-                             std::to_string(pid) + " tid " +
-                             std::to_string(claim.tid) + " birth " +
-                             std::to_string(claim.birth));
-            }
-          }
-          claims.push_back(claim);
-        }
-        // --- robust lock table (version >= 3) ---
-        // A held word's owner token must resolve to a claimed slot with
-        // a live claimant; anything else is a wedged lock no process
-        // can ever release (the per-slot harvest missed it, or the
-        // token is garbage).
-        if (area->robust_lock_count > 0) {
-          const std::uint64_t table_bytes =
-              sizeof(atlas::RobustTableHeader) +
-              static_cast<std::uint64_t>(area->robust_lock_count) *
-                  sizeof(atlas::RobustLockWord);
-          if (area->robust_locks_offset + table_bytes > area_size) {
-            AddProblem(&report, "robust-lock: table geometry exceeds the "
-                                "runtime area");
-          } else {
-            const auto* words =
-                reinterpret_cast<const atlas::RobustLockWord*>(
-                    area_base + area->robust_locks_offset +
-                    sizeof(atlas::RobustTableHeader));
-            for (std::uint32_t w = 0; w < area->robust_lock_count; ++w) {
-              const std::uint64_t token =
-                  words[w].owner.load(std::memory_order_relaxed);
-              if (token == 0) continue;
-              ++report.robust_locks_held;
-              if (token > area->max_threads) {
-                ++report.wedged_locks;
-                AddProblem(&report,
-                           "robust-lock: word " + std::to_string(w) +
-                               " owner token " + std::to_string(token) +
-                               " exceeds the slot count");
-                continue;
-              }
-              const atlas::ThreadLogHeader& slot =
-                  slots[static_cast<std::uint32_t>(token - 1)];
-              if (slot.in_use.load(std::memory_order_relaxed) ==
-                  atlas::kSlotFree) {
-                ++report.wedged_locks;
-                AddProblem(&report,
-                           "robust-lock: word " + std::to_string(w) +
-                               " is held by freed slot " +
-                               std::to_string(token - 1));
-                continue;
-              }
-              const std::uint32_t pid =
-                  slot.owner_pid.load(std::memory_order_relaxed);
-              const std::uint64_t birth =
-                  slot.owner_birth.load(std::memory_order_relaxed);
-              if (pid != 0 &&
-                  CheckLiveness(pid, birth) != Liveness::kAlive) {
-                ++report.wedged_locks;
-                AddProblem(&report,
-                           "robust-lock: word " + std::to_string(w) +
-                               " is held by slot " +
-                               std::to_string(token - 1) +
-                               " whose claimant pid " +
-                               std::to_string(pid) + " is " +
-                               LivenessName(CheckLiveness(pid, birth)));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  CheckAtlasArea(*region, arena_start, arena_end, bump, &report);
 
   report.ok = report.problems_total == 0;
   return report;

@@ -7,39 +7,6 @@
 #include "maps/sharded_map.h"
 
 namespace tsp::workload {
-namespace {
-
-void AppendCapped(const std::vector<std::uint64_t>& from,
-                  std::vector<std::uint64_t>* to) {
-  for (const std::uint64_t id : from) {
-    if (to->size() >= atlas::RecoveryStats::kMaxReportedRollbacks) return;
-    to->push_back(id);
-  }
-}
-
-void AccumulateRecovery(const atlas::FullRecoveryResult& shard,
-                        atlas::FullRecoveryResult* total) {
-  total->atlas.performed |= shard.atlas.performed;
-  total->atlas.rings_scanned += shard.atlas.rings_scanned;
-  total->atlas.entries_scanned += shard.atlas.entries_scanned;
-  total->atlas.ocses_seen += shard.atlas.ocses_seen;
-  total->atlas.ocses_incomplete += shard.atlas.ocses_incomplete;
-  total->atlas.ocses_cascaded += shard.atlas.ocses_cascaded;
-  total->atlas.stores_undone += shard.atlas.stores_undone;
-  AppendCapped(shard.atlas.rolled_back_incomplete,
-               &total->atlas.rolled_back_incomplete);
-  AppendCapped(shard.atlas.rolled_back_cascaded,
-               &total->atlas.rolled_back_cascaded);
-  total->gc.live_objects += shard.gc.live_objects;
-  total->gc.live_bytes += shard.gc.live_bytes;
-  total->gc.free_blocks += shard.gc.free_blocks;
-  total->gc.free_bytes += shard.gc.free_bytes;
-  total->gc.tail_reclaimed_bytes += shard.gc.tail_reclaimed_bytes;
-  total->gc.sliver_bytes += shard.gc.sliver_bytes;
-  total->gc.invalid_pointers += shard.gc.invalid_pointers;
-}
-
-}  // namespace
 
 const char* MapVariantName(MapVariant variant) {
   switch (variant) {
@@ -148,19 +115,14 @@ Status MapSession::Init() {
   if (any_needs_recovery) {
     pheap::TypeRegistry registry;
     RegisterAllTypes(&registry);
-    std::vector<pheap::PersistentHeap*> raw;
-    raw.reserve(heaps_.size());
-    for (const auto& heap : heaps_) raw.push_back(heap.get());
-    std::vector<atlas::ShardRecovery> recoveries =
-        atlas::RecoverHeapsParallel(raw, registry,
-                                    config_.recovery_threads);
-    for (std::size_t i = 0; i < recoveries.size(); ++i) {
-      if (!recoveries[i].status.ok()) {
-        return Status(recoveries[i].status.code(),
+    for (std::size_t i = 0; i < heaps_.size(); ++i) {
+      auto shard = atlas::RecoverHeap(heaps_[i].get(), registry);
+      if (!shard.ok()) {
+        return Status(shard.status().code(),
                       "recovery of shard " + std::to_string(i) +
-                          " failed: " + recoveries[i].status.message());
+                          " failed: " + shard.status().message());
       }
-      AccumulateRecovery(recoveries[i].result, &recovery_);
+      atlas::AccumulateRecovery(*shard, &recovery_);
     }
     recovered_ = true;
   }
@@ -233,11 +195,9 @@ StatusOr<std::unique_ptr<maps::Map>> MapSession::InitShard(int shard) {
           std::string("heap holds a different map variant: ") +
           MapVariantName(static_cast<MapVariant>(root->variant_tag)));
     }
-    const std::uint32_t recorded =
-        root->shard_count == 0 ? 1 : root->shard_count;
-    if (recorded != static_cast<std::uint32_t>(config_.shards)) {
+    if (root->shard_count != static_cast<std::uint32_t>(config_.shards)) {
       return Status::FailedPrecondition(
-          "heap was created with " + std::to_string(recorded) +
+          "heap was created with " + std::to_string(root->shard_count) +
           " shard(s) but reopened with " + std::to_string(config_.shards) +
           "; resharding persistent data is not supported");
     }

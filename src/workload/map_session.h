@@ -71,9 +71,6 @@ class MapSession {
     /// the life of the persistent data: reopening with a different
     /// count fails (shard 0 records the count in its session root).
     int shards = 1;
-    /// Worker threads for parallel shard recovery; 0 = min(shards,
-    /// hardware concurrency).
-    int recovery_threads = 0;
     /// Storage mechanics for every shard; null = posix files.
     std::shared_ptr<pheap::RegionBackend> backend;
     /// In-heap skip list shard count for kLockFreeSkipListSharded
@@ -158,8 +155,7 @@ class MapSession {
   struct SessionRoot {
     static constexpr std::uint32_t kPersistentTypeId = 0x53455353;  // "SESS"
     std::uint32_t variant_tag;
-    /// Shard count recorded at creation (all shards agree); 0 in roots
-    /// written before sharding existed is read as 1.
+    /// Shard count recorded at creation (all shards agree).
     std::uint32_t shard_count;
     void* map_root;
   };

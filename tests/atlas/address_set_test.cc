@@ -11,70 +11,44 @@ namespace {
 
 TEST(AddressSetTest, FirstCoverIsNew) {
   AddressSet set;
-  EXPECT_TRUE(set.CoverWord(0x1000).newly_covered);
-  EXPECT_FALSE(set.CoverWord(0x1000).newly_covered);
-  EXPECT_TRUE(set.CoverWord(0x1008).newly_covered);
+  EXPECT_TRUE(set.CoverWord(0x1000));
+  EXPECT_FALSE(set.CoverWord(0x1000));
+  EXPECT_TRUE(set.CoverWord(0x1008));
   // Both words share the line at 0x1000: one slot.
   EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(AddressSetTest, AdjacentWordsShareALineSlot) {
   AddressSet set;
-  const AddressSet::Probe first = set.CoverWord(0x2000);
-  EXPECT_TRUE(first.newly_covered);
-  EXPECT_FALSE(first.line_hit);
-  // A different word of the same cache line: must still be logged, but
-  // the probe lands on the existing line slot.
-  const AddressSet::Probe second = set.CoverWord(0x2008);
-  EXPECT_TRUE(second.newly_covered);
-  EXPECT_TRUE(second.line_hit);
+  EXPECT_TRUE(set.CoverWord(0x2000));
+  // A different word of the same cache line must still be logged, but
+  // it lands on the existing line slot.
+  EXPECT_TRUE(set.CoverWord(0x2008));
+  EXPECT_EQ(set.size(), 1u);
   // The same word again: full dedup.
-  const AddressSet::Probe third = set.CoverWord(0x2008);
-  EXPECT_FALSE(third.newly_covered);
-  EXPECT_TRUE(third.line_hit);
+  EXPECT_FALSE(set.CoverWord(0x2008));
   EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(AddressSetTest, NewEpochClears) {
   AddressSet set;
-  EXPECT_TRUE(set.CoverWord(0x2000).newly_covered);
+  EXPECT_TRUE(set.CoverWord(0x2000));
   set.NewEpoch();
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_TRUE(set.CoverWord(0x2000).newly_covered);
-}
-
-TEST(AddressSetTest, CoverRangeReportsFullCoverageOnly) {
-  AddressSet set;
-  EXPECT_FALSE(set.CoverRange(0x3000, 64));   // fresh line
-  EXPECT_TRUE(set.CoverRange(0x3000, 64));    // fully covered now
-  EXPECT_FALSE(set.CoverRange(0x3000, 128));  // second line uncovered
-  EXPECT_TRUE(set.CoverRange(0x3000, 128));
-  // A range is equivalent to covering each word.
-  EXPECT_FALSE(set.CoverWord(0x3000 + 120).newly_covered);
-}
-
-TEST(AddressSetTest, CoverRangeSpanningLinesMidLineStart) {
-  AddressSet set;
-  // 3 words starting at the last word of a line: straddles two lines.
-  EXPECT_FALSE(set.CoverRange(0x4038, 24));
-  EXPECT_FALSE(set.CoverWord(0x4038).newly_covered);
-  EXPECT_FALSE(set.CoverWord(0x4040).newly_covered);
-  EXPECT_FALSE(set.CoverWord(0x4048).newly_covered);
-  EXPECT_TRUE(set.CoverWord(0x4030).newly_covered);
-  EXPECT_TRUE(set.CoverWord(0x4050).newly_covered);
+  EXPECT_TRUE(set.CoverWord(0x2000));
 }
 
 TEST(AddressSetTest, GrowsBeyondInitialCapacity) {
   AddressSet set;
   const std::size_t initial = set.capacity();
   for (std::uint64_t i = 0; i < 10000; ++i) {
-    EXPECT_TRUE(set.CoverWord(0x10000 + i * 64).newly_covered);
+    EXPECT_TRUE(set.CoverWord(0x10000 + i * 64));
   }
   EXPECT_EQ(set.size(), 10000u);
   EXPECT_GT(set.capacity(), initial);
   // All still present after growth.
   for (std::uint64_t i = 0; i < 10000; ++i) {
-    EXPECT_FALSE(set.CoverWord(0x10000 + i * 64).newly_covered);
+    EXPECT_FALSE(set.CoverWord(0x10000 + i * 64));
   }
 }
 
@@ -83,7 +57,7 @@ TEST(AddressSetTest, SurvivesManyEpochsWithoutGrowth) {
   for (int epoch = 0; epoch < 1000; ++epoch) {
     set.NewEpoch();
     for (std::uint64_t i = 0; i < 50; ++i) {
-      EXPECT_TRUE(set.CoverWord(0x100 + i * 64).newly_covered);
+      EXPECT_TRUE(set.CoverWord(0x100 + i * 64));
     }
   }
   // Epoch clearing is O(1): capacity stays small for small epochs.
@@ -110,8 +84,8 @@ TEST(AddressSetTest, ShrinksAfterQuietEpochs) {
   EXPECT_EQ(set.capacity(), AddressSet::kInitialCapacity);
   EXPECT_EQ(set.shrinks(), 1u);
   // Still correct after the shrink.
-  EXPECT_FALSE(set.CoverWord(0x100).newly_covered);
-  EXPECT_TRUE(set.CoverWord(0x9000).newly_covered);
+  EXPECT_FALSE(set.CoverWord(0x100));
+  EXPECT_TRUE(set.CoverWord(0x9000));
 }
 
 TEST(AddressSetTest, BusyEpochsResetTheQuietRun) {
@@ -143,11 +117,8 @@ TEST(AddressSetTest, RandomizedAgainstReference) {
     std::set<std::uint64_t> lines;
     for (int i = 0; i < 2000; ++i) {
       const std::uint64_t word = rng.Uniform(1024) * 8;
-      const bool expected_new = words.insert(word).second;
-      const bool expected_line_hit = !lines.insert(word >> 6).second;
-      const AddressSet::Probe probe = set.CoverWord(word);
-      EXPECT_EQ(probe.newly_covered, expected_new);
-      EXPECT_EQ(probe.line_hit, expected_line_hit);
+      lines.insert(word >> 6);
+      EXPECT_EQ(set.CoverWord(word), words.insert(word).second);
     }
     EXPECT_EQ(set.size(), lines.size());
   }

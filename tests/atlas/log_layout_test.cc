@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace tsp::atlas {
@@ -37,42 +38,50 @@ TEST(AtlasAreaTest, FormatWritesCurrentVersionWithCounterSlots) {
   ASSERT_GT(AtlasArea::Format(buffer.data(), buffer.size(), 8), 0u);
   AtlasArea area(buffer.data(), buffer.size());
   EXPECT_EQ(area.header()->version, kAtlasFormatVersion);
-  EXPECT_EQ(AtlasArea::VersionOf(buffer.data(), buffer.size()),
-            kAtlasFormatVersion);
-  // A 1 MB area has room for the v2 counter-slot carve-out.
+  EXPECT_TRUE(AtlasArea::Check(buffer.data(), buffer.size()).ok());
+  // A 1 MB area has room for the counter-slot carve-out.
   EXPECT_EQ(area.counter_slots_per_thread(), kDefaultCounterSlotsPerThread);
   EXPECT_NE(area.header()->counter_slots_offset, 0u);
 }
 
-TEST(AtlasAreaTest, Version1AreaDecodesWithoutCounterSlots) {
-  // A v1 producer never wrote the counter-slot fields (Format has
-  // always zeroed the header prefix), so a v1 area must validate and
-  // decode with the FliT fast path absent, not fail.
+TEST(AtlasAreaTest, PreviousVersionIsRefused) {
+  // One format version, one reader: an area stamped with the previous
+  // version is refused, with a diagnostic that names both versions.
   std::vector<char> buffer(1 << 20);
   ASSERT_GT(AtlasArea::Format(buffer.data(), buffer.size(), 8), 0u);
   AtlasArea area(buffer.data(), buffer.size());
-  area.header()->version = 1;
-  area.header()->counter_slots_offset = 0;
-  area.header()->counter_slots_per_thread = 0;
-  EXPECT_TRUE(AtlasArea::Validate(buffer.data(), buffer.size()));
-  EXPECT_EQ(area.counter_slots_per_thread(), 0u);
+  area.header()->version = kAtlasFormatVersion - 1;
+  EXPECT_FALSE(AtlasArea::Validate(buffer.data(), buffer.size()));
+  const Status status = AtlasArea::Check(buffer.data(), buffer.size());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find(
+                "format version " + std::to_string(kAtlasFormatVersion - 1)),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(
+                "only version " + std::to_string(kAtlasFormatVersion)),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(AtlasAreaTest, NewerVersionIsRejectedButIdentified) {
   // Areas written by a newer producer may have moved the layout, so
-  // validation must refuse them — but VersionOf still reports the
-  // version so diagnostics can say "newer format" instead of
-  // "corruption".
+  // validation must refuse them — and the diagnostic names the version
+  // mismatch instead of calling the area corrupt geometry.
   std::vector<char> buffer(1 << 20);
   ASSERT_GT(AtlasArea::Format(buffer.data(), buffer.size(), 8), 0u);
   AtlasArea area(buffer.data(), buffer.size());
   area.header()->version = kAtlasFormatVersion + 1;
   EXPECT_FALSE(AtlasArea::Validate(buffer.data(), buffer.size()));
-  EXPECT_EQ(AtlasArea::VersionOf(buffer.data(), buffer.size()),
-            kAtlasFormatVersion + 1);
-  // Garbage, by contrast, reports version 0 (not an Atlas area).
+  EXPECT_NE(AtlasArea::Check(buffer.data(), buffer.size())
+                .message()
+                .find("format version " +
+                      std::to_string(kAtlasFormatVersion + 1)),
+            std::string::npos);
+  // Garbage, by contrast, is not an Atlas area at all.
   std::vector<char> garbage(1 << 20, 0x5A);
-  EXPECT_EQ(AtlasArea::VersionOf(garbage.data(), garbage.size()), 0u);
+  EXPECT_EQ(AtlasArea::Check(garbage.data(), garbage.size()).code(),
+            StatusCode::kNotFound);
 }
 
 TEST(AtlasAreaTest, TooSmallAreaFails) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
@@ -59,9 +61,10 @@ class Session {
     return *stats;
   }
 
-  void StartRuntime(PersistencePolicy policy) {
+  void StartRuntime(PersistencePolicy policy, bool use_counter_slots = true) {
     AtlasRuntime::Options options;
     options.prune_interval_us = 0;
+    options.use_counter_slots = use_counter_slots;
     runtime_ =
         std::make_unique<AtlasRuntime>(heap_.get(), policy, options);
     TSP_CHECK_OK(runtime_->Initialize());
@@ -397,9 +400,8 @@ TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
 }
 
 TEST_F(AtlasRecoveryTest, RangeRecordRecoversOldBytes) {
-  // A >16-byte guarded store is captured as one variable-length
-  // kStoreRange record (header + raw-byte continuation entries); replay
-  // must restore every byte of the span.
+  // A multi-word guarded store is captured one record per word (ring
+  // entry or counter slot); replay must restore every byte of the span.
   std::uint64_t before[5];
   std::uint64_t after[5];
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -422,21 +424,21 @@ TEST_F(AtlasRecoveryTest, RangeRecordRecoversOldBytes) {
     thread->OnAcquire(&word, 1);
     thread->StoreBytes(root->values, after, sizeof(after));
     ASSERT_EQ(std::memcmp(root->values, after, sizeof(after)), 0);
-    EXPECT_GE(thread->local_stats().range_records, 2u);
     session.Crash();
   }
   Session session(file_->path(), base_, /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
+  EXPECT_EQ(stats.stores_undone, 5u) << "one record per captured word";
   EXPECT_EQ(std::memcmp(session.root()->values, before, sizeof(before)), 0)
-      << "range replay must restore the whole span byte-for-byte";
+      << "replay must restore the whole span byte-for-byte";
 }
 
 TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
-  // Position the ring tail so the open OCS's range record lands with
-  // its header at the last physical index and its raw-byte continuation
-  // entries wrapped to the front: the recovery scanner must follow the
-  // header's continuation count across the wrap.
+  // Position the ring tail so the open OCS's batch of word records
+  // straddles the physical end of the ring: its kAcquire and first
+  // record at the last two indices, the other four wrapped to the
+  // front. Counter slots are off so every record lands in the ring.
   std::uint64_t before[5];
   std::uint64_t after[5];
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -445,7 +447,8 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
   }
   {
     Session session(file_->path(), base_, /*create=*/true);
-    session.StartRuntime(PersistencePolicy::TspLogOnly());
+    session.StartRuntime(PersistencePolicy::TspLogOnly(),
+                         /*use_counter_slots=*/false);
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
     TestRoot* root = session.root();
@@ -458,30 +461,36 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     thread->StoreBytes(root->values, before, sizeof(before));
     thread->OnRelease(&word, 1);
 
-    // Single-store committed OCSes publish exactly 1 entry each (the
-    // kAcquire; the store is slot-absorbed, the kRelease elided): walk
-    // the tail to capacity - 2.
+    // Committed filler OCSes publish their kAcquire plus one record per
+    // word (the kRelease is elided): 2 entries for a one-word store, 3
+    // for a two-word one, which fixes the parity once. Walk the tail to
+    // capacity - 2.
     const ThreadLogHeader* slot =
         session.runtime()->area().slot(thread->thread_id());
-    ASSERT_LT(slot->tail.load(), capacity - 2);
     for (std::uint64_t i = 1; slot->tail.load() < capacity - 2; ++i) {
       PMutexLock lock(&mutex);
-      thread->Store(&root->values[7], i);
+      if ((capacity - 2 - slot->tail.load()) % 2 != 0) {
+        const std::uint64_t pair[2] = {i, i};
+        thread->StoreBytes(&root->values[6], pair, sizeof(pair));
+      } else {
+        thread->Store(&root->values[7], i);
+      }
     }
     ASSERT_EQ(slot->tail.load(), capacity - 2);
 
-    // Open OCS: kAcquire at capacity-2, range header at capacity-1,
-    // both 32-byte continuations wrapped to physical indices 0 and 1.
+    // Open OCS: kAcquire at capacity-2, the first word record at
+    // capacity-1, the other four wrapped to physical indices 0..3.
     thread->OnAcquire(&word, 3);
     thread->StoreBytes(root->values, after, sizeof(after));
-    ASSERT_EQ(slot->tail.load(), capacity + 2) << "record must straddle";
+    ASSERT_EQ(slot->tail.load(), capacity + 4) << "batch must straddle";
     session.Crash();
   }
   Session session(file_->path(), base_, /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
+  EXPECT_EQ(stats.stores_undone, 5u);
   EXPECT_EQ(std::memcmp(session.root()->values, before, sizeof(before)), 0)
-      << "wrapped continuation bytes must replay correctly";
+      << "wrapped word records must replay correctly";
   EXPECT_GT(session.root()->values[7], 0u) << "committed fillers survive";
 }
 
@@ -559,6 +568,158 @@ TEST_F(AtlasRecoveryTest, HeapThatNeverUsedAtlasRecoversVacuously) {
   auto stats = RecoverAtlas(heap->get());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->rings_scanned, 0u);
+}
+
+// The ring decoder's open OCSes — what `tsp_inspect trace` reports as
+// undo_log_open — are exactly the OCSes recovery rolls back as
+// incomplete: two threads crash inside OCSes while a third committed an
+// OCS that depends on one of them (and is rolled back as cascaded).
+TEST_F(AtlasRecoveryTest, DecoderOpenSetMatchesIncompleteRollbacks) {
+  std::set<std::uint64_t> expected_open;
+  {
+    Session session(file_->path(), base_, /*create=*/true);
+    session.StartRuntime(PersistencePolicy::TspLogOnly());
+    TestRoot* root = session.root();
+    AtlasThread a(session.runtime(), 20);
+    AtlasThread b(session.runtime(), 21);
+    AtlasThread c(session.runtime(), 22);
+    PLockWord outer_a, outer_b, shared;
+
+    a.OnAcquire(&outer_a, 1);
+    a.OnAcquire(&shared, 3);
+    a.Store(&root->values[0], std::uint64_t{1});
+    a.OnRelease(&shared, 3);  // nested release: a stays open
+    b.OnAcquire(&outer_b, 2);
+    b.Store(&root->values[1], std::uint64_t{2});
+    c.OnAcquire(&shared, 3);  // depends on a's open OCS
+    c.Store(&root->values[2], std::uint64_t{3});
+    c.OnRelease(&shared, 3);
+    expected_open = {PackThreadOcs(20, a.current_ocs()),
+                     PackThreadOcs(21, b.current_ocs())};
+    session.Crash();  // no CloseClean: a and b never committed
+  }
+  Session session(file_->path(), base_, /*create=*/false);
+  const AtlasArea area(
+      session.heap()->runtime_area(),
+      AtlasAreaSize(session.heap()->runtime_area_size()));
+  std::set<std::uint64_t> decoded_open;
+  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
+    const DecodedRing ring =
+        DecodeRing(area, t, area.slot(t)->head.load(),
+                   area.slot(t)->tail.load());
+    ASSERT_TRUE(ring.defects.empty()) << ring.defects.front();
+    if (!ring.ocses.empty() && !ring.ocses.back().committed) {
+      decoded_open.insert(PackThreadOcs(static_cast<std::uint16_t>(t),
+                                        ring.ocses.back().id));
+    }
+  }
+  EXPECT_EQ(decoded_open, expected_open);
+  const RecoveryStats stats = session.Recover();
+  EXPECT_EQ(std::set<std::uint64_t>(stats.rolled_back_incomplete.begin(),
+                                    stats.rolled_back_incomplete.end()),
+            decoded_open);
+  EXPECT_EQ(stats.ocses_cascaded, 1u) << "c observed a's uncommitted data";
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(session.root()->values[i], 0u);
+}
+
+// Crashes a session inside an OCS, then rewrites the Atlas area header
+// with `corrupt` (heap mapped, still awaiting recovery).
+template <typename Corrupt>
+void CrashThenCorruptHeader(const std::string& path, std::uintptr_t base,
+                            std::size_t runtime_area_size,
+                            Corrupt corrupt) {
+  pheap::RegionOptions options = Options(base);
+  options.runtime_area_size = runtime_area_size;
+  {
+    auto heap = pheap::PersistentHeap::Create(path, options);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    auto* root = (*heap)->New<TestRoot>();
+    (*heap)->set_root(root);
+    AtlasRuntime::Options runtime_options;
+    runtime_options.prune_interval_us = 0;
+    AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
+                         runtime_options);
+    ASSERT_TRUE(runtime.Initialize().ok());
+    AtlasThread* thread = runtime.CurrentThread();
+    PLockWord word;
+    thread->OnAcquire(&word, 1);
+    thread->Store(&root->values[0], std::uint64_t{99});
+  }  // crash: no CloseClean
+  auto heap = pheap::PersistentHeap::Open(path);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  ASSERT_TRUE((*heap)->needs_recovery());
+  corrupt(static_cast<AtlasAreaHeader*>((*heap)->runtime_area()));
+}
+
+// The flight recorder owns the tail of a large runtime area. A header
+// whose rings reach into that reservation — but still fit the whole
+// runtime area — must fail every reader's validation, so no scanner
+// reads trace events as log entries.
+TEST_F(AtlasRecoveryTest, RingsReachingIntoTraceReservationAreRefused) {
+  constexpr std::size_t kRuntimeArea = 8u << 20;
+  ASSERT_GT(obs::TraceReservationBytes(kRuntimeArea), 0u);
+  CrashThenCorruptHeader(
+      file_->path(), base_, kRuntimeArea, [](AtlasAreaHeader* header) {
+        const std::uint64_t whole_area =
+            (kRuntimeArea - header->entries_offset) /
+            (sizeof(LogEntry) * header->max_threads);
+        ASSERT_GT(whole_area, header->entries_per_thread);
+        header->entries_per_thread = whole_area;
+      });
+  auto heap = pheap::PersistentHeap::Open(file_->path());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  ASSERT_TRUE(AtlasArea::Validate((*heap)->runtime_area(), kRuntimeArea))
+      << "the corrupt geometry fits the uncarved runtime area";
+  const pheap::TypeRegistry registry;
+  const pheap::CheckReport report = pheap::CheckHeap(**heap, registry);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.ToString().find("undo-log: "), std::string::npos)
+      << report.ToString();
+  auto stats = RecoverAtlas(heap->get());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
+}
+
+// One format version: an area stamped with the previous version is
+// refused by recovery, by CheckHeap and by Attach, each naming both
+// versions, and a clean Initialize reformats it.
+TEST_F(AtlasRecoveryTest, PreviousFormatVersionIsRefusedThenReformatted) {
+  const std::string previous =
+      "format version " + std::to_string(kAtlasFormatVersion - 1);
+  const std::string current =
+      "only version " + std::to_string(kAtlasFormatVersion);
+  CrashThenCorruptHeader(file_->path(), base_, 2u << 20,
+                         [](AtlasAreaHeader* header) {
+                           header->version = kAtlasFormatVersion - 1;
+                         });
+  auto heap = pheap::PersistentHeap::Open(file_->path());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  const pheap::TypeRegistry registry;
+  const pheap::CheckReport report = pheap::CheckHeap(**heap, registry);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.ToString().find(previous), std::string::npos)
+      << report.ToString();
+  EXPECT_NE(report.ToString().find(current), std::string::npos);
+  auto stats = RecoverAtlas(heap->get());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_NE(stats.status().message().find(previous), std::string::npos)
+      << stats.status().ToString();
+  EXPECT_NE(stats.status().message().find(current), std::string::npos);
+
+  // Nothing can be rolled back from a format this build does not read;
+  // declare the heap recovered, as an operator discarding the log would.
+  (*heap)->FinishRecovery();
+  AtlasRuntime joiner(heap->get(), PersistencePolicy::TspLogOnly());
+  const Status attach = joiner.Attach();
+  EXPECT_EQ(attach.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(attach.message().find(previous), std::string::npos)
+      << attach.ToString();
+  AtlasRuntime::Options options;
+  options.prune_interval_us = 0;
+  AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
+                       options);
+  ASSERT_TRUE(runtime.Initialize().ok());
+  EXPECT_EQ(runtime.area().header()->version, kAtlasFormatVersion);
 }
 
 TEST_F(AtlasRecoveryTest, FullLifecycleAcrossCrashes) {

@@ -205,6 +205,14 @@ TEST_F(AtlasRuntimeTest, SyncFlushModeFlushesEveryEntry) {
 }
 
 TEST_F(AtlasRuntimeTest, StoreBytesSplitsLargeRanges) {
+  // Counter slots off, so every captured word lands in the ring.
+  runtime_.reset();
+  AtlasRuntime::Options options;
+  options.prune_interval_us = 0;
+  options.use_counter_slots = false;
+  runtime_ = std::make_unique<AtlasRuntime>(
+      heap_.get(), PersistencePolicy::TspLogOnly(), options);
+  ASSERT_TRUE(runtime_->Initialize().ok());
   auto* blob = static_cast<char*>(heap_->Alloc(64));
   std::memset(blob, 0, 64);
   PMutex mutex(runtime_.get());
@@ -216,23 +224,24 @@ TEST_F(AtlasRuntimeTest, StoreBytesSplitsLargeRanges) {
     thread->StoreBytes(blob, data, 20);
   }
   for (int i = 0; i < 20; ++i) EXPECT_EQ(blob[i], static_cast<char>(i + 1));
-  // 20 bytes widen to a 24-byte word span → one range record: a header
-  // entry plus ceil(24/32) = 1 continuation entry of raw old bytes.
+  // 20 bytes widen to a 24-byte word span → one word record per word,
+  // each carrying that word's old value, published in one batch.
   const std::vector<EntryKind> kinds =
       RingKinds(*runtime_, thread->thread_id());
-  EXPECT_EQ(CountKind(kinds, EntryKind::kStore), 0u);
-  EXPECT_EQ(CountKind(kinds, EntryKind::kStoreRange), 1u);
+  EXPECT_EQ(CountKind(kinds, EntryKind::kStore), 3u);
   const AtlasArea& area = runtime_->area();
+  std::uint64_t expected_offset = heap_->region()->ToOffset(blob);
   for (std::uint64_t i = 0; i < area.slot(thread->thread_id())->tail.load();
        ++i) {
     const LogEntry* entry = area.entry(thread->thread_id(), i);
-    if (entry->kind != EntryKind::kStoreRange) continue;
-    EXPECT_EQ(entry->payload, 24u) << "length widened to whole words";
-    EXPECT_EQ(entry->aux, RangeContinuationCount(24));
-    EXPECT_EQ(entry->addr_offset, heap_->region()->ToOffset(blob));
-    break;
+    if (entry->kind != EntryKind::kStore) continue;
+    EXPECT_EQ(entry->addr_offset, expected_offset);
+    EXPECT_EQ(entry->size, 8u);
+    EXPECT_EQ(entry->payload, 0u) << "old value of a zeroed word";
+    expected_offset += 8;
   }
-  EXPECT_EQ(thread->local_stats().range_records, 1u);
+  EXPECT_EQ(thread->local_stats().undo_records, 3u);
+  EXPECT_EQ(thread->local_stats().batched_publishes, 1u);
   runtime_->UnregisterCurrentThread();
 }
 

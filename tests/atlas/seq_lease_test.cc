@@ -251,10 +251,9 @@ TEST_F(SeqLeaseTest, StoreBytesPublishesOneBatch) {
   }
   for (int i = 0; i < 40; ++i) EXPECT_EQ(blob[i], static_cast<char>(i + 1));
   const AtlasRuntimeStats stats = runtime_->GetStats();
-  // 40 bytes = one range record (header + 2 continuation entries of 32
-  // old bytes each), not 5 word records.
-  EXPECT_EQ(stats.undo_records, 1u);
-  EXPECT_EQ(stats.range_records, 1u);
+  // 40 bytes = 5 word records, all stamped from one leased block.
+  EXPECT_EQ(stats.undo_records, 5u);
+  EXPECT_EQ(stats.seq_blocks_leased, 1u);
   EXPECT_EQ(stats.batched_publishes, 1u)
       << "one tail advance for the whole guarded store";
   runtime_->UnregisterCurrentThread();

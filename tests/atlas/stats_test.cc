@@ -65,8 +65,16 @@ TEST_F(AtlasStatsTest, CountsOcsActivity) {
 
 TEST_F(AtlasStatsTest, CountsLineDedupHits) {
   // A repeated multi-word store over an already-captured span is
-  // filtered by the AddressSet's cache-line entries: one range record,
-  // then line hits — no second capture.
+  // filtered by the AddressSet's cache-line entries: one word record
+  // per word, then dedup hits — no second capture. Counter slots off,
+  // so the words reach the AddressSet instead of the slots.
+  runtime_.reset();
+  AtlasRuntime::Options runtime_options;
+  runtime_options.prune_interval_us = 0;
+  runtime_options.use_counter_slots = false;
+  runtime_ = std::make_unique<AtlasRuntime>(
+      heap_.get(), PersistencePolicy::TspLogOnly(), runtime_options);
+  ASSERT_TRUE(runtime_->Initialize().ok());
   auto* blob = static_cast<char*>(heap_->Alloc(64));
   std::memset(blob, 0, 64);
   PMutex mutex(runtime_.get());
@@ -80,9 +88,8 @@ TEST_F(AtlasStatsTest, CountsLineDedupHits) {
     thread->StoreBytes(blob + 8, data, 24);        // sub-span, same lines
   }
   const AtlasRuntimeStats stats = runtime_->GetStats();
-  EXPECT_EQ(stats.range_records, 1u) << "only the first store captures";
-  EXPECT_EQ(stats.line_dedup_hits, 2u);
-  EXPECT_EQ(stats.dedup_hits, 2u);
+  EXPECT_EQ(stats.undo_records, 5u) << "only the first store captures";
+  EXPECT_EQ(stats.dedup_hits, 5u + 3u);
   runtime_->UnregisterCurrentThread();
 }
 

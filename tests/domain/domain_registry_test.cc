@@ -145,10 +145,9 @@ TEST(DomainRegistryTest, CloseDropsTheDomain) {
   domains.CloseAllClean();
 }
 
-// A sharded domain: N heaps, each with its own runtime, recovered in
-// parallel after a simulated crash (heaps destroyed without
-// CloseClean).
-TEST(DomainRegistryTest, ShardedDomainRecoversAllShardsInParallel) {
+// A sharded domain: N heaps, each with its own runtime, all recovered
+// after a simulated crash (heaps destroyed without CloseClean).
+TEST(DomainRegistryTest, ShardedDomainRecoversAllShards) {
   const pheap::TypeRegistry registry = MakeRegistry();
   const std::string path = UniqueRegionPath("reg_sharded");
   auto options = BaseOptions(path);

@@ -130,34 +130,25 @@ TEST_F(CheckTest, DetectsLiveFreeOverlap) {
   EXPECT_FALSE(report.ok);
 }
 
-// Hand-formats a minimal one-ring Atlas area in the heap's runtime
-// area (layout structs are header-only, so no tsp_atlas link needed;
-// check.cc reads the same structs the same way). Entries start zeroed
-// (kInvalid) and [head, tail) is whatever the test sets.
+// Formats a one-ring Atlas area of the current format version in the
+// heap's runtime area, the way AtlasRuntime::Initialize would, and
+// zeroes the ring's first entries (kInvalid); [head, tail) is whatever
+// the test sets.
 struct FakeLog {
   atlas::AtlasAreaHeader* area;
   atlas::ThreadLogHeader* slot;
   atlas::LogEntry* ring;
 };
 
-FakeLog FormatFakeLog(PersistentHeap* heap,
-                      std::uint64_t entries_per_thread) {
-  char* base = static_cast<char*>(heap->runtime_area());
-  std::memset(base, 0,
-              64 + sizeof(atlas::ThreadLogHeader) +
-                  entries_per_thread * sizeof(atlas::LogEntry));
-  auto* area = reinterpret_cast<atlas::AtlasAreaHeader*>(base);
-  area->magic = atlas::kAtlasMagic;
-  area->version = 1;
-  area->max_threads = 1;
-  area->entries_per_thread = entries_per_thread;
-  area->slots_offset = 64;  // keeps the alignas(64) slot aligned
-  area->entries_offset = 64 + sizeof(atlas::ThreadLogHeader);
-  auto* slot =
-      reinterpret_cast<atlas::ThreadLogHeader*>(base + area->slots_offset);
-  auto* ring =
-      reinterpret_cast<atlas::LogEntry*>(base + area->entries_offset);
-  return FakeLog{area, slot, ring};
+FakeLog FormatFakeLog(PersistentHeap* heap, std::uint64_t entries) {
+  const std::size_t size = atlas::AtlasAreaSize(heap->runtime_area_size());
+  atlas::AtlasArea area(heap->runtime_area(), size);
+  EXPECT_GE(atlas::AtlasArea::Format(heap->runtime_area(), size,
+                                     /*max_threads=*/1),
+            entries);
+  std::memset(static_cast<void*>(area.entry(0, 0)), 0,
+              entries * sizeof(atlas::LogEntry));
+  return FakeLog{area.header(), area.slot(0), area.entry(0, 0)};
 }
 
 class UndoLogCheckTest : public CheckTest {
@@ -192,17 +183,22 @@ class UndoLogCheckTest : public CheckTest {
 };
 
 TEST_F(UndoLogCheckTest, WellFormedRingPasses) {
-  log_.ring[0].kind = atlas::EntryKind::kOcsBegin;
-  log_.ring[1].kind = atlas::EntryKind::kAcquire;
-  log_.ring[2] = MakeStore(5, node_offset_);
+  // One committed OCS with a nested lock, then one a crash left open.
+  log_.ring[0].kind = atlas::EntryKind::kAcquire;
+  log_.ring[0].addr_offset = 1;  // OCS id
+  log_.ring[1] = MakeStore(5, node_offset_);
+  log_.ring[2].kind = atlas::EntryKind::kAcquire;
   log_.ring[3] = MakeStore(9, node_offset_);
   log_.ring[4].kind = atlas::EntryKind::kRelease;
-  log_.ring[5].kind = atlas::EntryKind::kOcsCommit;
-  SetWindow(0, 6);
+  log_.ring[5].kind = atlas::EntryKind::kRelease;
+  log_.ring[6].kind = atlas::EntryKind::kAcquire;
+  log_.ring[6].addr_offset = 2;
+  log_.ring[7] = MakeStore(11, node_offset_);
+  SetWindow(0, 8);
   const CheckReport report = CheckHeap(*heap_, registry_);
   EXPECT_TRUE(report.ok) << report.ToString();
   EXPECT_EQ(report.log_rings_scanned, 1u);
-  EXPECT_EQ(report.log_entries_scanned, 6u);
+  EXPECT_EQ(report.log_entries_scanned, 8u);
 }
 
 TEST_F(UndoLogCheckTest, DetectsNonMonotoneStamps) {

@@ -1,0 +1,114 @@
+// End-to-end check of the tsp_inspect binary on a heap left crashed
+// inside an OCS: `check`, `log` and `trace --json` succeed and the undo
+// log names the open OCS; once a ring's head/tail are corrupted, `check`
+// and `log` exit 1.
+
+#include <sys/wait.h>
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+
+#include "atlas/log_layout.h"
+#include "atlas/pmutex.h"
+#include "atlas/runtime.h"
+#include "pheap/heap.h"
+#include "pheap/test_util.h"
+
+namespace tsp {
+namespace {
+
+struct InspectRun {
+  int exit_code;
+  std::string output;
+};
+
+/// Runs the built tsp_inspect with `args`, capturing stdout and stderr.
+InspectRun Inspect(const std::string& args) {
+  const std::string command =
+      std::string(TSP_INSPECT_BIN) + " " + args + " 2>&1";
+  InspectRun run{-1, ""};
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buffer[4096];
+  std::size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    run.output.append(buffer, n);
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
+  pheap::testing::ScopedRegionFile file("inspect");
+  const std::string& path = file.path();
+  pheap::RegionOptions options;
+  options.size = 32u << 20;
+  options.base_address = pheap::testing::UniqueBaseAddress();
+  options.runtime_area_size = 8u << 20;  // room for the flight recorder
+  std::uint16_t thread_id = 0;
+  std::uint64_t open_ocs = 0;
+  {
+    auto heap = pheap::PersistentHeap::Create(path, options);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    auto* root = static_cast<std::uint64_t*>((*heap)->Alloc(16));
+    (*heap)->set_root(root);
+    atlas::AtlasRuntime::Options runtime_options;
+    runtime_options.prune_interval_us = 0;
+    atlas::AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
+                                runtime_options);
+    ASSERT_TRUE(runtime.Initialize().ok());
+    atlas::AtlasThread* thread = runtime.CurrentThread();
+    atlas::PMutex mutex(&runtime);
+    {
+      atlas::PMutexLock lock(&mutex);
+      thread->Store(&root[0], std::uint64_t{1});
+    }
+    atlas::PLockWord word;
+    thread->OnAcquire(&word, 7);
+    thread->Store(&root[1], std::uint64_t{2});
+    thread_id = thread->thread_id();
+    open_ocs = thread->current_ocs();
+  }  // crash: unmapped without CloseClean, the second OCS still open
+
+  const InspectRun check = Inspect("check " + path);
+  EXPECT_EQ(check.exit_code, 0) << check.output;
+  const InspectRun log = Inspect("log " + path);
+  EXPECT_EQ(log.exit_code, 0) << log.output;
+  EXPECT_NE(log.output.find("open_ocs=" + std::to_string(open_ocs)),
+            std::string::npos)
+      << log.output;
+  const InspectRun trace = Inspect("trace --json " + path);
+  EXPECT_EQ(trace.exit_code, 0) << trace.output;
+  const std::size_t open_list = trace.output.find("\"undo_log_open\":[");
+  ASSERT_NE(open_list, std::string::npos) << trace.output;
+  EXPECT_NE(trace.output.find("{\"thread\":" + std::to_string(thread_id) +
+                                  ",\"ocs\":" + std::to_string(open_ocs),
+                              open_list),
+            std::string::npos)
+      << trace.output;
+
+  {
+    // Reopening does not recover; the heap stays crashed.
+    auto heap = pheap::PersistentHeap::Open(path);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    ASSERT_TRUE((*heap)->needs_recovery());
+    const atlas::AtlasArea area(
+        (*heap)->runtime_area(),
+        atlas::AtlasAreaSize((*heap)->runtime_area_size()));
+    atlas::ThreadLogHeader* slot = area.slot(thread_id);
+    slot->head.store(slot->tail.load() + 5);  // head past tail
+  }
+  const InspectRun corrupt_check = Inspect("check " + path);
+  EXPECT_EQ(corrupt_check.exit_code, 1) << corrupt_check.output;
+  EXPECT_NE(corrupt_check.output.find("indices are corrupt"),
+            std::string::npos)
+      << corrupt_check.output;
+  const InspectRun corrupt_log = Inspect("log " + path);
+  EXPECT_EQ(corrupt_log.exit_code, 1) << corrupt_log.output;
+}
+
+}  // namespace
+}  // namespace tsp

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "analysis/lock_order.h"
 #include "atlas/log_layout.h"
@@ -60,20 +61,14 @@ const char* EntryKindName(tsp::atlas::EntryKind kind) {
   switch (kind) {
     case tsp::atlas::EntryKind::kInvalid:
       return "invalid";
-    case tsp::atlas::EntryKind::kOcsBegin:
-      return "ocs-begin";
     case tsp::atlas::EntryKind::kAcquire:
       return "acquire";
     case tsp::atlas::EntryKind::kRelease:
       return "release";
     case tsp::atlas::EntryKind::kStore:
       return "store";
-    case tsp::atlas::EntryKind::kOcsCommit:
-      return "ocs-commit";
     case tsp::atlas::EntryKind::kAlloc:
       return "alloc";
-    case tsp::atlas::EntryKind::kStoreRange:
-      return "store-range";
   }
   return "?";
 }
@@ -375,98 +370,93 @@ int ShowCheck(const PersistentHeap& heap, bool json) {
   return report.ok ? 0 : 1;
 }
 
+/// The heap's Atlas area, bounded by the same carved size every other
+/// reader uses. Writes the reason to `error` when the area does not
+/// validate; `error` stays empty for a heap that never used Atlas.
+std::optional<tsp::atlas::AtlasArea> OpenAtlasArea(
+    const PersistentHeap& heap, std::string* error) {
+  void* base = heap.runtime_area();
+  const std::size_t size =
+      tsp::atlas::AtlasAreaSize(heap.runtime_area_size());
+  const tsp::Status status = tsp::atlas::AtlasArea::Check(base, size);
+  if (!status.ok()) {
+    if (status.code() != tsp::StatusCode::kNotFound) {
+      *error = status.message();
+    }
+    return std::nullopt;
+  }
+  return tsp::atlas::AtlasArea(base, size);
+}
+
+/// Per-ring summary of the undo log as recovery would decode it: the
+/// ring window, its OCSes (and which one a crash left open), its store
+/// records and armed counter slots, and every defect the decoder finds.
+/// Exits 1 when the area or any ring is defective.
 int ShowLog(const PersistentHeap& heap, bool verbose) {
-  int exit_code = 0;
-  void* area_base = const_cast<void*>(
-      static_cast<const void*>(heap.runtime_area()));
-  if (!tsp::atlas::AtlasArea::Validate(area_base,
-                                       heap.runtime_area_size())) {
-    const std::uint32_t version = tsp::atlas::AtlasArea::VersionOf(
-        area_base, heap.runtime_area_size());
-    if (version > tsp::atlas::kAtlasFormatVersion) {
-      std::fprintf(stderr,
-                   "Atlas log format version %u is newer than this tool "
-                   "understands (max %u); re-run with a newer build\n",
-                   version, tsp::atlas::kAtlasFormatVersion);
+  std::string error;
+  const auto area = OpenAtlasArea(heap, &error);
+  if (!area) {
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
     std::printf("no Atlas log area (heap never used the mutex runtime)\n");
     return 0;
   }
-  tsp::atlas::AtlasArea area(area_base, heap.runtime_area_size());
   std::printf("Atlas log: %u rings x %" PRIu64 " entries, %u counter "
               "slots/thread (format v%u)\n",
-              area.max_threads(), area.entries_per_thread(),
-              area.counter_slots_per_thread(), area.header()->version);
-  // Stamps are leased in per-thread blocks of the global counter, so
-  // they are sparse and interleave across rings; within one ring they
-  // must be monotone. max_store_seq below the header's global sequence
-  // is expected (unspent lease remainders are simply never used).
-  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
-    const tsp::atlas::ThreadLogHeader* slot = area.slot(t);
+              area->max_threads(), area->entries_per_thread(),
+              area->counter_slots_per_thread(), area->header()->version);
+  int exit_code = 0;
+  for (std::uint32_t t = 0; t < area->max_threads(); ++t) {
+    const tsp::atlas::ThreadLogHeader* slot = area->slot(t);
     const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
     const std::uint64_t tail = slot->tail.load(std::memory_order_relaxed);
     std::uint64_t armed_slots = 0;
-    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
-      if (area.counter_slots(t)[s].addr_offset != 0) ++armed_slots;
+    for (std::uint32_t s = 0; s < area->counter_slots_per_thread(); ++s) {
+      if (area->counter_slots(t)[s].addr_offset != 0) ++armed_slots;
     }
     if (tail == 0 && armed_slots == 0 &&
         slot->next_ocs.load(std::memory_order_relaxed) <= 1) {
       continue;  // never used
     }
-    std::uint64_t max_store_seq = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t ranges = 0;
-    bool monotone = true;  // any violation flips the exit code below
-    for (std::uint64_t i = head; i < tail; ++i) {
-      const tsp::atlas::LogEntry* entry = area.entry(t, i);
-      if (entry->kind == tsp::atlas::EntryKind::kStoreRange) {
-        // Header + raw-byte continuation entries; skip the latter so
-        // their bytes are never misparsed as records.
-        if (entry->seq <= max_store_seq) monotone = false;
-        max_store_seq = entry->seq;
-        ++ranges;
-        i += entry->aux;
-        continue;
-      }
-      if (entry->kind != tsp::atlas::EntryKind::kStore) continue;
-      if (entry->seq <= max_store_seq) monotone = false;
-      max_store_seq = entry->seq;
-      ++stores;
-    }
+    const tsp::atlas::DecodedRing ring =
+        tsp::atlas::DecodeRing(*area, t, head, tail);
     std::printf("  ring %2u: head=%" PRIu64 " tail=%" PRIu64
-                " (%" PRIu64 " live) committed_ocs=%" PRIu64
-                " stable_ocs=%" PRIu64,
-                t, head, tail, tail - head,
+                " committed_ocs=%" PRIu64 " stable_ocs=%" PRIu64
+                " ocses=%zu",
+                t, head, tail,
                 slot->committed_ocs.load(std::memory_order_relaxed),
-                slot->stable_ocs.load(std::memory_order_relaxed));
-    if (stores > 0 || ranges > 0) {
-      std::printf(" stores=%" PRIu64 " ranges=%" PRIu64
-                  " max_store_seq=%" PRIu64 "%s",
-                  stores, ranges, max_store_seq,
-                  monotone ? "" : " [NOT MONOTONE]");
-      if (!monotone) exit_code = 1;
+                slot->stable_ocs.load(std::memory_order_relaxed),
+                ring.ocses.size());
+    if (!ring.ocses.empty() && !ring.ocses.back().committed) {
+      std::printf(" open_ocs=%" PRIu64, ring.ocses.back().id);
+    }
+    // Stamps are leased in per-thread blocks of the global counter, so
+    // they are sparse and interleave across rings; within one ring they
+    // must increase (a violation is a defect below).
+    if (ring.stores > 0) {
+      std::printf(" stores=%" PRIu64 " last_store_seq=%" PRIu64, ring.stores,
+                  ring.last_store_seq);
     }
     if (armed_slots > 0) {
       std::printf(" armed_counter_slots=%" PRIu64, armed_slots);
     }
     std::printf("\n");
-    if (!verbose) continue;
+    for (const std::string& defect : ring.defects) {
+      std::printf("    DEFECT: %s\n", defect.c_str());
+      exit_code = 1;
+    }
+    if (!verbose || !ring.unusable.empty()) continue;
     for (std::uint64_t i = head; i < tail; ++i) {
-      const tsp::atlas::LogEntry* entry = area.entry(t, i);
-      std::printf("    [%" PRIu64 "] %-11s seq=%" PRIu64 " aux=%u addr=%"
+      const tsp::atlas::LogEntry* entry = area->entry(t, i);
+      std::printf("    [%" PRIu64 "] %-7s seq=%" PRIu64 " aux=%u addr=%"
                   PRIu64 " payload=0x%" PRIx64 "\n",
                   i, EntryKindName(entry->kind), entry->seq, entry->aux,
                   entry->addr_offset, entry->payload);
-      if (entry->kind == tsp::atlas::EntryKind::kStoreRange) {
-        std::printf("        (range: %" PRIu64 " old bytes in %u "
-                    "continuation entries)\n",
-                    entry->payload, entry->aux);
-        i += entry->aux;
-      }
     }
-    for (std::uint32_t s = 0; s < area.counter_slots_per_thread(); ++s) {
-      const tsp::atlas::CounterSlot& cs = area.counter_slots(t)[s];
+    for (std::uint32_t s = 0; s < area->counter_slots_per_thread(); ++s) {
+      const tsp::atlas::CounterSlot& cs = area->counter_slots(t)[s];
       if (cs.addr_offset == 0) continue;
       std::printf("    counter slot %3u: addr=%" PRIu64 " ocs=%" PRIu64
                   " seq=%" PRIu64 " old=0x%" PRIx64 "%s\n",
@@ -484,33 +474,17 @@ int ShowLog(const PersistentHeap& heap, bool verbose) {
 /// to cross-reference the flight recorder's open spans.
 std::vector<std::uint64_t> UndoLogOpenOcses(const PersistentHeap& heap) {
   std::vector<std::uint64_t> open;
-  void* area_base = const_cast<void*>(
-      static_cast<const void*>(heap.runtime_area()));
-  if (!tsp::atlas::AtlasArea::Validate(area_base,
-                                       heap.runtime_area_size())) {
-    return open;
-  }
-  tsp::atlas::AtlasArea area(area_base, heap.runtime_area_size());
-  for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
-    const tsp::atlas::ThreadLogHeader* slot = area.slot(t);
-    const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
-    const std::uint64_t tail = slot->tail.load(std::memory_order_relaxed);
-    // OCS boundaries come from acquire/release nesting, exactly as
-    // recovery reconstructs them (kOcsBegin/kOcsCommit are legacy).
-    std::uint64_t open_ocs = 0;
-    int depth = 0;
-    for (std::uint64_t i = head; i < tail; ++i) {
-      const tsp::atlas::LogEntry* entry = area.entry(t, i);
-      if (entry->kind == tsp::atlas::EntryKind::kStoreRange) {
-        i += entry->aux;  // raw continuation bytes, not entries
-      } else if (entry->kind == tsp::atlas::EntryKind::kAcquire) {
-        if (depth++ == 0) open_ocs = entry->addr_offset;
-      } else if (entry->kind == tsp::atlas::EntryKind::kRelease) {
-        if (depth > 0 && --depth == 0) open_ocs = 0;
-      }
-    }
-    if (open_ocs != 0) {
-      open.push_back(tsp::atlas::PackThreadOcs(slot->thread_id, open_ocs));
+  std::string error;
+  const auto area = OpenAtlasArea(heap, &error);
+  if (!area) return open;
+  for (std::uint32_t t = 0; t < area->max_threads(); ++t) {
+    const tsp::atlas::ThreadLogHeader* slot = area->slot(t);
+    const tsp::atlas::DecodedRing ring = tsp::atlas::DecodeRing(
+        *area, t, slot->head.load(std::memory_order_relaxed),
+        slot->tail.load(std::memory_order_relaxed));
+    if (!ring.ocses.empty() && !ring.ocses.back().committed) {
+      open.push_back(tsp::atlas::PackThreadOcs(
+          static_cast<std::uint16_t>(t), ring.ocses.back().id));
     }
   }
   return open;
@@ -523,19 +497,10 @@ std::vector<std::uint64_t> UndoLogOpenOcses(const PersistentHeap& heap) {
 int ShowTrace(const PersistentHeap& heap, bool json, bool verbose) {
   const tsp::obs::TraceReader reader(heap.runtime_area(),
                                      heap.runtime_area_size());
-  if (json && !reader.valid()) {
-    std::printf("{\"path\":\"%s\",\"recorder\":false}",
-                tsp::report::JsonEscape(heap.region()->path()).c_str());
-    return 0;
-  }
-  if (!reader.valid()) {
-    std::printf("no flight recorder (legacy layout, tiny runtime area, or "
-                "tracing disabled when the heap ran)\n");
-    return 0;
-  }
-  const std::vector<tsp::obs::TraceEvent> merged = reader.MergedEvents();
-  const std::vector<tsp::obs::OpenOcsSpan> spans = reader.OpenOcsSpans();
   const std::vector<std::uint64_t> log_open = UndoLogOpenOcses(heap);
+  const std::vector<tsp::obs::OpenOcsSpan> spans =
+      reader.valid() ? reader.OpenOcsSpans()
+                     : std::vector<tsp::obs::OpenOcsSpan>{};
   auto in_log = [&log_open](std::uint64_t packed) {
     return std::find(log_open.begin(), log_open.end(), packed) !=
            log_open.end();
@@ -546,6 +511,38 @@ int ShowTrace(const PersistentHeap& heap, bool json, bool verbose) {
     }
     return false;
   };
+  // The undo log's open OCSes are reported with or without a recorder.
+  auto print_log_open_json = [&] {
+    std::printf("\"undo_log_open\":[");
+    bool comma = false;
+    for (const std::uint64_t packed : log_open) {
+      std::printf("%s{\"thread\":%u,\"ocs\":%" PRIu64
+                  ",\"in_recorder\":%s}",
+                  comma ? "," : "", tsp::atlas::UnpackThread(packed),
+                  tsp::atlas::UnpackOcs(packed),
+                  in_spans(packed) ? "true" : "false");
+      comma = true;
+    }
+    std::printf("]");
+  };
+  if (json && !reader.valid()) {
+    std::printf("{\"path\":\"%s\",\"recorder\":false,",
+                tsp::report::JsonEscape(heap.region()->path()).c_str());
+    print_log_open_json();
+    std::printf("}");
+    return 0;
+  }
+  if (!reader.valid()) {
+    std::printf("no flight recorder (tiny runtime area, or tracing "
+                "disabled when the heap ran)\n");
+    for (const std::uint64_t packed : log_open) {
+      std::printf("  undo-log open OCS: thread=%u ocs=%" PRIu64 "\n",
+                  tsp::atlas::UnpackThread(packed),
+                  tsp::atlas::UnpackOcs(packed));
+    }
+    return 0;
+  }
+  const std::vector<tsp::obs::TraceEvent> merged = reader.MergedEvents();
   constexpr std::size_t kDefaultTail = 64;
   const std::size_t first =
       (verbose || merged.size() <= kDefaultTail) ? 0
@@ -568,17 +565,9 @@ int ShowTrace(const PersistentHeap& heap, bool json, bool verbose) {
                   span.begin_stamp, in_log(span.packed_ocs) ? "true" : "false");
       comma = true;
     }
-    std::printf("],\"undo_log_open\":[");
-    comma = false;
-    for (const std::uint64_t packed : log_open) {
-      std::printf("%s{\"thread\":%u,\"ocs\":%" PRIu64
-                  ",\"in_recorder\":%s}",
-                  comma ? "," : "", tsp::atlas::UnpackThread(packed),
-                  tsp::atlas::UnpackOcs(packed),
-                  in_spans(packed) ? "true" : "false");
-      comma = true;
-    }
-    std::printf("],\"events\":[");
+    std::printf("],");
+    print_log_open_json();
+    std::printf(",\"events\":[");
     comma = false;
     for (std::size_t i = first; i < merged.size(); ++i) {
       const tsp::obs::TraceEvent& e = merged[i];
@@ -662,29 +651,23 @@ int RunMetrics(const std::vector<std::string>& paths) {
 /// counters. Exit code 1 when any held lock is *wedged* — its owner can
 /// never release it (garbage token, freed slot, or dead claimant).
 int ShowRobustLocks(const PersistentHeap& heap, bool json) {
-  void* area_base =
-      const_cast<void*>(static_cast<const void*>(heap.runtime_area()));
-  if (!tsp::atlas::AtlasArea::Validate(area_base,
-                                       heap.runtime_area_size())) {
+  std::string error;
+  const auto area_ptr = OpenAtlasArea(heap, &error);
+  if (!area_ptr || area_ptr->robust_lock_count() == 0) {
     if (json) {
       std::printf("{\"path\":\"%s\",\"robust\":false}",
                   tsp::report::JsonEscape(heap.region()->path()).c_str());
-    } else {
+    } else if (area_ptr) {
+      std::printf("no robust lock table (runtime area too small for the "
+                  "carve-out)\n");
+    } else if (error.empty()) {
       std::printf("no Atlas log area (heap never used the mutex runtime)\n");
-    }
-    return 0;
-  }
-  tsp::atlas::AtlasArea area(area_base, heap.runtime_area_size());
-  if (area.robust_lock_count() == 0) {
-    if (json) {
-      std::printf("{\"path\":\"%s\",\"robust\":false}",
-                  tsp::report::JsonEscape(heap.region()->path()).c_str());
     } else {
-      std::printf("no robust lock table (pre-v3 area, or runtime area too "
-                  "small for the carve-out)\n");
+      std::fprintf(stderr, "%s\n", error.c_str());
     }
-    return 0;
+    return error.empty() ? 0 : 1;
   }
+  const tsp::atlas::AtlasArea& area = *area_ptr;
 
   struct Claim {
     std::uint32_t slot;
