@@ -5,7 +5,7 @@
 // runtime area and hands out one wait-free TraceWriter per thread. Emitting
 // an event is a handful of plain stores plus one release-store of the ring
 // tail — no CAS, no flush, no syscall — so it is cheap enough to leave on
-// in the Atlas OCS hot path (bench_obs guards the ≤5% budget).
+// in the Atlas OCS hot path (E13, bench_table1 --trace off,on: ≤5%).
 //
 // Compile-time kill switch: building with -DTSP_OBS=OFF defines
 // TSP_OBS_DISABLED and Attach() collapses to `return nullptr`, so every
@@ -149,7 +149,7 @@ class Recorder {
   void ReleaseCurrentThread();
 
   /// Total events published across all rings (monotonic tails), used by
-  /// bench_obs to prove the recorder actually ran.
+  /// bench_table1 to prove the recorder actually ran.
   std::uint64_t EventsRecorded() const;
 
   const TraceArea& area() const { return area_; }

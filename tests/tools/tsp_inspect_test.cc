@@ -1,20 +1,26 @@
-// End-to-end check of the tsp_inspect binary on a heap left crashed
-// inside an OCS: `check`, `log` and `trace --json` succeed and the undo
+// End-to-end checks of the tsp_inspect binary. On a heap left crashed
+// inside an OCS, `check`, `log` and `trace --json` succeed and the undo
 // log names the open OCS; once a ring's head/tail are corrupted, `check`
-// and `log` exit 1.
+// and `log` exit 1. On a cleanly closed two-shard domain, `stats --json`
+// and `metrics` sum the allocator counters over the shard set.
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <regex>
 #include <string>
+#include <vector>
 
 #include "atlas/log_layout.h"
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
 #include "pheap/heap.h"
 #include "pheap/test_util.h"
+#include "workload/map_session.h"
+#include "workload/workload.h"
 
 namespace tsp {
 namespace {
@@ -108,6 +114,73 @@ TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
       << corrupt_check.output;
   const InspectRun corrupt_log = Inspect("log " + path);
   EXPECT_EQ(corrupt_log.exit_code, 1) << corrupt_log.output;
+}
+
+/// Every value of `"key":<integer>` in `json`, in order.
+std::vector<std::uint64_t> IntegerFields(const std::string& json,
+                                         const std::string& key) {
+  std::vector<std::uint64_t> values;
+  const std::regex field("\"" + key + "\":([0-9]+)");
+  for (std::sregex_iterator it(json.begin(), json.end(), field), end;
+       it != end; ++it) {
+    values.push_back(std::stoull((*it)[1].str()));
+  }
+  return values;
+}
+
+TEST(TspInspectTest, StatsAndMetricsSumTheShardSet) {
+  workload::MapSession::Config config;
+  config.variant = workload::MapVariant::kMutexLogOnly;
+  config.path = pheap::testing::UniqueRegionPath("inspect_shards");
+  config.heap_size = 64u << 20;
+  config.runtime_area_size = 8u << 20;
+  config.hash_options.bucket_count = 1 << 12;
+  config.shards = 2;
+  const std::vector<std::string> paths =
+      workload::MapSession::ShardPaths(config);
+  struct Unlinker {
+    const std::vector<std::string>& paths;
+    ~Unlinker() {
+      for (const std::string& path : paths) ::unlink(path.c_str());
+    }
+  } unlinker{paths};
+  {
+    auto session = workload::MapSession::OpenOrCreate(config);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    workload::WorkloadOptions workload;
+    workload.threads = 2;
+    workload.iterations_per_thread = 2000;
+    workload.high_range = 4096;
+    workload::RunMapWorkload((*session)->map(), workload);
+    (*session)->CloseClean();
+  }
+  const std::string shard_args = paths[0] + " " + paths[1];
+
+  const InspectRun stats = Inspect("stats --json " + shard_args);
+  ASSERT_EQ(stats.exit_code, 0) << stats.output;
+  // The aggregate comes first, then one entry per shard.
+  const std::vector<std::uint64_t> total_allocs =
+      IntegerFields(stats.output, "total_allocs");
+  ASSERT_EQ(total_allocs.size(), 3u) << stats.output;
+  EXPECT_GT(total_allocs[1], 0u);
+  EXPECT_GT(total_allocs[2], 0u);
+  EXPECT_EQ(total_allocs[0], total_allocs[1] + total_allocs[2]);
+  const std::vector<std::uint64_t> shared_allocs =
+      IntegerFields(stats.output, "shared_allocs");
+  ASSERT_EQ(shared_allocs.size(), 3u) << stats.output;
+  EXPECT_GT(shared_allocs[1], 0u);
+  EXPECT_GT(shared_allocs[2], 0u);
+
+  const InspectRun metrics = Inspect("metrics " + shard_args);
+  ASSERT_EQ(metrics.exit_code, 0) << metrics.output;
+  const std::vector<std::uint64_t> metric =
+      IntegerFields(metrics.output, "alloc.shared_allocs");
+#ifdef TSP_OBS_DISABLED
+  EXPECT_TRUE(metric.empty()) << metrics.output;
+#else
+  ASSERT_EQ(metric.size(), 1u) << metrics.output;
+  EXPECT_EQ(metric[0], shared_allocs[1] + shared_allocs[2]);
+#endif
 }
 
 }  // namespace
