@@ -23,7 +23,8 @@
 // (empty under -DTSP_OBS=OFF); the groups' derived rows; and the
 // recorder off/on overheads.
 //
-// Flags: --variants LIST  (MapVariantName list; default all six)
+// Flags: --variants LIST  (MapVariantName list; default every row of
+//                          workload/map_variants.cc)
 //        --threads LIST   (default 8, as in the paper)
 //        --iters N        (per thread, default 150000)
 //        --high N         (|H| and the bucket count; default 2^20)
@@ -72,37 +73,20 @@
 namespace {
 
 using tsp::obs::MetricsSnapshot;
+using tsp::workload::FindMapVariantRow;
 using tsp::workload::MapSession;
 using tsp::workload::MapVariant;
 using tsp::workload::MapVariantName;
+using tsp::workload::MapVariantRows;
 using tsp::workload::RunMapWorkload;
 using tsp::workload::WorkloadOptions;
 
-/// Every map variant in Table 1's column order, with its table label.
-constexpr struct {
-  MapVariant variant;
-  const char* label;
-} kVariants[] = {
-    {MapVariant::kMutexNative, "no Atlas (native)"},
-    {MapVariant::kMutexLogOnly, "log only (TSP)"},
-    {MapVariant::kMutexLogFlush, "log + flush (non-TSP)"},
-    {MapVariant::kLockFreeSkipList, "non-blocking skip list"},
-    {MapVariant::kLockFreeSkipListSharded, "nb skip list (sharded)"},
-    {MapVariant::kLockFreeHashMap, "nb hash map"},
-};
 constexpr std::uint64_t kTotalArenaBytes = 1536ULL * 1024 * 1024;
 #ifdef TSP_OBS_DISABLED
 constexpr bool kObsCompiledIn = false;  // -DTSP_OBS=OFF
 #else
 constexpr bool kObsCompiledIn = true;
 #endif
-
-const char* Label(MapVariant variant) {
-  for (const auto& entry : kVariants) {
-    if (entry.variant == variant) return entry.label;
-  }
-  return "?";
-}
 
 /// A point's flight-recorder arm. kDefault leaves the TSP_TRACE setting
 /// alone; kOff/kOn set it before the heap opens, where it is consulted.
@@ -345,7 +329,7 @@ std::string GridJson(const WorkloadOptions& workload, int reps,
     point_items.push_back(
         CellJson(point)
             .Str("variant", MapVariantName(point.variant))
-            .Str("label", Label(point.variant))
+            .Str("label", FindMapVariantRow(point.variant)->label)
             .Str("trace", TraceName(point.trace))
             .Num("best_miters_per_sec", point.best())
             .Raw("reps", JoinArray(rep_items, "      "))
@@ -402,7 +386,7 @@ void PrintGroup(const Group& group) {
     const MetricsSnapshot& m = point->metrics;
     std::printf("  %-26s %14.3f %16" PRIu64 " %14" PRIu64 " %12" PRIu64
                 " %14" PRIu64 "\n",
-                Label(point->variant), point->best(),
+                FindMapVariantRow(point->variant)->label, point->best(),
                 point->reps.back().lines_flushed,
                 m.counter("atlas.seq_blocks_leased"),
                 m.counter("atlas.seq_resyncs"),
@@ -494,9 +478,9 @@ bool ParsePositive(const std::string& text, T* out) {
 }
 
 bool ParseVariant(const std::string& text, MapVariant* out) {
-  for (const auto& entry : kVariants) {
-    if (text == MapVariantName(entry.variant)) {
-      *out = entry.variant;
+  for (const auto& row : MapVariantRows()) {
+    if (text == row.name) {
+      *out = row.variant;
       return true;
     }
   }
@@ -541,7 +525,7 @@ int main(int argc, char** argv) {
   workload.iterations_per_thread = 150000;
   workload.high_range = 1 << 20;
   std::vector<MapVariant> variants;
-  for (const auto& entry : kVariants) variants.push_back(entry.variant);
+  for (const auto& row : MapVariantRows()) variants.push_back(row.variant);
   std::vector<int> threads = {8};
   std::vector<int> shards = {1};
   std::vector<std::uint64_t> buckets_per_lock = {1000};

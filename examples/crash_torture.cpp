@@ -2,9 +2,12 @@
 // scale — hundreds of SIGKILL-induced process crashes, each followed by
 // recovery and an Eq.(1)/Eq.(2) integrity audit.
 //
-//   $ crash_torture [--variant log-only|log+flush|skiplist|
-//                      skiplist-sharded|hashmap|all]
+//   $ crash_torture [--variant <MapVariantName>|all]
 //                   [--cycles N] [--threads T] [--min-ms A --max-ms B]
+//
+// `all` (the default) runs every variant whose plan survives some
+// failure (a SIGKILL is the mildest): every row of
+// workload/map_variants.cc but mutex-native.
 //
 // Expected output: "ALL RECOVERIES CONSISTENT" for every variant,
 // matching the paper: "Both our mutex-based and non-blocking map
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "faultsim/crash_harness.h"
+#include "workload/map_session.h"
 
 namespace {
 
@@ -79,20 +83,11 @@ int main(int argc, char** argv) {
   }
 
   std::vector<MapVariant> variants;
-  if (variant == "log-only" || variant == "all") {
-    variants.push_back(MapVariant::kMutexLogOnly);
-  }
-  if (variant == "log+flush" || variant == "all") {
-    variants.push_back(MapVariant::kMutexLogFlush);
-  }
-  if (variant == "skiplist" || variant == "all") {
-    variants.push_back(MapVariant::kLockFreeSkipList);
-  }
-  if (variant == "skiplist-sharded" || variant == "all") {
-    variants.push_back(MapVariant::kLockFreeSkipListSharded);
-  }
-  if (variant == "hashmap" || variant == "all") {
-    variants.push_back(MapVariant::kLockFreeHashMap);
+  for (const auto& row : tsp::workload::MapVariantRows()) {
+    if (variant == row.name ||
+        (variant == "all" && !row.requirements.tolerated.empty())) {
+      variants.push_back(row.variant);
+    }
   }
   if (variants.empty()) {
     std::fprintf(stderr, "unknown variant %s\n", variant.c_str());

@@ -187,6 +187,11 @@ PersistencePlan PlanPersistence(const Requirements& req,
     plan.rationale.push_back(
         "non-blocking algorithms keep the heap consistent at every "
         "instant, so no logging or rollback is needed (§4.1)");
+  } else if (req.tolerated.empty()) {
+    plan.atlas_mode = PersistenceMode::kNone;
+    plan.rationale.push_back(
+        "no failure is tolerated, so no interrupted critical section is "
+        "ever rolled back and undo logging buys nothing");
   } else if (plan.is_tsp) {
     plan.atlas_mode = PersistenceMode::kLogOnly;
     plan.rationale.push_back(

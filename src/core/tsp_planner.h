@@ -73,7 +73,8 @@ struct PersistencePlan {
   Location backing;
   /// The Atlas persistence mode implied by the plan (log-only when
   /// rollback is needed and TSP is available; log+flush when rollback is
-  /// needed but flushes cannot be postponed; none otherwise).
+  /// needed but flushes cannot be postponed; none otherwise, including
+  /// a plan that tolerates no failure at all).
   PersistenceMode atlas_mode = PersistenceMode::kNone;
   /// Human-readable rationale, one line per decision.
   std::vector<std::string> rationale;

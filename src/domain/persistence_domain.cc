@@ -21,6 +21,27 @@ std::vector<std::string> PersistenceDomain::ShardPaths(
 
 StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Open(
     const Options& options, const pheap::TypeRegistry* registry) {
+  return Start(options, registry, /*attach=*/false);
+}
+
+StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Attach(
+    const Options& options, const pheap::TypeRegistry* registry) {
+  return Start(options, registry, /*attach=*/true);
+}
+
+Status PersistenceDomain::CheckAttachable(const PersistencePlan& plan) {
+  if (plan.atlas_mode == PersistenceMode::kNone) {
+    return Status::InvalidArgument(
+        "multi-process attach needs an Atlas mode, and this plan has none: "
+        "peers detect a dead process by its Atlas slot identity and share "
+        "locks through Atlas robust lock words");
+  }
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Start(
+    const Options& options, const pheap::TypeRegistry* registry,
+    bool attach) {
   if (registry == nullptr) {
     return Status::InvalidArgument("a type registry is required");
   }
@@ -33,24 +54,33 @@ StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Open(
         "leave region.base_address at 0");
   }
   auto domain = std::unique_ptr<PersistenceDomain>(new PersistenceDomain());
-  domain->registry_ = registry;
+  domain->attached_ = attach;
   domain->plan_ = PlanPersistence(options.requirements, options.hardware);
   if (!domain->plan_.feasible) {
     return Status::FailedPrecondition(
         "no persistence plan satisfies the requirements on this hardware");
   }
+  if (attach) TSP_RETURN_IF_ERROR(CheckAttachable(domain->plan_));
 
+  // An attacher joins a live domain: it never creates a heap, and no
+  // wholesale recovery runs (its heaps never need one; dead peers are
+  // harvested per slot by AtlasRuntime::Attach below).
   const std::vector<std::string> paths = ShardPaths(options);
   bool any_needs_recovery = false;
   for (const std::string& path : paths) {
     TSP_ASSIGN_OR_RETURN(
         std::unique_ptr<pheap::PersistentHeap> heap,
-        pheap::PersistentHeap::OpenOrCreate(path, options.region));
+        attach ? pheap::PersistentHeap::Attach(path, options.region.backend)
+               : pheap::PersistentHeap::OpenOrCreate(path, options.region));
     any_needs_recovery |= heap->needs_recovery();
     domain->heaps_.push_back(std::move(heap));
   }
 
-  TSP_COUNTER_INC("domain.opens");
+  if (attach) {
+    TSP_COUNTER_INC("domain.attaches");
+  } else {
+    TSP_COUNTER_INC("domain.opens");
+  }
   if (any_needs_recovery) {
     TSP_COUNTER_INC("domain.recoveries");
     [[maybe_unused]] const auto recovery_start =
@@ -80,54 +110,14 @@ StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Open(
         domain->plan_.atlas_mode == PersistenceMode::kLogOnly
             ? PersistencePolicy::TspLogOnly()
             : PersistencePolicy::SyncFlush();
+    atlas::AtlasRuntime::Options runtime_options;
+    runtime_options.seq_block_size = options.seq_block_size;
     for (const auto& heap : domain->heaps_) {
-      auto runtime =
-          std::make_unique<atlas::AtlasRuntime>(heap.get(), policy);
-      TSP_RETURN_IF_ERROR(runtime->Initialize());
+      auto runtime = std::make_unique<atlas::AtlasRuntime>(
+          heap.get(), policy, runtime_options);
+      TSP_RETURN_IF_ERROR(attach ? runtime->Attach() : runtime->Initialize());
       domain->runtimes_.push_back(std::move(runtime));
     }
-  }
-  return domain;
-}
-
-StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Attach(
-    const Options& options, const pheap::TypeRegistry* registry) {
-  if (registry == nullptr) {
-    return Status::InvalidArgument("a type registry is required");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  auto domain = std::unique_ptr<PersistenceDomain>(new PersistenceDomain());
-  domain->registry_ = registry;
-  domain->attached_ = true;
-  domain->plan_ = PlanPersistence(options.requirements, options.hardware);
-  if (!domain->plan_.feasible) {
-    return Status::FailedPrecondition(
-        "no persistence plan satisfies the requirements on this hardware");
-  }
-  if (domain->plan_.atlas_mode == PersistenceMode::kNone) {
-    return Status::FailedPrecondition(
-        "multi-process attach needs an Atlas mode: the per-slot claimant "
-        "identities are the dead-peer detection substrate");
-  }
-
-  for (const std::string& path : ShardPaths(options)) {
-    TSP_ASSIGN_OR_RETURN(
-        std::unique_ptr<pheap::PersistentHeap> heap,
-        pheap::PersistentHeap::Attach(path, options.region.backend));
-    domain->heaps_.push_back(std::move(heap));
-  }
-  TSP_COUNTER_INC("domain.attaches");
-
-  const PersistencePolicy policy =
-      domain->plan_.atlas_mode == PersistenceMode::kLogOnly
-          ? PersistencePolicy::TspLogOnly()
-          : PersistencePolicy::SyncFlush();
-  for (const auto& heap : domain->heaps_) {
-    auto runtime = std::make_unique<atlas::AtlasRuntime>(heap.get(), policy);
-    TSP_RETURN_IF_ERROR(runtime->Attach());
-    domain->runtimes_.push_back(std::move(runtime));
   }
   return domain;
 }

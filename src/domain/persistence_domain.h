@@ -9,6 +9,8 @@
 //
 // In other words: applications state *what failures they must survive*;
 // the domain decides how much (or, with TSP, how little) to pay for it.
+// workload::MapSession is a domain plus a map: each map variant's row
+// states its requirements, and the domain derives its Atlas mode.
 //
 // A domain can be sharded: Options::shards > 1 opens N heaps (path,
 // path + ".shard1", ...), each in its own address slot with its own
@@ -46,12 +48,15 @@ class PersistenceDomain {
     pheap::RegionOptions region;
     /// Number of independent shard heaps (1 = the classic single heap).
     int shards = 1;
+    /// Sequence stamps each Atlas thread leases per block from the
+    /// shared counter (plans with an Atlas mode); see
+    /// AtlasRuntime::Options.
+    std::uint32_t seq_block_size = 64;
   };
 
   /// Opens (creating if absent) the domain. `registry` supplies the GC
-  /// trace functions for recovery; keep it alive for the domain's
-  /// lifetime. Recovery (Atlas rollback + GC, shard by shard) runs
-  /// automatically when the previous session crashed.
+  /// trace functions for recovery, which runs (Atlas rollback + GC,
+  /// shard by shard) when the previous session crashed.
   static StatusOr<std::unique_ptr<PersistenceDomain>> Open(
       const Options& options, const pheap::TypeRegistry* registry);
 
@@ -62,9 +67,14 @@ class PersistenceDomain {
   /// slot headers for claimants whose process has died and rolls back
   /// only *their* open critical sections, while live attachers keep
   /// serving. Requires a plan with an Atlas mode (the slot-identity
-  /// machinery is the robust-lock substrate); close with CloseDetach.
+  /// machinery is the robust-lock substrate): any other plan fails
+  /// InvalidArgument before a file is touched. Close with CloseDetach.
   static StatusOr<std::unique_ptr<PersistenceDomain>> Attach(
       const Options& options, const pheap::TypeRegistry* registry);
+
+  /// OK when Attach accepts `plan`; otherwise the InvalidArgument it
+  /// refuses with, whose message says why.
+  static Status CheckAttachable(const PersistencePlan& plan);
 
   /// The backing heap paths Open will use (index-aligned with shard
   /// numbers). Useful for cleanup and offline inspection of a shard
@@ -124,10 +134,14 @@ class PersistenceDomain {
  private:
   PersistenceDomain() = default;
 
+  /// Open (attach = false) or Attach (attach = true).
+  static StatusOr<std::unique_ptr<PersistenceDomain>> Start(
+      const Options& options, const pheap::TypeRegistry* registry,
+      bool attach);
+
   PersistencePlan plan_;
   std::vector<std::unique_ptr<pheap::PersistentHeap>> heaps_;
   std::vector<std::unique_ptr<atlas::AtlasRuntime>> runtimes_;
-  const pheap::TypeRegistry* registry_ = nullptr;
   bool recovered_ = false;
   bool attached_ = false;
   atlas::FullRecoveryResult recovery_;

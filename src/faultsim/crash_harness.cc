@@ -94,20 +94,10 @@ std::string TraceTailSummary(const std::string& path,
        analysis::RaceDetector::enabled_by_env()) &&
       analysis::RaceDetector::compiled_in() &&
       !analysis::RaceDetector::active()) {
-    std::vector<analysis::ArenaInfo> arenas;
-    for (int shard = 0; shard < (*session)->shard_count(); ++shard) {
-      const pheap::MappedRegion* region = (*session)->heap(shard)->region();
-      analysis::ArenaInfo arena;
-      arena.base = region->base();
-      arena.size = region->size();
-      arena.arena_offset = region->header()->arena_offset;
-      arena.arena_size = region->header()->arena_size;
-      arena.name = "heap" + std::to_string(shard);
-      arenas.push_back(std::move(arena));
-    }
     analysis::RaceDetector::Options race;
     race.violation_exit_code = 5;  // distinguishes a TSPRace trap below
-    Status status = analysis::RaceDetector::Enable(arenas, race);
+    Status status =
+        analysis::RaceDetector::Enable((*session)->RaceArenas(), race);
     if (!status.ok()) {
       TSP_LOG(ERROR) << "worker failed to enable TSPRace: "
                      << status.ToString();

@@ -1,8 +1,9 @@
 // Copyright 2026 The TSP Authors.
 // The paper's §5.1 "map interface": a local key-value store mapping
 // integer keys to integer values, implemented both with mutexes
-// (maps/mutex_hashmap.h, the Atlas case study) and with a non-blocking
-// algorithm (maps/skiplist_adapter.h).
+// (maps/mutex_hashmap.h, the Atlas case study) and with non-blocking
+// algorithms (lockfree/skiplist.h and lockfree/hashmap.h, served
+// through workload/map_variants.cc).
 
 #ifndef TSP_MAPS_MAP_INTERFACE_H_
 #define TSP_MAPS_MAP_INTERFACE_H_

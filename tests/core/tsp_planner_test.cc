@@ -154,6 +154,20 @@ TEST(TspPlannerTest, EmptyToleratedSetIsVacuouslyTsp) {
   EXPECT_TRUE(plan.failure_time_actions.empty());
 }
 
+// Mutex code that survives no failure never rolls anything back, so
+// it pays for no undo log: Table 1's native column.
+TEST(TspPlannerTest, RollbackCodeToleratingNothingNeedsNoAtlasMode) {
+  Requirements req;  // tolerates nothing
+  req.needs_rollback = true;
+  const PersistencePlan plan =
+      PlanPersistence(req, HardwareProfile::ConventionalServer());
+  EXPECT_TRUE(plan.feasible);
+  EXPECT_TRUE(plan.is_tsp);
+  EXPECT_EQ(plan.atlas_mode, PersistenceMode::kNone);
+  EXPECT_NE(plan.ToString().find("no failure is tolerated"),
+            std::string::npos);
+}
+
 TEST(TspPlannerTest, ToStringMentionsKeyDecisions) {
   Requirements req;
   req.tolerated = FailureSet::Of(FailureClass::kProcessCrash);

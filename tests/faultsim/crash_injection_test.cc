@@ -13,6 +13,7 @@
 #include <cctype>
 
 #include "pheap/test_util.h"
+#include "workload/map_session.h"
 
 namespace tsp::faultsim {
 namespace {
@@ -46,12 +47,17 @@ TEST_P(CrashInjectionTest, RecoversConsistentlyAfterRepeatedKills) {
       << "workers should have made progress before dying";
 }
 
+// Every variant whose plan survives some failure: all but mutex-native.
+std::vector<MapVariant> CrashResilientVariants() {
+  std::vector<MapVariant> variants;
+  for (const workload::MapVariantRow& row : workload::MapVariantRows()) {
+    if (!row.requirements.tolerated.empty()) variants.push_back(row.variant);
+  }
+  return variants;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Variants, CrashInjectionTest,
-    ::testing::Values(MapVariant::kMutexLogOnly, MapVariant::kMutexLogFlush,
-                      MapVariant::kLockFreeSkipList,
-                      MapVariant::kLockFreeSkipListSharded,
-                      MapVariant::kLockFreeHashMap),
+    Variants, CrashInjectionTest, ::testing::ValuesIn(CrashResilientVariants()),
     [](const auto& info) {
       std::string name = MapVariantName(info.param);
       for (char& c : name) {

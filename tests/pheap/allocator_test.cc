@@ -1,5 +1,7 @@
 #include "pheap/allocator.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -196,7 +198,15 @@ TEST_F(AllocatorDeathTest, DoubleFreeIsFatal) {
 #endif
   void* p = allocator_->Alloc(64, 0);
   allocator_->Free(p);
-  EXPECT_DEATH(allocator_->Free(p), "unallocated or corrupt");
+  // The threadsafe style reruns the fixture in a child that dies before
+  // its ScopedRegionFile unlinks the child's own heap file, so the
+  // child unlinks it first; the mapping outlives the name.
+  EXPECT_DEATH(
+      {
+        ::unlink(file_->path().c_str());
+        allocator_->Free(p);
+      },
+      "unallocated or corrupt");
 }
 
 }  // namespace

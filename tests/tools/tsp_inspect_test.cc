@@ -1,7 +1,8 @@
 // End-to-end checks of the tsp_inspect binary. On a heap left crashed
 // inside an OCS, `check`, `log` and `trace --json` succeed and the undo
 // log names the open OCS; once a ring's head/tail are corrupted, `check`
-// and `log` exit 1. On a cleanly closed two-shard domain, `stats --json`
+// and `log` exit 1. `header` names a map heap's variant and whether it
+// can be attached. On a cleanly closed two-shard domain, `stats --json`
 // and `metrics` sum the allocator counters over the shard set.
 
 #include <sys/wait.h>
@@ -114,6 +115,71 @@ TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
       << corrupt_check.output;
   const InspectRun corrupt_log = Inspect("log " + path);
   EXPECT_EQ(corrupt_log.exit_code, 1) << corrupt_log.output;
+}
+
+// `header` on a MapSession heap names its variant and shard count, and
+// says whether that variant can be attached and why, from the variant
+// table: a lock-free map cannot (its plan has no Atlas mode), and a
+// log-only map can when every lock stripe gets a robust lock word. The
+// least buckets_per_lock it prints is the one MapSession's attach needs:
+// with 300000 buckets there are more stripes (300) at the default 1000
+// buckets per lock than the 256 words.
+TEST(TspInspectTest, HeaderNamesSessionVariantAndWhetherItAttaches) {
+  struct Case {
+    workload::MapVariant variant;
+    std::uint64_t buckets;
+    const char* attach;
+    std::uint64_t least_buckets_per_lock;  // 0: attach is refused
+  };
+  for (const Case& c :
+       {Case{workload::MapVariant::kMutexLogOnly, 1 << 10,
+             "yes if buckets_per_lock >= 4 \\(Atlas mode log-only; 1024 "
+             "buckets, 256 robust lock words",
+             4},
+        Case{workload::MapVariant::kMutexLogOnly, 300000,
+             "yes if buckets_per_lock >= 1172 \\(Atlas mode log-only; "
+             "300000 buckets, 256 robust lock words",
+             1172},
+        Case{workload::MapVariant::kLockFreeHashMap, 1 << 10,
+             "no \\(multi-process attach needs an Atlas mode", 0}}) {
+    const std::string name = workload::MapVariantName(c.variant);
+    SCOPED_TRACE(name + " " + std::to_string(c.buckets));
+    pheap::testing::ScopedRegionFile file("inspect_header");
+    workload::MapSession::Config config;
+    config.variant = c.variant;
+    config.path = file.path();
+    config.heap_size = 32u << 20;
+    config.runtime_area_size = 8u << 20;
+    config.hash_options.bucket_count = c.buckets;
+    {
+      auto session = workload::MapSession::OpenOrCreate(config);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      (*session)->CloseClean();
+    }
+    const InspectRun header = Inspect("header " + file.path());
+    ASSERT_EQ(header.exit_code, 0) << header.output;
+    EXPECT_TRUE(std::regex_search(
+        header.output, std::regex("map variant: +" + name + "\n")))
+        << header.output;
+    EXPECT_TRUE(
+        std::regex_search(header.output, std::regex("map shards: +1\n")))
+        << header.output;
+    EXPECT_TRUE(std::regex_search(
+        header.output, std::regex(std::string("attach: +") + c.attach)))
+        << header.output;
+    if (c.least_buckets_per_lock == 0) continue;
+
+    config.attach = true;
+    config.hash_options.buckets_per_lock = c.least_buckets_per_lock - 1;
+    auto refused = workload::MapSession::OpenOrCreate(config);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+        << refused.status().ToString();
+    config.hash_options.buckets_per_lock = c.least_buckets_per_lock;
+    auto joined = workload::MapSession::OpenOrCreate(config);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    (*joined)->CloseDetach();
+  }
 }
 
 /// Every value of `"key":<integer>` in `json`, in order.

@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 
@@ -104,13 +105,16 @@ TEST_P(WorkloadVariantTest, UncleanReopenRunsRecoveryAndKeepsInvariants) {
   }
 }
 
+std::vector<MapVariant> EveryVariant() {
+  std::vector<MapVariant> variants;
+  for (const MapVariantRow& row : MapVariantRows()) {
+    variants.push_back(row.variant);
+  }
+  return variants;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Variants, WorkloadVariantTest,
-    ::testing::Values(MapVariant::kMutexNative, MapVariant::kMutexLogOnly,
-                      MapVariant::kMutexLogFlush,
-                      MapVariant::kLockFreeSkipList,
-                      MapVariant::kLockFreeSkipListSharded,
-                      MapVariant::kLockFreeHashMap),
+    Variants, WorkloadVariantTest, ::testing::ValuesIn(EveryVariant()),
     [](const auto& info) {
       std::string name = MapVariantName(info.param);
       for (char& c : name) {
@@ -119,36 +123,91 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// A heap reopened as another variant is refused in both directions:
+// from a variant with an Atlas mode to one without, and back, although
+// the domain attaches the reopening variant's runtime before the
+// session root is read. The refused reopen leaves the heap intact.
 TEST(MapSessionTest, VariantMismatchIsRejected) {
-  ScopedRegionFile file("mismatch");
-  const std::uintptr_t base = UniqueBaseAddress();
-  auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path(), base);
-  {
-    auto session = MapSession::OpenOrCreate(config);
-    ASSERT_TRUE(session.ok());
-    (*session)->CloseClean();
+  for (const auto& [created, reopened] :
+       {std::pair{MapVariant::kMutexLogOnly, MapVariant::kLockFreeSkipList},
+        std::pair{MapVariant::kLockFreeHashMap, MapVariant::kMutexLogOnly}}) {
+    ScopedRegionFile file("mismatch");
+    const std::uintptr_t base = UniqueBaseAddress();
+    auto config = SmallConfig(created, file.path(), base);
+    {
+      auto session = MapSession::OpenOrCreate(config);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      (*session)->map()->Put(7, 70);
+      (*session)->CloseClean();
+    }
+    auto wrong = config;
+    wrong.variant = reopened;
+    auto session = MapSession::OpenOrCreate(wrong);
+    ASSERT_FALSE(session.ok()) << MapVariantName(created);
+    EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition)
+        << session.status().ToString();
+    EXPECT_NE(session.status().message().find(MapVariantName(created)),
+              std::string::npos)
+        << session.status().ToString();
+
+    auto again = MapSession::OpenOrCreate(config);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ((*again)->map()->Get(7), std::optional<std::uint64_t>(70));
+    (*again)->CloseClean();
   }
-  config.variant = MapVariant::kLockFreeSkipList;
-  auto session = MapSession::OpenOrCreate(config);
-  EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// Lock-free variants keep per-process volatile state (epoch
-// reclamation domain, descent hints) that a cooperative multi-process
-// join cannot share, and mutex-native has no robust lock table to
-// share its locks through, so attach must be rejected up front for
-// all of them.
+// Every row opens in its plan's Atlas mode, and only a plan with an
+// Atlas mode can attach: the lock-free variants keep per-process
+// volatile state (epoch reclamation domain, descent hints) that a
+// cooperative multi-process join cannot share, and mutex-native has no
+// robust lock table to share its locks through. PersistenceDomain::
+// Attach refuses those up front, before any file is opened (attaching
+// to a missing heap file would otherwise fail NotFound); the others
+// join the owner's domain.
 TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
-  for (const MapVariant variant :
-       {MapVariant::kLockFreeSkipList, MapVariant::kLockFreeSkipListSharded,
-        MapVariant::kLockFreeHashMap, MapVariant::kMutexNative}) {
+  for (const MapVariantRow& row : MapVariantRows()) {
+    SCOPED_TRACE(row.name);
+    const PersistencePlan plan = row.plan();
+    const auto expect_mode = [&](MapSession* session) {
+      if (plan.atlas_mode == PersistenceMode::kNone) {
+        EXPECT_EQ(session->runtime(), nullptr);
+      } else {
+        ASSERT_NE(session->runtime(), nullptr);
+        EXPECT_EQ(session->runtime()->policy().mode(), plan.atlas_mode);
+      }
+    };
     ScopedRegionFile file("lf_attach");
-    auto config = SmallConfig(variant, file.path(), 0);
+    auto config = SmallConfig(row.variant, file.path(), 0);
+    if (plan.atlas_mode == PersistenceMode::kNone) {
+      auto joiner = config;
+      joiner.attach = true;
+      auto session = MapSession::OpenOrCreate(joiner);
+      ASSERT_FALSE(session.ok());
+      EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+          << session.status().ToString();
+      EXPECT_NE(::access(file.path().c_str(), F_OK), 0)
+          << "the refused attach touched " << file.path();
+    }
+    {
+      auto owner = MapSession::OpenOrCreate(config);
+      ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+      expect_mode(owner->get());
+      (*owner)->map()->Put(1, 2);
+      (*owner)->CloseClean();
+    }
     config.attach = true;
     auto session = MapSession::OpenOrCreate(config);
-    ASSERT_FALSE(session.ok()) << MapVariantName(variant);
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
-        << MapVariantName(variant);
+    if (plan.atlas_mode == PersistenceMode::kNone) {
+      ASSERT_FALSE(session.ok());
+      EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+          << session.status().ToString();
+    } else {
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      expect_mode(session->get());
+      EXPECT_EQ((*session)->map()->Get(1), std::optional<std::uint64_t>(2));
+      (*session)->CloseDetach();
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 // never runs recovery; safe to point at a live application's heap file
 // or at a crashed one awaiting recovery.
 //
-//   $ tsp_inspect header a.heap             # region control block
+//   $ tsp_inspect header a.heap             # region control block (and,
+//                                           # on a MapSession heap, its
+//                                           # variant, shard count and
+//                                           # whether it can be attached)
 //   $ tsp_inspect alloc a.heap              # allocator accounting
 //   $ tsp_inspect check a.heap              # full integrity check
 //   $ tsp_inspect check a.heap b.heap --json  # shard set, per-shard JSON
@@ -41,9 +44,7 @@
 #include "atlas/log_layout.h"
 #include "common/findings.h"
 #include "common/process_id.h"
-#include "lockfree/hashmap.h"
 #include "lockfree/queue.h"
-#include "lockfree/skiplist.h"
 #include "maps/mutex_hashmap.h"
 #include "obs/metrics.h"
 #include "obs/trace_layout.h"
@@ -73,6 +74,66 @@ const char* EntryKindName(tsp::atlas::EntryKind kind) {
   return "?";
 }
 
+/// The heap's Atlas area, bounded by the same carved size every other
+/// reader uses. Writes the reason to `error` when the area does not
+/// validate; `error` stays empty for a heap that never used Atlas.
+std::optional<tsp::atlas::AtlasArea> OpenAtlasArea(
+    const PersistentHeap& heap, std::string* error) {
+  void* base = heap.runtime_area();
+  const std::size_t size =
+      tsp::atlas::AtlasAreaSize(heap.runtime_area_size());
+  const tsp::Status status = tsp::atlas::AtlasArea::Check(base, size);
+  if (!status.ok()) {
+    if (status.code() != tsp::StatusCode::kNotFound) {
+      *error = status.message();
+    }
+    return std::nullopt;
+  }
+  return tsp::atlas::AtlasArea(base, size);
+}
+
+/// Whether a MapSession can attach to `heap`, whose session root names
+/// `row` (null: a variant this build does not know) and `map_root`:
+/// the domain's refusal for plans without an Atlas mode, then the
+/// runtime's need for a current Atlas area, then, for a mutex hash map,
+/// the rule that binds each lock stripe to its own robust lock word.
+/// buckets_per_lock is a per-process option the heap does not record,
+/// so that rule is printed as the least value that satisfies it.
+std::string AttachVerdict(const PersistentHeap& heap,
+                          const tsp::workload::MapVariantRow* row,
+                          const void* map_root) {
+  if (row == nullptr) return "no (a variant this build does not know)";
+  const tsp::PersistencePlan plan = row->plan();
+  const tsp::Status status =
+      tsp::domain::PersistenceDomain::CheckAttachable(plan);
+  if (!status.ok()) return "no (" + status.message() + ")";
+  const std::string mode =
+      std::string("Atlas mode ") + tsp::PersistenceModeName(plan.atlas_mode);
+  std::string error;
+  const auto area = OpenAtlasArea(heap, &error);
+  if (!area) {
+    return "no (attach needs a current-format Atlas area: " +
+           (error.empty() ? std::string("none was formatted") : error) + ")";
+  }
+  const auto* root = static_cast<const tsp::maps::HashMapRoot*>(map_root);
+  if (root == nullptr || !heap.region()->Contains(root) ||
+      tsp::pheap::Allocator::HeaderOf(root)->type_id !=
+          tsp::maps::HashMapRoot::kPersistentTypeId ||
+      !heap.region()->Contains(root->buckets)) {
+    return "yes (" + mode + ")";
+  }
+  const std::uint64_t buckets = root->buckets->bucket_count;
+  const std::uint32_t words = area->robust_lock_count();
+  if (words == 0) {
+    return "no (the runtime area has no robust lock words, so the mutex "
+           "map's lock stripes cannot exclude other processes)";
+  }
+  return "yes if buckets_per_lock >= " +
+         std::to_string((buckets + words - 1) / words) + " (" + mode + "; " +
+         std::to_string(buckets) + " buckets, " + std::to_string(words) +
+         " robust lock words, one per lock stripe)";
+}
+
 int ShowHeader(const PersistentHeap& heap) {
   const RegionHeader* h = heap.region()->header();
   std::printf("TSP persistent heap: %s\n", heap.region()->path().c_str());
@@ -95,6 +156,19 @@ int ShowHeader(const PersistentHeap& heap) {
               " (lease frontier; stamps below it are handed out in "
               "per-thread blocks)\n",
               h->global_sequence.load(std::memory_order_relaxed));
+  const auto session = tsp::workload::MapSession::ReadRoot(heap);
+  if (!session) return 0;
+  const tsp::workload::MapVariantRow* row =
+      tsp::workload::FindMapVariantRow(session->variant);
+  const std::string name =
+      row != nullptr ? row->name
+                     : "unknown (tag " +
+                           std::to_string(static_cast<int>(session->variant)) +
+                           ")";
+  std::printf("  map variant:      %s\n", name.c_str());
+  std::printf("  map shards:       %u\n", session->shard_count);
+  std::printf("  attach:           %s\n",
+              AttachVerdict(heap, row, session->map_root).c_str());
   return 0;
 }
 
@@ -195,59 +269,6 @@ void AccumulateStats(const tsp::pheap::AllocatorStats& shard,
 /// magazine counters are whatever the writing process flushed (magazines
 /// are DRAM state of the live process, not the file); the free-list walk
 /// reads the persistent lists directly.
-/// Keeps non-blocking structures (and their EpochManagers) alive while
-/// the registry snapshot is taken, so the lockfree.* pull sources are
-/// registered. Offline the counters read zero — epoch bookkeeping is
-/// volatile state of the writing process — but the section gives
-/// `stats` the same shape a live embedding reports.
-struct LockFreeAttachment {
-  std::vector<std::unique_ptr<tsp::lockfree::EpochManager>> epochs;
-  std::vector<std::unique_ptr<tsp::lockfree::SkipListMap>> skiplists;
-  std::vector<std::unique_ptr<tsp::lockfree::LockFreeHashMap>> hashmaps;
-};
-
-/// Mirrors workload::MapSession's persistent SessionRoot (private
-/// there; the layout is a persistence contract).
-struct InspectSessionRoot {
-  static constexpr std::uint32_t kPersistentTypeId = 0x53455353;  // "SESS"
-  std::uint32_t variant_tag;
-  std::uint32_t shard_count;
-  void* map_root;
-};
-
-void AttachLockFreeRoot(tsp::pheap::PersistentHeap* heap, void* root,
-                        LockFreeAttachment* out) {
-  if (root == nullptr) return;
-  switch (tsp::pheap::Allocator::HeaderOf(root)->type_id) {
-    case tsp::lockfree::SkipListRoot::kPersistentTypeId:
-      out->skiplists.push_back(std::make_unique<tsp::lockfree::SkipListMap>(
-          heap, static_cast<tsp::lockfree::SkipListRoot*>(root)));
-      break;
-    case tsp::lockfree::ShardedSkipListRoot::kPersistentTypeId: {
-      auto* sharded = static_cast<tsp::lockfree::ShardedSkipListRoot*>(root);
-      out->epochs.push_back(std::make_unique<tsp::lockfree::EpochManager>(
-          [](void*) {}));  // read-only attach: never frees
-      for (std::uint32_t i = 0; i < sharded->shard_count; ++i) {
-        out->skiplists.push_back(
-            std::make_unique<tsp::lockfree::SkipListMap>(
-                heap, sharded->shards[i], out->epochs.back().get()));
-      }
-      break;
-    }
-    case tsp::lockfree::LockFreeHashRoot::kPersistentTypeId:
-      out->hashmaps.push_back(
-          std::make_unique<tsp::lockfree::LockFreeHashMap>(
-              heap, static_cast<tsp::lockfree::LockFreeHashRoot*>(root)));
-      break;
-    case InspectSessionRoot::kPersistentTypeId:
-      AttachLockFreeRoot(
-          heap, static_cast<InspectSessionRoot*>(root)->map_root, out);
-      break;
-    default:
-      break;
-  }
-}
-
 int RunStats(const std::vector<std::string>& paths, bool json) {
   struct Shard {
     std::string path;
@@ -256,8 +277,6 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
     FreeLists lists;
   };
   std::vector<Shard> shards;
-  std::vector<std::unique_ptr<PersistentHeap>> heaps;  // keep mapped
-  LockFreeAttachment attachment;
   tsp::pheap::AllocatorStats aggregate;
   std::map<std::size_t, std::uint64_t> aggregate_lists;
   int exit_code = 0;
@@ -275,17 +294,8 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
       for (const auto& list : shard.lists) {
         aggregate_lists[list.block_size] += list.blocks;
       }
-      AttachLockFreeRoot(heap->get(), (*heap)->root<void>(), &attachment);
-      heaps.push_back(std::move(*heap));
     }
     shards.push_back(std::move(shard));
-  }
-  // Epoch-reclamation counters from the lockfree.* pull sources of every
-  // attached non-blocking structure (summed across shards).
-  std::map<std::string, std::uint64_t> lockfree_counters;
-  for (const auto& [name, value] :
-       tsp::obs::DefaultRegistry().Snapshot().counters) {
-    if (name.rfind("lockfree.", 0) == 0) lockfree_counters[name] = value;
   }
   FreeLists merged_lists;
   for (const auto& [block_size, blocks] : aggregate_lists) {
@@ -295,14 +305,6 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
   if (json) {
     std::printf("{\"aggregate\":{\"shards\":%zu,", shards.size());
     PrintStatsJsonFields(aggregate, merged_lists);
-    std::printf(",\"lockfree\":{");
-    bool first_counter = true;
-    for (const auto& [name, value] : lockfree_counters) {
-      std::printf("%s\"%s\":%" PRIu64, first_counter ? "" : ",",
-                  name.c_str(), value);
-      first_counter = false;
-    }
-    std::printf("}");
     std::printf("},\"shards\":[");
     bool first = true;
     for (const Shard& shard : shards) {
@@ -337,13 +339,6 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
                 paths.size());
     PrintStatsText(aggregate, merged_lists);
   }
-  if (!lockfree_counters.empty()) {
-    std::printf("lockfree reclamation (volatile; zero unless inspecting "
-                "a live embedding):\n");
-    for (const auto& [name, value] : lockfree_counters) {
-      std::printf("  %-28s %" PRIu64 "\n", name.c_str(), value);
-    }
-  }
   return exit_code;
 }
 
@@ -368,24 +363,6 @@ int ShowCheck(const PersistentHeap& heap, bool json) {
     std::printf("%s\n", report.ToString().c_str());
   }
   return report.ok ? 0 : 1;
-}
-
-/// The heap's Atlas area, bounded by the same carved size every other
-/// reader uses. Writes the reason to `error` when the area does not
-/// validate; `error` stays empty for a heap that never used Atlas.
-std::optional<tsp::atlas::AtlasArea> OpenAtlasArea(
-    const PersistentHeap& heap, std::string* error) {
-  void* base = heap.runtime_area();
-  const std::size_t size =
-      tsp::atlas::AtlasAreaSize(heap.runtime_area_size());
-  const tsp::Status status = tsp::atlas::AtlasArea::Check(base, size);
-  if (!status.ok()) {
-    if (status.code() != tsp::StatusCode::kNotFound) {
-      *error = status.message();
-    }
-    return std::nullopt;
-  }
-  return tsp::atlas::AtlasArea(base, size);
 }
 
 /// Per-ring summary of the undo log as recovery would decode it: the
