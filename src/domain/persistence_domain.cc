@@ -6,6 +6,56 @@
 #include "obs/metrics.h"
 
 namespace tsp::domain {
+namespace {
+
+/// Whether `backend` holds a store at `path`, probed without creating
+/// or mapping anything.
+StatusOr<bool> StoreExists(pheap::RegionBackend* backend,
+                           const std::string& path) {
+  unsigned char first_byte = 0;
+  std::uint64_t store_size = 0;
+  const Status peeked = backend->PeekHeader(backend->ResolvePath(path),
+                                            &first_byte, 1, &store_size);
+  if (peeked.code() == StatusCode::kNotFound) return false;
+  TSP_RETURN_IF_ERROR(peeked);
+  return true;
+}
+
+/// Refuses a shard set that disagrees with the disk: shard 0 exists but
+/// a requested shard does not, or the shard after the last requested
+/// one exists. Opening such a set would create full-size heaps for the
+/// missing shards, or leave shards out, and route keys over the wrong
+/// count. Checked before any file is created.
+Status CheckShardSetMatchesDisk(const PersistenceDomain::Options& options,
+                                const std::vector<std::string>& paths) {
+  const std::shared_ptr<pheap::RegionBackend> backend =
+      options.region.backend != nullptr ? options.region.backend
+                                        : pheap::DefaultBackend();
+  const std::string count = std::to_string(options.shards);
+  TSP_ASSIGN_OR_RETURN(const bool first_exists,
+                       StoreExists(backend.get(), paths[0]));
+  for (std::size_t i = 1; first_exists && i < paths.size(); ++i) {
+    TSP_ASSIGN_OR_RETURN(const bool exists,
+                         StoreExists(backend.get(), paths[i]));
+    if (!exists) {
+      return Status::FailedPrecondition(
+          paths[0] + " exists but its shard " + std::to_string(i) + " (" +
+          paths[i] + ") does not: the domain on disk has fewer than " +
+          count + " shards; refusing to create the missing ones");
+    }
+  }
+  const std::string next = options.path + ".shard" + count;
+  TSP_ASSIGN_OR_RETURN(const bool next_exists,
+                       StoreExists(backend.get(), next));
+  if (next_exists) {
+    return Status::FailedPrecondition(
+        next + " exists: the domain on disk has more than " + count +
+        " shards; refusing to open a subset of them");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::vector<std::string> PersistenceDomain::ShardPaths(
     const Options& options) {
@@ -66,6 +116,7 @@ StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Start(
   // wholesale recovery runs (its heaps never need one; dead peers are
   // harvested per slot by AtlasRuntime::Attach below).
   const std::vector<std::string> paths = ShardPaths(options);
+  if (!attach) TSP_RETURN_IF_ERROR(CheckShardSetMatchesDisk(options, paths));
   bool any_needs_recovery = false;
   for (const std::string& path : paths) {
     TSP_ASSIGN_OR_RETURN(

@@ -56,7 +56,10 @@ class PersistenceDomain {
 
   /// Opens (creating if absent) the domain. `registry` supplies the GC
   /// trace functions for recovery, which runs (Atlas rollback + GC,
-  /// shard by shard) when the previous session crashed.
+  /// shard by shard) when the previous session crashed. Fails
+  /// FailedPrecondition, before any file is created, when the shard set
+  /// on disk disagrees with Options::shards: shard 0 exists but a
+  /// requested shard does not, or `path.shard<shards>` exists.
   static StatusOr<std::unique_ptr<PersistenceDomain>> Open(
       const Options& options, const pheap::TypeRegistry* registry);
 

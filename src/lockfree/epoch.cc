@@ -1,6 +1,9 @@
 #include "lockfree/epoch.h"
 
+#include <algorithm>
+
 #include "analysis/race_hooks.h"
+#include "common/owner_counter.h"
 #include "obs/metrics.h"
 
 namespace tsp::lockfree {
@@ -172,12 +175,14 @@ void EpochManager::Exit(Slot* slot) {
     return;
   }
   slot->state.store(0, std::memory_order_release);
-  // Amortized drain for read-mostly phases: retirements stop producing
-  // TryAdvance calls once writers go idle, so the occasional exit-path
-  // attempt keeps limbo from pinning memory indefinitely.
+  // Amortized drain for read-mostly phases: once this thread stops
+  // retiring, no retirement calls TryAdvance for it, so the occasional
+  // exit-path attempt keeps its limbo from pinning memory. Only its own
+  // limbo counts: an advance frees no other slot's.
   if (TSP_PREDICT_FALSE(++slot->ops_since_advance >= kAdvanceEveryOps)) {
     slot->ops_since_advance = 0;
-    if (limbo_current_.load(std::memory_order_relaxed) != 0) {
+    if (slot->retired.load(std::memory_order_relaxed) !=
+        slot->freed.load(std::memory_order_relaxed)) {
       TryAdvance(slot);
     }
   }
@@ -210,25 +215,17 @@ void EpochManager::ExitShared() {
 }
 
 void EpochManager::RetireShared(void* p) {
+  bool advance;
   {
     std::lock_guard<std::mutex> lock(shared_mutex_);
     shared_limbo_.emplace_back(global_epoch_.load(std::memory_order_acquire),
                                p);
+    ++shared_retired_;
+    shared_limbo_peak_ = std::max<std::uint64_t>(shared_limbo_peak_,
+                                                 shared_limbo_.size());
+    advance = shared_retired_ % kAdvanceEveryRetires == 0;
   }
-  NoteRetired();
-  if (retired_.load(std::memory_order_relaxed) % kAdvanceEveryRetires == 0) {
-    TryAdvance(nullptr);
-  }
-}
-
-void EpochManager::NoteRetired() {
-  retired_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t now =
-      limbo_current_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t peak = limbo_peak_.load(std::memory_order_relaxed);
-  while (now > peak && !limbo_peak_.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
+  if (advance) TryAdvance(nullptr);
 }
 
 void EpochManager::Retire(void* p) {
@@ -251,17 +248,20 @@ void EpochManager::Retire(void* p) {
     slot->limbo_epoch[bucket] = epoch;
   }
   slot->limbo[bucket].push_back(p);
-  NoteRetired();
-  if (++slot->retire_count % kAdvanceEveryRetires == 0) TryAdvance(slot);
+  const std::uint64_t retired = Bump(slot->retired);
+  const std::uint64_t pending =
+      retired - slot->freed.load(std::memory_order_relaxed);
+  if (pending > slot->limbo_peak.load(std::memory_order_relaxed)) {
+    slot->limbo_peak.store(pending, std::memory_order_relaxed);
+  }
+  if (retired % kAdvanceEveryRetires == 0) TryAdvance(slot);
 }
 
 void EpochManager::DrainBucket(Slot* slot, std::size_t bucket) {
   if (slot->limbo[bucket].empty()) return;
-  const std::uint64_t n = slot->limbo[bucket].size();
   for (void* p : slot->limbo[bucket]) deleter_(p);
+  Bump(slot->freed, slot->limbo[bucket].size());
   slot->limbo[bucket].clear();
-  freed_.fetch_add(n, std::memory_order_relaxed);
-  limbo_current_.fetch_sub(n, std::memory_order_relaxed);
 }
 
 void EpochManager::TryAdvance(Slot* self) {
@@ -310,10 +310,7 @@ void EpochManager::TryAdvance(Slot* self) {
         }
       }
       shared_limbo_.erase(keep, shared_limbo_.end());
-      if (n != 0) {
-        freed_.fetch_add(n, std::memory_order_relaxed);
-        limbo_current_.fetch_sub(n, std::memory_order_relaxed);
-      }
+      shared_freed_ += n;
     }
   }
 }
@@ -323,8 +320,7 @@ std::size_t EpochManager::LimboCount() const {
   for (const Slot& slot : slots_) {
     for (const auto& bucket : slot.limbo) total += bucket.size();
   }
-  auto* self = const_cast<EpochManager*>(this);
-  std::lock_guard<std::mutex> lock(self->shared_mutex_);
+  std::lock_guard<std::mutex> lock(shared_mutex_);
   return total + shared_limbo_.size();
 }
 
@@ -332,10 +328,16 @@ EpochStats EpochManager::GetStats() const {
   EpochStats stats;
   stats.epoch_advances = advances_.load(std::memory_order_relaxed);
   stats.advance_attempts = advance_attempts_.load(std::memory_order_relaxed);
-  stats.nodes_retired = retired_.load(std::memory_order_relaxed);
-  stats.nodes_freed = freed_.load(std::memory_order_relaxed);
-  stats.limbo_peak = limbo_peak_.load(std::memory_order_relaxed);
   stats.overflow_threads = overflow_threads_.load(std::memory_order_relaxed);
+  for (const Slot& slot : slots_) {
+    stats.nodes_retired += slot.retired.load(std::memory_order_relaxed);
+    stats.nodes_freed += slot.freed.load(std::memory_order_relaxed);
+    stats.limbo_peak += slot.limbo_peak.load(std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(shared_mutex_);
+  stats.nodes_retired += shared_retired_;
+  stats.nodes_freed += shared_freed_;
+  stats.limbo_peak += shared_limbo_peak_;
   return stats;
 }
 

@@ -21,9 +21,13 @@
 //     store;
 //   * global-epoch advance is amortized: attempted only every
 //     kAdvanceEveryRetires retirements (the only time garbage appears)
-//     and, when limbo is pending, every kAdvanceEveryOps guard exits;
+//     and, when the caller's limbo is pending, every kAdvanceEveryOps
+//     guard exits;
 //   * reclamation is batched: a successful advance frees every bucket
-//     that has aged past the three-epoch grace window in one sweep.
+//     that has aged past the three-epoch grace window in one sweep;
+//   * retire/free/limbo accounting lives in the owner's slot (relaxed
+//     owner-only stores), so retiring writes no line another worker
+//     writes; GetStats sums the slots.
 //
 // Thread-slot exhaustion is graceful: the 65th concurrent thread falls
 // back to a mutex-protected shared overflow slot (correct, slower, and
@@ -53,7 +57,9 @@ struct EpochStats {
   std::uint64_t advance_attempts = 0;  // TryAdvance scans (incl. failed)
   std::uint64_t nodes_retired = 0;
   std::uint64_t nodes_freed = 0;
-  std::uint64_t limbo_peak = 0;      // high-water mark of pending nodes
+  /// Sum over slots of each slot's high-water mark of pending nodes:
+  /// an upper bound on the manager-wide peak, not the peak itself.
+  std::uint64_t limbo_peak = 0;
   std::uint64_t overflow_threads = 0;  // threads on the shared slot
 };
 
@@ -68,7 +74,8 @@ class EpochManager {
   /// TryAdvance cadence on the retire path (garbage-producing ops).
   static constexpr std::uint32_t kAdvanceEveryRetires = 64;
   /// TryAdvance cadence on the guard-exit path, attempted only while
-  /// limbo is non-empty (drains garbage under read-mostly load).
+  /// the caller's limbo is non-empty (drains garbage under read-mostly
+  /// load).
   static constexpr std::uint32_t kAdvanceEveryOps = 1024;
 
   struct Slot;  // opaque to callers
@@ -125,11 +132,16 @@ class EpochManager {
     std::atomic<std::uint64_t> state{0};
     std::atomic<std::uint32_t> claimed{0};
     /// Owner-thread-only fields (no atomics needed).
-    std::uint32_t retire_count = 0;
     std::uint32_t ops_since_advance = 0;
     /// Retired pointers, bucketed by epoch % 3 (three-epoch grace).
     std::array<std::vector<void*>, 3> limbo;
     std::array<std::uint64_t, 3> limbo_epoch{0, 0, 0};
+    /// Stats: written by the owner only (load + relaxed store, no
+    /// locked RMW), read concurrently by GetStats. Cumulative across
+    /// the threads that claim the slot in turn.
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
+    std::atomic<std::uint64_t> limbo_peak{0};
   };
 
  private:
@@ -146,7 +158,6 @@ class EpochManager {
   /// every aged bucket of `self` (may be null) plus the shared limbo.
   void TryAdvance(Slot* self);
   void DrainBucket(Slot* slot, std::size_t bucket);
-  void NoteRetired();
 
   std::function<void(void*)> deleter_;
   std::atomic<std::uint64_t> global_epoch_{3};
@@ -157,19 +168,20 @@ class EpochManager {
   /// Shared overflow slot (threads kMaxThreads+1, ...): transitions are
   /// mutex-serialized; shared_state_ mirrors the announcement so the
   /// lock-free TryAdvance scan sees it like any other slot.
-  std::mutex shared_mutex_;
+  mutable std::mutex shared_mutex_;
   std::atomic<std::uint64_t> shared_state_{0};
   std::uint32_t shared_count_ = 0;  // guards shared_state_ episodes
   std::vector<std::pair<std::uint64_t, void*>> shared_limbo_;
   bool overflow_warned_ = false;
+  /// The overflow slot's own accounting (under shared_mutex_).
+  std::uint64_t shared_retired_ = 0;
+  std::uint64_t shared_freed_ = 0;
+  std::uint64_t shared_limbo_peak_ = 0;
 
-  /// Stats (relaxed; hot-path increments are amortized or retire-only).
+  /// Stats bumped once per advance scan (every kAdvanceEveryRetires
+  /// retirements at most), never per operation.
   std::atomic<std::uint64_t> advances_{0};
   std::atomic<std::uint64_t> advance_attempts_{0};
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> freed_{0};
-  std::atomic<std::uint64_t> limbo_current_{0};
-  std::atomic<std::uint64_t> limbo_peak_{0};
   std::atomic<std::uint64_t> overflow_threads_{0};
 };
 

@@ -47,7 +47,7 @@ LockFreeHashRoot* LockFreeHashMap::CreateRoot(pheap::PersistentHeap* heap,
   RegisterArenaNonBlocking(heap);
   auto* root = new (mem) LockFreeHashRoot{};
   root->bucket_count = bucket_count;
-  root->approximate_size.store(0, std::memory_order_relaxed);
+  root->reserved = 0;
   for (std::uint64_t b = 0; b < bucket_count; ++b) {
     root->buckets[b].store(0, std::memory_order_relaxed);
   }
@@ -78,21 +78,22 @@ LockFreeHashMap::LockFreeHashMap(pheap::PersistentHeap* heap,
                                  LockFreeHashRoot* root,
                                  EpochManager* shared_epoch)
     : heap_(heap),
-      root_(root),
       owned_epoch_(shared_epoch != nullptr
                        ? nullptr
                        : std::make_unique<EpochManager>(
                              [heap](void* p) { heap->Free(p); })),
       epoch_(shared_epoch != nullptr ? shared_epoch : owned_epoch_.get()) {
-  TSP_CHECK(root_ != nullptr && root_->bucket_count >= 2 &&
-            (root_->bucket_count & (root_->bucket_count - 1)) == 0);
+  TSP_CHECK(root != nullptr && root->bucket_count >= 2 &&
+            (root->bucket_count & (root->bucket_count - 1)) == 0);
+  buckets_ = root->buckets;
+  mask_ = root->bucket_count - 1;
   // Attach path (no CreateRoot in this process) must register too.
   RegisterArenaNonBlocking(heap);
 }
 
 std::atomic<std::uint64_t>* LockFreeHashMap::BucketHead(
     std::uint64_t key) const {
-  return &root_->buckets[Mix(key) & (root_->bucket_count - 1)];
+  return &buckets_[Mix(key) & mask_];
 }
 
 HashNode* LockFreeHashMap::AllocNode(std::uint64_t key, std::uint64_t value) {
@@ -185,7 +186,6 @@ bool LockFreeHashMap::Insert(std::uint64_t key, std::uint64_t value) {
     if (cursor.prev->compare_exchange_strong(
             expected, MakeWord(node, false), std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      root_->approximate_size.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     // Raced; re-find and retry with the already-allocated node.
@@ -247,7 +247,6 @@ bool LockFreeHashMap::Remove(std::uint64_t key) {
             std::memory_order_acquire)) {
       continue;  // next changed (insert after victim, or a mark); retry
     }
-    root_->approximate_size.fetch_sub(1, std::memory_order_relaxed);
     // Try to unlink in place; on failure a find's helping pass retires.
     std::uint64_t expected = MakeWord(victim, false);
     if (cursor.prev->compare_exchange_strong(
@@ -264,14 +263,13 @@ bool LockFreeHashMap::Remove(std::uint64_t key) {
 
 std::uint64_t LockFreeHashMap::Validate(bool expect_no_marks) const {
   std::uint64_t count = 0;
-  const std::uint64_t mask = root_->bucket_count - 1;
-  for (std::uint64_t b = 0; b < root_->bucket_count; ++b) {
+  for (std::uint64_t b = 0; b <= mask_; ++b) {
     const HashNode* prev = nullptr;
     for (const HashNode* node =
-             Deref(root_->buckets[b].load(std::memory_order_relaxed));
+             Deref(buckets_[b].load(std::memory_order_relaxed));
          node != nullptr;
          node = Deref(node->next.load(std::memory_order_relaxed))) {
-      TSP_CHECK_EQ(Mix(node->key) & mask, b) << "key in wrong bucket";
+      TSP_CHECK_EQ(Mix(node->key) & mask_, b) << "key in wrong bucket";
       if (prev != nullptr) {
         TSP_CHECK_LT(prev->key, node->key) << "bucket order violated";
       }

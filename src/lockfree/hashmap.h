@@ -45,12 +45,17 @@ struct HashNode {
 };
 
 /// Persistent root: header plus the inline bucket array of list heads
-/// (plain pointers; marks live on node->next only).
+/// (plain pointers; marks live on node->next only). The header is
+/// written once, by CreateRoot, and only read afterwards: no operation
+/// writes a word outside the bucket array and the nodes.
 struct LockFreeHashRoot {
   static constexpr std::uint32_t kPersistentTypeId = 0x4C464852;  // "LFHR"
 
   std::uint64_t bucket_count;  // power of two
-  std::atomic<std::uint64_t> approximate_size;
+  /// Zero in roots made by CreateRoot; never read. Heaps written while
+  /// this word held an element counter may carry any value here. It
+  /// keeps `buckets` at offset 16, so those heaps still open.
+  std::uint64_t reserved;
   std::atomic<std::uint64_t> buckets[1];  // [bucket_count] entries
 
   static std::size_t AllocationSize(std::uint64_t bucket_count) {
@@ -62,8 +67,11 @@ struct LockFreeHashRoot {
 
 /// The map facade. Volatile; attach one per process to a persistent
 /// LockFreeHashRoot. All operations are lock-free (Get is wait-free
-/// for a bounded bucket). Worker threads must call
-/// epoch()->UnregisterCurrentThread() before exiting.
+/// for a bounded bucket). The facade caches the bucket array and mask,
+/// so an operation touches the root only at its bucket word, and the
+/// only shared words it writes are its linking or marking CAS targets.
+/// Worker threads must call epoch()->UnregisterCurrentThread() before
+/// exiting.
 class LockFreeHashMap {
  public:
   /// Allocates a root with `bucket_count` (rounded up to a power of
@@ -102,19 +110,14 @@ class LockFreeHashMap {
 
   bool Contains(std::uint64_t key) const { return Get(key).has_value(); }
 
-  /// Approximate element count (exact when quiescent).
-  std::uint64_t size() const {
-    return root_->approximate_size.load(std::memory_order_relaxed);
-  }
-
   /// Visits (key, value) in unspecified order, skipping logically
   /// deleted nodes. Safe concurrently (no snapshot semantics).
   template <typename F>
   void ForEach(F&& fn) const {
     EpochManager::Guard guard(epoch_);
-    for (std::uint64_t b = 0; b < root_->bucket_count; ++b) {
+    for (std::uint64_t b = 0; b <= mask_; ++b) {
       const HashNode* node =
-          Deref(root_->buckets[b].load(std::memory_order_acquire));
+          Deref(buckets_[b].load(std::memory_order_acquire));
       while (node != nullptr) {
         const std::uint64_t next =
             node->next.load(std::memory_order_acquire);
@@ -132,7 +135,6 @@ class LockFreeHashMap {
   std::uint64_t Validate(bool expect_no_marks = false) const;
 
   EpochManager* epoch() { return epoch_; }
-  LockFreeHashRoot* root() const { return root_; }
 
  private:
   /// Cursor into a bucket list: *prev holds MakeWord(curr, false).
@@ -166,9 +168,10 @@ class LockFreeHashMap {
   HashNode* AllocNode(std::uint64_t key, std::uint64_t value);
 
   pheap::PersistentHeap* heap_;
-  LockFreeHashRoot* root_;
   std::unique_ptr<EpochManager> owned_epoch_;  // null when sharing
   EpochManager* epoch_;
+  std::atomic<std::uint64_t>* buckets_;  // the root's bucket array
+  std::uint64_t mask_;                   // the root's bucket_count - 1
 };
 
 }  // namespace tsp::lockfree

@@ -57,7 +57,6 @@ SkipListRoot* SkipListMap::CreateRoot(pheap::PersistentHeap* heap) {
     return nullptr;
   }
   root->head = head;
-  root->approximate_size.store(0, std::memory_order_relaxed);
   return root;
 }
 
@@ -352,7 +351,6 @@ SkipNode* SkipListMap::UpsertCore(std::uint64_t key, std::uint64_t value) {
             std::memory_order_acquire)) {
       continue;  // raced; re-find and retry
     }
-    root_->approximate_size.fetch_add(1, std::memory_order_relaxed);
 
     // Link the upper levels.
     for (int level = 1; level < height; ++level) {
@@ -486,7 +484,6 @@ bool SkipListMap::Remove(std::uint64_t key) {
       break;
     }
   }
-  root_->approximate_size.fetch_sub(1, std::memory_order_relaxed);
   // Physically unlink at level 0 (and hand off retirement) via Find.
   Find(key, preds, succs);
   return true;

@@ -61,11 +61,12 @@ struct SkipNode {
   }
 };
 
-/// Persistent root object for a skip list map.
+/// Persistent root object for a skip list map. Written once, by
+/// CreateRoot; operations only read it. Roots written while it carried
+/// a trailing element counter open unchanged (`head` comes first).
 struct SkipListRoot {
   static constexpr std::uint32_t kPersistentTypeId = 0x534B4C52;  // "SKLR"
   SkipNode* head;  // full-height -inf sentinel
-  std::atomic<std::uint64_t> approximate_size;
 };
 
 /// Persistent root for a key-range sharded skip list: K independent
@@ -131,11 +132,6 @@ class SkipListMap {
   bool Remove(std::uint64_t key);
 
   bool Contains(std::uint64_t key) const { return Get(key).has_value(); }
-
-  /// Approximate element count (exact when quiescent).
-  std::uint64_t size() const {
-    return root_->approximate_size.load(std::memory_order_relaxed);
-  }
 
   /// Visits (key, value) in ascending key order, skipping logically
   /// deleted nodes. Safe concurrently (snapshot semantics are *not*

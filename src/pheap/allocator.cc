@@ -8,6 +8,7 @@
 
 #include "analysis/race_hooks.h"
 #include "common/logging.h"
+#include "common/owner_counter.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "pheap/sanitizer.h"
@@ -74,14 +75,6 @@ Allocator* FindLiveLocked(LiveRegistry& registry, std::uint64_t id) {
     if (live_id == id) return allocator;
   }
   return nullptr;
-}
-
-/// Non-atomic increment of a counter that concurrent GetStats readers
-/// may load: a relaxed store keeps the pair data-race-free without the
-/// cost of a locked RMW (the counter is written by its owner only).
-inline void Bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
-  counter.store(counter.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -309,7 +302,7 @@ class ThreadCache {
   Magazine mags_[Allocator::kNumMagazineClasses];
 
   // Stat counters: written by the owning thread, read concurrently by
-  // GetStats (relaxed loads; see Bump above).
+  // GetStats (relaxed loads; see Bump in common/owner_counter.h).
   std::atomic<std::uint64_t> magazine_allocs_{0};
   std::atomic<std::uint64_t> magazine_frees_{0};
   std::atomic<std::uint64_t> refill_batches_{0};

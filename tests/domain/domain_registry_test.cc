@@ -201,6 +201,48 @@ TEST(DomainRegistryTest, ShardedDomainRecoversAllShards) {
   }
 }
 
+// Nothing persistent records a bare domain's shard count, so the files
+// on disk are the record: a reopen at another count is refused before
+// any file is created, through Open and through the registry alike.
+TEST(DomainRegistryTest, ReopenAtAnotherShardCountIsRefused) {
+  const pheap::TypeRegistry registry = MakeRegistry();
+  const std::string path = UniqueRegionPath("reg_reshard");
+  auto two = BaseOptions(path);
+  two.shards = 2;
+  {
+    auto domain = PersistenceDomain::Open(two, &registry);
+    ASSERT_TRUE(domain.ok()) << domain.status().ToString();
+    (*domain)->CloseClean();
+  }
+
+  auto four = two;
+  four.shards = 4;
+  auto more = PersistenceDomain::Open(four, &registry);
+  ASSERT_FALSE(more.ok());
+  EXPECT_EQ(more.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(::access((path + ".shard2").c_str(), F_OK), 0);
+  EXPECT_NE(::access((path + ".shard3").c_str(), F_OK), 0);
+
+  auto one = two;
+  one.shards = 1;
+  DomainRegistry domains;
+  auto fewer = domains.Open("fewer", one, &registry);
+  ASSERT_FALSE(fewer.ok());
+  EXPECT_EQ(fewer.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(domains.size(), 0u);
+
+  // The matching count still opens, and the set is unchanged.
+  auto same = PersistenceDomain::Open(two, &registry);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ((*same)->shard_count(), 2);
+  EXPECT_FALSE((*same)->recovered());
+  (*same)->CloseClean();
+  same->reset();
+  for (const std::string& shard_path : PersistenceDomain::ShardPaths(two)) {
+    ::unlink(shard_path.c_str());
+  }
+}
+
 TEST(DomainRegistryTest, ShardedDomainRejectsFixedBaseAddress) {
   const pheap::TypeRegistry registry = MakeRegistry();
   auto options = BaseOptions(UniqueRegionPath("reg_badbase"));

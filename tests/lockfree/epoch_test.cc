@@ -122,6 +122,37 @@ TEST(EpochTest, ManyThreadsChurnSafely) {
   delete shared.load();
 }
 
+// Retire accounting lives in each thread's slot: GetStats must sum
+// every registered slot, not only the caller's.
+TEST(EpochTest, StatsSumEveryThreadsRetirements) {
+  EpochManager manager([](void*) {});
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kRetiresPerThread = 1000;
+  std::atomic<int> finished{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      int dummy;
+      for (std::uint64_t i = 0; i < kRetiresPerThread * (t + 1); ++i) {
+        EpochManager::Guard guard(&manager);
+        manager.Retire(&dummy);
+      }
+      finished.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      manager.UnregisterCurrentThread();
+    });
+  }
+  while (finished.load() < kThreads) std::this_thread::yield();
+  // Every thread still holds its slot.
+  const EpochStats stats = manager.GetStats();
+  EXPECT_EQ(stats.nodes_retired, kRetiresPerThread * (1 + 2 + 3 + 4));
+  EXPECT_EQ(stats.nodes_retired - stats.nodes_freed, manager.LimboCount());
+  EXPECT_GT(stats.limbo_peak, 0u);
+  release.store(true);
+  for (auto& thread : threads) thread.join();
+}
+
 TEST(EpochTest, SlotsRecycledAfterUnregister) {
   EpochManager manager([](void*) {});
   for (std::uint32_t i = 0; i < EpochManager::kMaxThreads * 2; ++i) {
@@ -219,6 +250,8 @@ TEST(EpochTest, OverflowThreadsFallBackToSharedSlot) {
   });
   overflow.join();
   EXPECT_GE(manager.GetStats().overflow_threads, 1u);
+  EXPECT_EQ(manager.GetStats().nodes_retired, 100u)
+      << "the overflow slot counts its own retirements";
 
   release.store(true);
   for (auto& t : holders) t.join();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -54,7 +56,7 @@ TEST_F(HashMapTest, InsertGetBasics) {
   EXPECT_FALSE(map_->Insert(5, 99)) << "duplicate insert rejected";
   EXPECT_EQ(map_->Get(5), 50u);
   EXPECT_TRUE(map_->Contains(5));
-  EXPECT_EQ(map_->size(), 1u);
+  EXPECT_EQ(map_->Validate(/*expect_no_marks=*/true), 1u);
   map_->epoch()->UnregisterCurrentThread();
 }
 
@@ -78,7 +80,7 @@ TEST_F(HashMapTest, RemoveDeletes) {
   EXPECT_TRUE(map_->Remove(9));
   EXPECT_FALSE(map_->Get(9).has_value());
   EXPECT_FALSE(map_->Remove(9));
-  EXPECT_EQ(map_->size(), 0u);
+  EXPECT_EQ(map_->Validate(/*expect_no_marks=*/true), 0u);
   EXPECT_TRUE(map_->Insert(9, 91));
   EXPECT_EQ(map_->Get(9), 91u);
   map_->epoch()->UnregisterCurrentThread();
@@ -88,6 +90,7 @@ TEST_F(HashMapTest, BucketCountRoundsUpToPowerOfTwo) {
   LockFreeHashRoot* root = LockFreeHashMap::CreateRoot(heap_.get(), 1000);
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->bucket_count, 1024u);
+  EXPECT_EQ(root->reserved, 0u);
 }
 
 TEST_F(HashMapTest, CollidingKeysShareChainsCorrectly) {
@@ -155,7 +158,9 @@ TEST_F(HashMapTest, RandomizedAgainstStdMap) {
       }
     }
   }
-  EXPECT_EQ(map_->size(), reference.size());
+  std::map<std::uint64_t, std::uint64_t> contents;
+  map_->ForEach([&](std::uint64_t k, std::uint64_t v) { contents[k] = v; });
+  EXPECT_EQ(contents, reference);
   EXPECT_EQ(map_->Validate(true), reference.size());
   map_->epoch()->UnregisterCurrentThread();
 }
@@ -208,7 +213,6 @@ TEST_F(HashMapTest, MixedOpsEightThreadsKeepInvariants) {
   for (auto& thread : threads) thread.join();
 
   const std::uint64_t count = map_->Validate(/*expect_no_marks=*/true);
-  EXPECT_EQ(count, map_->size()) << "size drifted from physical contents";
   std::set<std::uint64_t> iterated;
   map_->ForEach([&](std::uint64_t k, std::uint64_t) { iterated.insert(k); });
   EXPECT_EQ(iterated.size(), count);
@@ -216,6 +220,55 @@ TEST_F(HashMapTest, MixedOpsEightThreadsKeepInvariants) {
     EXPECT_EQ(map_->Get(key).has_value(), iterated.count(key) == 1);
   }
   map_->epoch()->UnregisterCurrentThread();
+}
+
+// The root header is written once, by CreateRoot; operations write
+// only bucket words and nodes. Inserts outnumber removes here, so an
+// element counter in the header could not keep its CreateRoot value.
+TEST_F(HashMapTest, OperationsNeverWriteTheRootHeader) {
+  LockFreeHashRoot* root = LockFreeHashMap::CreateRoot(heap_.get(), 1 << 10);
+  ASSERT_NE(root, nullptr);
+  constexpr std::size_t kHeaderBytes = offsetof(LockFreeHashRoot, buckets);
+  unsigned char created[kHeaderBytes];
+  std::memcpy(created, root, kHeaderBytes);
+
+  LockFreeHashMap map(heap_.get(), root);
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 10000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&map, t] {
+      Random rng(0x4EAD + t);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::uint64_t key = rng.Uniform(4096) + 1;
+        switch (rng.Uniform(8)) {
+          case 0:
+          case 1:
+          case 2:
+            map.Put(key, key);
+            break;
+          case 3:
+            map.IncrementBy(key, 1);
+            break;
+          case 4:
+            map.Remove(key);
+            break;
+          default:
+            map.Get(key);
+            break;
+        }
+      }
+      map.epoch()->UnregisterCurrentThread();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_GT(map.Validate(/*expect_no_marks=*/true), 0u)
+      << "inserts and removes cancelled out";
+  EXPECT_EQ(std::memcmp(created, root, kHeaderBytes), 0)
+      << "an operation wrote the root header";
+  map.epoch()->UnregisterCurrentThread();
 }
 
 // Publish-before-link means a heap snapshot at any instant is

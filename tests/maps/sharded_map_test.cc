@@ -144,12 +144,14 @@ TEST(ShardedMapTest, ReshardingIsRefused) {
     (*session)->CloseClean();
   }
   // Reopening shard 0 as part of a 4-shard session must fail loudly:
-  // the persistent data was hashed for 2 shards.
+  // the persistent data was hashed for 2 shards. The refusal comes
+  // before the missing shards are created.
   MapSession::Config wrong = ShardedConfig(path, 4);
   auto session = MapSession::OpenOrCreate(wrong);
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
-  UnlinkShards(wrong);
+  EXPECT_NE(::access((path + ".shard2").c_str(), F_OK), 0);
+  EXPECT_NE(::access((path + ".shard3").c_str(), F_OK), 0);
   UnlinkShards(config);
 }
 
