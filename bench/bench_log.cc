@@ -167,7 +167,54 @@ void BM_AddressSetInsert(benchmark::State& state) {
 BENCHMARK(BM_AddressSetInsert);
 
 // Commit paths: dependency-free OCSes trim inline; OCSes with a
-// cross-thread dependency go through the pruner queue.
+// cross-thread dependency go through the pruner queue. Every row counts
+// one OCS per iteration, and the publishing rows report how many of
+// their OCSes published.
+
+/// Starts the dependency chain the publishing rows run on: `first`
+/// releases `word` inside a still-open OCS, so the OCS `second` then
+/// runs on `word` depends on an uncommitted one and publishes. From then
+/// on each holder's acquire finds the other's last release unstable
+/// (the pruner stabilizes in passes 200 us apart), records a dependency
+/// and publishes too. Without the seed both holders commit inline: a
+/// fast commit marks its release stable, so the next acquirer records
+/// no dependency.
+void SeedUnstableChain(AtlasThread& first, AtlasThread& second,
+                       PLockWord& word) {
+  PLockWord outer;
+  first.OnAcquire(&outer, 2);
+  first.OnAcquire(&word, 1);
+  first.OnRelease(&word, 1);
+  second.OnAcquire(&word, 1);
+  second.OnRelease(&word, 1);
+  first.OnRelease(&outer, 2);
+}
+
+std::uint64_t Published(const AtlasThread& a, const AtlasThread& b) {
+  return a.local_stats().published_commits +
+         b.local_stats().published_commits;
+}
+
+/// Runs `iteration` (one OCS on each holder) in batches of two OCSes.
+/// When the benchmark thread stalls between a release and the next
+/// acquire, a pruner pass can stabilize that release first; the acquire
+/// then records no dependency and the chain ends, so it is seeded again.
+template <typename Iteration>
+void RunPublishingPairs(benchmark::State& state, AtlasThread& alice,
+                        AtlasThread& bob, PLockWord& word,
+                        Iteration iteration) {
+  SeedUnstableChain(alice, bob, word);
+  std::uint64_t published = Published(alice, bob);
+  while (state.KeepRunningBatch(2)) {
+    iteration();
+    if (Published(alice, bob) != published + 2) {
+      SeedUnstableChain(alice, bob, word);
+    }
+    published = Published(alice, bob);
+  }
+  state.counters["published"] = static_cast<double>(published);
+}
+
 void BM_CommitFastPath(benchmark::State& state) {
   Env env(PersistencePolicy::TspLogOnly());
   AtlasThread* thread = env.runtime->CurrentThread();
@@ -186,17 +233,61 @@ void BM_CommitPublishPath(benchmark::State& state) {
   AtlasThread alice(env.runtime.get(), 40);
   AtlasThread bob(env.runtime.get(), 41);
   PLockWord word;
-  for (auto _ : state) {
+  RunPublishingPairs(state, alice, bob, word, [&] {
     // Alternate holders so every acquire sees a foreign, not-yet-stable
     // releaser → records a dep → publishes to the pruner.
     alice.OnAcquire(&word, 1);
     alice.OnRelease(&word, 1);
     bob.OnAcquire(&word, 1);
     bob.OnRelease(&word, 1);
-  }
+  });
   env.runtime->StabilizeNow();
 }
 BENCHMARK(BM_CommitPublishPath);
+
+// Remove-shaped OCSes: one unlink store plus a DeferFree of a block a
+// Put-like Alloc made just before the OCS. A dependency-free OCS is
+// stable at release: it commits inline and frees the block on the spot,
+// into the thread's magazine, where the next Alloc finds it. One with a
+// cross-thread dependency (the seeded chain, as above) publishes its
+// free to the pruner, which applies it once a pass proves the OCS
+// stable.
+void RemoveShapedOcs(Env& env, AtlasThread& thread, PLockWord& word,
+                     std::uint64_t* link, std::uint64_t value) {
+  void* block = env.heap->Alloc(24);
+  thread.OnAcquire(&word, 1);
+  thread.Store(link, value);
+  thread.DeferFree(block);
+  thread.OnRelease(&word, 1);
+}
+
+void BM_CommitRemoveInline(benchmark::State& state) {
+  Env env(PersistencePolicy::TspLogOnly());
+  AtlasThread* thread = env.runtime->CurrentThread();
+  auto* link = static_cast<std::uint64_t*>(env.heap->Alloc(8));
+  PLockWord word;
+  std::uint64_t i = 0;
+  for (auto _ : state) RemoveShapedOcs(env, *thread, word, link, i++);
+  state.counters["published"] =
+      static_cast<double>(thread->local_stats().published_commits);
+  env.runtime->UnregisterCurrentThread();
+}
+BENCHMARK(BM_CommitRemoveInline)->Name("BM_CommitRemove/inline");
+
+void BM_CommitRemovePublished(benchmark::State& state) {
+  Env env(PersistencePolicy::TspLogOnly());
+  AtlasThread alice(env.runtime.get(), 40);
+  AtlasThread bob(env.runtime.get(), 41);
+  auto* link = static_cast<std::uint64_t*>(env.heap->Alloc(8));
+  PLockWord word;
+  std::uint64_t i = 0;
+  RunPublishingPairs(state, alice, bob, word, [&] {
+    RemoveShapedOcs(env, alice, word, link, i++);
+    RemoveShapedOcs(env, bob, word, link, i++);
+  });
+  env.runtime->StabilizeNow();
+}
+BENCHMARK(BM_CommitRemovePublished)->Name("BM_CommitRemove/published");
 
 }  // namespace
 

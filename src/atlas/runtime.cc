@@ -644,14 +644,16 @@ void AtlasThread::OnAcquire(PLockWord* lock, std::uint32_t lock_id) {
 void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
   TSP_DCHECK_GT(depth_, 0);
   pheap::TspSanitizer::NoteOcsDepth(depth_ - 1);
-  // Fast-path eligibility: outermost, dependency-free, nothing deferred,
-  // and every earlier OCS of this thread already stable. Decided before
-  // the release entry would be written, because the fast path never
-  // writes one: the inline trim would erase it in the same breath, and
-  // a crash before the trim simply rolls the OCS back — the mutex is
-  // still held here, so no thread has observed its writes.
+  // Fast-path eligibility: outermost, dependency-free, and every
+  // earlier OCS of this thread already stable — then this OCS is stable
+  // the moment it commits. Decided before the release entry would be
+  // written, because the fast path never writes one: the inline trim
+  // would erase it in the same breath, and a crash before the trim
+  // simply rolls the OCS back — the mutex is still held here, so no
+  // thread has observed its writes. Deferred frees do not disqualify:
+  // stability is exactly when they are due, so OnReleaseFinish applies
+  // them.
   fast_commit_ = depth_ == 1 && current_deps_.empty() &&
-                 current_deferred_frees_.empty() &&
                  slot_->stable_ocs.load(std::memory_order_relaxed) ==
                      current_ocs_ - 1;
   if (!fast_commit_) {
@@ -705,7 +707,17 @@ void AtlasThread::OnReleaseFinish() {
   if (!finish_pending_) return;
   finish_pending_ = false;
   ++stats_.ocses_committed;
-  if (!fast_commit_) {
+  if (fast_commit_) {
+    // Stable since the inline trim, so the deferred frees are due now:
+    // they run here, after the mutex drop, into this thread's own
+    // magazine. A crash before they finish leaks the blocks to the
+    // recovery GC; the unlinking stores cannot roll back any more.
+    for (void* payload : current_deferred_frees_) {
+      runtime_->heap()->Free(payload);
+    }
+    current_deferred_frees_.clear();
+  } else {
+    // Not stable at release: the pruner frees once it proves stability.
     ++stats_.published_commits;
     runtime_->stability()->Publish(
         thread_id_,

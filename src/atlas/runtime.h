@@ -148,9 +148,10 @@ class alignas(64) AtlasThread {
   /// entry) so OnAcquire only has the work that genuinely needs the
   /// lock (Lamport resync + dependency edge). Symmetrically,
   /// OnReleaseBegin is the in-lock half of OnRelease and
-  /// OnReleaseFinish runs the commit bookkeeping (stats, trace, pruner
-  /// publication) after the mutex is dropped. OnAcquire/OnRelease
-  /// remain self-sufficient for callers that do not split.
+  /// OnReleaseFinish runs the commit bookkeeping (stats, a stable OCS's
+  /// deferred frees, pruner publication) after the mutex is dropped.
+  /// OnAcquire/OnRelease remain self-sufficient for callers that do not
+  /// split.
   void OnAcquirePrep(std::uint32_t lock_id);
   void OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id);
   void OnReleaseFinish();
@@ -166,7 +167,10 @@ class alignas(64) AtlasThread {
   /// Frees `payload` once the current OCS can never be rolled back
   /// (i.e., when it stabilizes). Freeing inside an OCS directly would
   /// corrupt the heap if the OCS were later rolled back and the freed
-  /// data resurrected. Outside an OCS, frees immediately.
+  /// data resurrected. An OCS that takes the fast commit is stable at
+  /// its release, so its frees run on this thread right after the mutex
+  /// drop (OnReleaseFinish); only an OCS still unstable at release hands
+  /// them to the pruner. Outside an OCS, frees immediately.
   void DeferFree(void* payload);
 
   bool in_ocs() const { return depth_ > 0; }

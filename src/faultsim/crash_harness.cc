@@ -110,8 +110,12 @@ std::string TraceTailSummary(const std::string& path,
     _exit(2);
   }
   close(ready_fd);
-  std::atomic<bool> stop{false};  // never set: we run until SIGKILL
-  workload::RunMapWorkload((*session)->map(), options.workload, &stop);
+  if (options.worker) {
+    options.worker((*session)->map());
+  } else {
+    std::atomic<bool> stop{false};  // never set: we run until SIGKILL
+    workload::RunMapWorkload((*session)->map(), options.workload, &stop);
+  }
   _exit(3);  // unreachable unless the workload somehow finishes
 }
 
@@ -232,20 +236,30 @@ CrashCycleReport RunCrashCycles(const CrashCycleOptions& options) {
         (*session)->gc_stats().free_bytes +
         (*session)->gc_stats().tail_reclaimed_bytes;
 
-    const workload::InvariantReport invariants =
-        workload::CheckMapInvariants(*(*session)->map(),
-                                     options.workload.threads);
-    if (!invariants.ok) {
-      report.errors.push_back(with_trace("cycle " + std::to_string(cycle) +
-                                         ": " + invariants.ToString()));
+    std::string verdict;
+    if (options.verify) {
+      const std::string problem = options.verify(session->get());
+      verdict = problem.empty() ? "verified" : problem;
+      if (!problem.empty()) {
+        report.errors.push_back(with_trace("cycle " + std::to_string(cycle) +
+                                           ": " + problem));
+      }
     } else {
-      report.final_completed_iterations += invariants.completed_iterations;
+      const workload::InvariantReport invariants =
+          workload::CheckMapInvariants(*(*session)->map(),
+                                       options.workload.threads);
+      verdict = invariants.ToString();
+      if (!invariants.ok) {
+        report.errors.push_back(with_trace("cycle " + std::to_string(cycle) +
+                                           ": " + verdict));
+      } else {
+        report.final_completed_iterations += invariants.completed_iterations;
+      }
     }
     if (options.verbose) {
       TSP_LOG(WARNING) << "cycle " << cycle << " [" << run_ms << "ms] "
                        << workload::MapVariantName(options.session.variant) << ": "
-                       << invariants.ToString() << "; "
-                       << rec.ToString();
+                       << verdict << "; " << rec.ToString();
     }
     (*session)->CloseClean();
     session->reset();

@@ -19,6 +19,7 @@
 #define TSP_FAULTSIM_CRASH_HARNESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ struct CrashCycleOptions {
   bool enable_race_detector = false;
   /// Print one line per cycle.
   bool verbose = false;
+  /// Replaces the §5.1 workload the forked worker runs until the kill
+  /// (null: RunMapWorkload with `workload`). Runs after the session is
+  /// open and the sanitizers are armed.
+  std::function<void(maps::Map*)> worker;
+  /// Replaces the Eq. (1)/(2) check of each recovered session (null:
+  /// CheckMapInvariants over `workload.threads`). Returns an empty
+  /// string when the recovered state is consistent, else what is wrong.
+  std::function<std::string(workload::MapSession*)> verify;
 };
 
 struct CrashCycleReport {

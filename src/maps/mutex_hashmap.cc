@@ -54,12 +54,12 @@ MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
                            atlas::AtlasRuntime* runtime,
                            const Options& options)
     : heap_(heap),
-      root_(root),
       runtime_(runtime),
-      bucket_count_(root->buckets->bucket_count),
       buckets_per_lock_(options.buckets_per_lock) {
-  TSP_CHECK(root_ != nullptr && root_->buckets != nullptr);
+  TSP_CHECK(root != nullptr && root->buckets != nullptr);
   TSP_CHECK_GT(buckets_per_lock_, 0u);
+  buckets_ = root->buckets->buckets;
+  bucket_count_ = root->buckets->bucket_count;
   const std::uint64_t lock_count =
       (bucket_count_ + buckets_per_lock_ - 1) / buckets_per_lock_;
   locks_.reserve(lock_count);
@@ -96,7 +96,7 @@ void MutexHashMap::Put(std::uint64_t key, std::uint64_t value) {
   // the scan stays out of the critical section.
   atlas::AtlasThread* thread = Thread();
   atlas::PMutexLock lock(LockFor(bucket));
-  HashEntry** head = &root_->buckets->buckets[bucket];
+  HashEntry** head = &buckets_[bucket];
   for (HashEntry* entry = *head; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {
       StoreField(thread, &entry->value, value);
@@ -118,7 +118,7 @@ void MutexHashMap::Put(std::uint64_t key, std::uint64_t value) {
 std::optional<std::uint64_t> MutexHashMap::Get(std::uint64_t key) const {
   const std::uint64_t bucket = BucketOf(key);
   atlas::PMutexLock lock(LockFor(bucket));
-  for (const HashEntry* entry = root_->buckets->buckets[bucket];
+  for (const HashEntry* entry = buckets_[bucket];
        entry != nullptr; entry = entry->next) {
     // TSPRace read-sampling hook: lets the detector move entries out of
     // Exclusive state so wrong-lock writers are caught, not adopted.
@@ -133,7 +133,7 @@ std::uint64_t MutexHashMap::IncrementBy(std::uint64_t key,
   const std::uint64_t bucket = BucketOf(key);
   atlas::AtlasThread* thread = Thread();
   atlas::PMutexLock lock(LockFor(bucket));
-  HashEntry** head = &root_->buckets->buckets[bucket];
+  HashEntry** head = &buckets_[bucket];
   for (HashEntry* entry = *head; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {
       const std::uint64_t new_value = entry->value + delta;
@@ -156,7 +156,7 @@ bool MutexHashMap::Remove(std::uint64_t key) {
   const std::uint64_t bucket = BucketOf(key);
   atlas::AtlasThread* thread = Thread();
   atlas::PMutexLock lock(LockFor(bucket));
-  HashEntry** link = &root_->buckets->buckets[bucket];
+  HashEntry** link = &buckets_[bucket];
   for (HashEntry* entry = *link; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {
       StoreField(thread, link, entry->next);
@@ -182,7 +182,7 @@ void MutexHashMap::ForEach(
     const std::uint64_t last =
         std::min(first + buckets_per_lock_, bucket_count_);
     for (std::uint64_t bucket = first; bucket < last; ++bucket) {
-      for (const HashEntry* entry = root_->buckets->buckets[bucket];
+      for (const HashEntry* entry = buckets_[bucket];
            entry != nullptr; entry = entry->next) {
         fn(entry->key, entry->value);
       }

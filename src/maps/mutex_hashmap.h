@@ -90,8 +90,15 @@ class MutexHashMap final : public Map {
  private:
   static std::uint64_t Hash(std::uint64_t key);
 
+  /// The bucket of `key`, with a prefetch of its chain-head slot issued
+  /// at once: the slot's miss (a random line of the bucket array) then
+  /// overlaps the acquire path (BeginOcs, the mutex, OnAcquire) instead
+  /// of following it. The stripe's lock line is not prefetched; see
+  /// DESIGN.md §5.
   std::uint64_t BucketOf(std::uint64_t key) const {
-    return Hash(key) % bucket_count_;
+    const std::uint64_t bucket = Hash(key) % bucket_count_;
+    __builtin_prefetch(&buckets_[bucket]);
+    return bucket;
   }
   atlas::PMutex* LockFor(std::uint64_t bucket) const {
     return locks_[bucket / buckets_per_lock_].get();
@@ -110,7 +117,9 @@ class MutexHashMap final : public Map {
   }
 
   pheap::PersistentHeap* heap_;
-  HashMapRoot* root_;
+  /// The chain heads, cached at construction: the root's bucket array
+  /// never changes, so no operation loads the root.
+  HashEntry** buckets_;
   atlas::AtlasRuntime* runtime_;
   std::uint64_t bucket_count_;
   std::uint64_t buckets_per_lock_;

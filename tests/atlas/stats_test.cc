@@ -123,5 +123,40 @@ TEST_F(AtlasStatsTest, CrossThreadDepsPublish) {
   EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
 }
 
+// An OCS that frees but is not stable at release keeps the pruner path:
+// Bob depends on Alice's open OCS, so the block he frees stays allocated
+// until a pass after Alice commits proves him stable.
+TEST_F(AtlasStatsTest, UnstableOcsFreesThroughThePruner) {
+  AtlasThread alice(runtime_.get(), 20);
+  AtlasThread bob(runtime_.get(), 21);
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  void* doomed = heap_->Alloc(24);
+  const auto allocated = [doomed] {
+    return pheap::Allocator::HeaderOf(doomed)->magic ==
+           pheap::BlockHeader::kAllocatedMagic;
+  };
+  PLockWord outer, shared;
+
+  alice.OnAcquire(&outer, 1);
+  alice.OnAcquire(&shared, 2);
+  alice.Store(value, std::uint64_t{1});
+  alice.OnRelease(&shared, 2);
+
+  bob.OnAcquire(&shared, 2);  // depends on alice's open OCS
+  bob.Store(value, std::uint64_t{2});
+  bob.DeferFree(doomed);
+  bob.OnRelease(&shared, 2);
+  EXPECT_EQ(bob.local_stats().published_commits, 1u);
+  EXPECT_TRUE(allocated()) << "bob is not stable at release";
+  runtime_->StabilizeNow();
+  EXPECT_TRUE(allocated()) << "alice is still open, so bob may roll back";
+
+  alice.OnRelease(&outer, 1);
+  EXPECT_TRUE(allocated());
+  runtime_->StabilizeNow();
+  EXPECT_FALSE(allocated()) << "the pass that proves bob stable frees";
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+}
+
 }  // namespace
 }  // namespace tsp::atlas

@@ -79,6 +79,10 @@ def main():
                                     f"non-positive rate")
             if len(data["trace_overhead"]) != len(VARIANTS) * len(THREADS):
                 failures.append("trace_overhead lacks a variant/thread pair")
+            for pair in data["trace_overhead"]:
+                for key in ("overhead_pct", "median_paired_overhead_pct"):
+                    if not isinstance(pair.get(key), float):
+                        failures.append(f"trace_overhead pair lacks {key}")
         else:
             failures.append("grid run wrote no JSON")
 

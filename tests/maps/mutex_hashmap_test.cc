@@ -32,10 +32,7 @@ class MutexHashMapTest : public ::testing::TestWithParam<Mode> {
     heap_ = std::move(*heap);
 
     if (GetParam() != Mode::kNative) {
-      const PersistencePolicy policy = GetParam() == Mode::kLogOnly
-                                           ? PersistencePolicy::TspLogOnly()
-                                           : PersistencePolicy::SyncFlush();
-      runtime_ = std::make_unique<atlas::AtlasRuntime>(heap_.get(), policy);
+      runtime_ = std::make_unique<atlas::AtlasRuntime>(heap_.get(), Policy());
       ASSERT_TRUE(runtime_->Initialize().ok());
     }
 
@@ -46,6 +43,11 @@ class MutexHashMapTest : public ::testing::TestWithParam<Mode> {
     heap_->set_root(root_);
     map_ = std::make_unique<MutexHashMap>(heap_.get(), root_, runtime_.get(),
                                           options_);
+  }
+
+  PersistencePolicy Policy() const {
+    return GetParam() == Mode::kLogOnly ? PersistencePolicy::TspLogOnly()
+                                        : PersistencePolicy::SyncFlush();
   }
 
   void TearDown() override {
@@ -237,6 +239,51 @@ TEST_P(MutexHashMapTest, GcKeepsMapReachableAndReclaimsRemoved) {
       ASSERT_EQ(reopened.Get(i), i);
     }
   }
+}
+
+// The chain entry that holds `key`, or null.
+const HashEntry* EntryOf(const HashMapRoot* root, std::uint64_t key) {
+  for (std::uint64_t b = 0; b < root->buckets->bucket_count; ++b) {
+    for (const HashEntry* entry = root->buckets->buckets[b];
+         entry != nullptr; entry = entry->next) {
+      if (entry->key == key) return entry;
+    }
+  }
+  return nullptr;
+}
+
+// A Remove on one thread has no dependency and a stable predecessor, so
+// its OCS is stable at release: it takes the fast commit and frees the
+// unlinked entry right there, into the thread's own magazine, and the
+// next Put on the thread gets that very block. The pruner is off, so
+// nothing else could have freed it.
+TEST_P(MutexHashMapTest, RemoveFreesItsEntryAtCommit) {
+  if (runtime_ != nullptr) {
+    map_.reset();
+    runtime_.reset();
+    atlas::AtlasRuntime::Options runtime_options;
+    runtime_options.prune_interval_us = 0;
+    runtime_ = std::make_unique<atlas::AtlasRuntime>(heap_.get(), Policy(),
+                                                     runtime_options);
+    ASSERT_TRUE(runtime_->Initialize().ok());
+    map_ = std::make_unique<MutexHashMap>(heap_.get(), root_, runtime_.get(),
+                                          options_);
+  }
+  map_->Put(9, 90);
+  const HashEntry* removed = EntryOf(root_, 9);
+  ASSERT_NE(removed, nullptr);
+  ASSERT_TRUE(map_->Remove(9));
+  if (runtime_ != nullptr) {
+    const atlas::AtlasRuntimeStats stats = runtime_->GetStats();
+    EXPECT_EQ(stats.published_commits, 0u);
+    EXPECT_EQ(stats.fast_path_commits, stats.ocses_committed);
+    EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+  }
+  map_->Put(10, 100);
+  EXPECT_EQ(EntryOf(root_, 10), removed)
+      << "the removed entry's block should be the next one allocated";
+  EXPECT_EQ(map_->Get(10), 100u);
+  EXPECT_FALSE(map_->Get(9).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MutexHashMapTest,
