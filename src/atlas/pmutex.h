@@ -116,23 +116,6 @@ class alignas(64) PMutex {
 
   void lock() { LockWith(LoggingThread()); }
 
-  bool try_lock() {
-    if (!mutex_.try_lock()) return false;
-    if (AtlasThread* thread = LoggingThread()) {
-      if (robust_ != nullptr && !RobustTryAcquire(thread)) {
-        // Back out the in-process half of the failed try.
-        mutex_.unlock();  // tsp-lint: allow(pmutex-pairing)
-        return false;
-      }
-      // No prep before a try: on failure the OCS would never open.
-      thread->OnAcquire(
-          robust_ != nullptr ? &robust_->dependency : &lock_word_, lock_id_);
-    }
-    analysis::HookLockAcquired(
-        this, lock_id_, runtime_ != nullptr ? runtime_->instance_id() : 0);
-    return true;
-  }
-
   void unlock() { UnlockWith(LoggingThread()); }
 
   AtlasRuntime* runtime() const { return runtime_; }
@@ -168,30 +151,6 @@ class alignas(64) PMutex {
         table->robust_steals.fetch_add(1, std::memory_order_relaxed);
       }
     }
-  }
-
-  /// try_lock flavor: one harvest attempt, no spinning on a live owner.
-  bool RobustTryAcquire(AtlasThread* thread) {
-    const std::uint64_t token =
-        static_cast<std::uint64_t>(thread->thread_id()) + 1;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      std::uint64_t expected = 0;
-      if (robust_->owner.compare_exchange_strong(expected, token,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-        if (attempt > 0) {
-          if (RobustTableHeader* table = runtime_->robust_table()) {
-            table->robust_steals.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        return true;
-      }
-      if (attempt > 0 || expected == 0 ||
-          !runtime_->HarvestDeadOwner(expected)) {
-        return false;
-      }
-    }
-    return false;
   }
 
   std::mutex mutex_;

@@ -98,11 +98,6 @@ StatusOr<std::unique_ptr<PersistenceDomain>> PersistenceDomain::Start(
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
   }
-  if (options.shards > 1 && options.region.base_address != 0) {
-    return Status::InvalidArgument(
-        "sharded domains place every shard in its own address slot; "
-        "leave region.base_address at 0");
-  }
   auto domain = std::unique_ptr<PersistenceDomain>(new PersistenceDomain());
   domain->attached_ = attach;
   domain->plan_ = PlanPersistence(options.requirements, options.hardware);

@@ -43,8 +43,7 @@ class PersistenceDomain {
     Requirements requirements;
     HardwareProfile hardware = HardwareProfile::ConventionalServer();
     /// Per-shard region options (size is per shard). region.backend
-    /// selects the storage mechanics for every shard; region.base_address
-    /// must stay 0 when shards > 1 (each shard takes its own slot).
+    /// selects the storage mechanics for every shard.
     pheap::RegionOptions region;
     /// Number of independent shard heaps (1 = the classic single heap).
     int shards = 1;

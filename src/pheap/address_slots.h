@@ -7,15 +7,21 @@
 // same virtual address on every invocation") generalizes from one
 // region to many: carve a normally-empty part of the x86-64 user
 // address space into fixed-size slots and hand each region its own.
-// Slot 0 is the historical kDefaultBaseAddress, so single-region
-// programs keep their layout. A region larger than one slot takes a
-// span of consecutive slots.
+// Slots are the only placement: a new region takes the lowest free
+// slot, and every open maps at the slot its header records. A region
+// larger than one slot takes a span of consecutive slots.
+//
+// The window is chosen per build (kSlotBase), because sanitizer
+// runtimes reserve parts of the address space for themselves. A heap
+// records both its slot and its base address, so one made by a build
+// with another window is refused on open instead of being mapped
+// where this build's runtime cannot follow.
 //
 // The allocator only knows about regions opened through it in *this*
 // process; collisions with foreign mappings (the program image, other
 // libraries) surface as mmap failures, which MappedRegion turns into
-// diagnostics naming the conflicting mapping (see backend.h) and, for
-// auto-placed regions, a retry at the next free slot.
+// diagnostics naming the conflicting mapping (see backend.h) and, on
+// create, a retry at the next free slot.
 
 #ifndef TSP_PHEAP_ADDRESS_SLOTS_H_
 #define TSP_PHEAP_ADDRESS_SLOTS_H_
@@ -31,16 +37,22 @@ namespace tsp::pheap {
 
 class AddressSlotAllocator {
  public:
-  /// First byte of the slot space (== slot 0 == kDefaultBaseAddress).
+  /// First byte of the slot space (== slot 0), fixed per build.
+  /// ThreadSanitizer aborts the process ("mmap at bad address") on a
+  /// mapping outside its application ranges: with GCC 12's libtsan,
+  /// 1 GiB fixed mappings worked from 0x0008_0000_0000 up to
+  /// 0x007f_c000_0000 and aborted at 0x0080_0000_0000 and above, so
+  /// its window ends where that low range does. ASan already maps
+  /// 0x0040_0000_0000, so every other build keeps the high window.
+#if defined(__SANITIZE_THREAD__)
+  static constexpr std::uintptr_t kSlotBase = 0x004000000000ULL;
+#else
   static constexpr std::uintptr_t kSlotBase = 0x200000000000ULL;
+#endif
   /// Bytes per slot: 4 GiB, comfortably above the default region size
-  /// while keeping the 64-slot space within an empty 256 GiB window
-  /// (tests that pick manual addresses start at 0x210000000000).
+  /// while keeping the 64-slot space within an empty 256 GiB window.
   static constexpr std::uintptr_t kSlotStride = 0x100000000ULL;
   static constexpr std::uint32_t kSlotCount = 64;
-  /// Sentinel recorded in RegionHeader::address_slot for regions mapped
-  /// at a caller-chosen address outside the slot space.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   static AddressSlotAllocator& Instance();
 
@@ -65,16 +77,6 @@ class AddressSlotAllocator {
   /// Virtual address of a slot index.
   static constexpr std::uintptr_t AddressOf(std::uint32_t slot) {
     return kSlotBase + static_cast<std::uintptr_t>(slot) * kSlotStride;
-  }
-
-  /// Inverse of AddressOf: the slot whose base is exactly `addr`, or
-  /// kNoSlot when `addr` is not a slot boundary in range.
-  static constexpr std::uint32_t SlotOf(std::uintptr_t addr) {
-    if (addr < kSlotBase || (addr - kSlotBase) % kSlotStride != 0) {
-      return kNoSlot;
-    }
-    const std::uintptr_t index = (addr - kSlotBase) / kSlotStride;
-    return index < kSlotCount ? static_cast<std::uint32_t>(index) : kNoSlot;
   }
 
   static constexpr std::uint32_t SlotsFor(std::size_t size) {

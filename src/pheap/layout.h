@@ -99,11 +99,11 @@ struct RegionHeader {
   std::atomic<std::uint64_t> generation;
   /// 1 iff the previous session called CloseClean. Cleared on open.
   std::atomic<std::uint32_t> clean_shutdown;
-  /// AddressSlotAllocator slot this region was placed in, or
-  /// AddressSlotAllocator::kNoSlot (0xFFFFFFFF) for caller-chosen
-  /// addresses. Open revalidates slot against base_address so a header
-  /// edited (or mixed up) on disk can never silently clobber another
-  /// region's range.
+  /// AddressSlotAllocator slot this region was placed in. Every open
+  /// checks that the slot lies in this build's window and that
+  /// base_address is its address, so a header edited on disk, or a
+  /// heap made by a build with another slot window, can never silently
+  /// clobber another region's range.
   std::uint32_t address_slot;
 
   /// Offset of the application root object (0 = unset). The root is the

@@ -2,8 +2,8 @@
 
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
+#include <cinttypes>
+#include <cstdio>
 #include <new>
 
 #include "common/logging.h"
@@ -21,18 +21,31 @@ std::shared_ptr<RegionBackend> Resolve(std::shared_ptr<RegionBackend> b) {
   return b != nullptr ? std::move(b) : DefaultBackend();
 }
 
+/// Slots tried after the first one on create when a foreign mapping
+/// occupies a free slot's range; each such slot is quarantined.
+constexpr int kSlotRetries = 8;
+
+std::string Hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%" PRIx64, v);
+  return buf;
+}
+
 /// Peeked header fields, copied out of the backing store before any
 /// fixed-address mapping exists.
 struct PeekedHeader {
-  std::uint64_t magic;
-  std::uint32_t version;
-  std::uint32_t address_slot;
-  std::uint64_t base_address;
-  std::uint64_t region_size;
-  std::uint64_t store_size;
+  std::uint32_t slot;
+  std::uint64_t base;
+  std::uint64_t size;
 };
 
-Status PeekHeader(RegionBackend* backend, const std::string& path,
+/// Reads and validates the header of an existing region. Every open
+/// applies the same checks, placement included: the recorded slot must
+/// lie in this build's window and the recorded base must be that
+/// slot's address here. So a header edited on disk, or a heap made by
+/// a build with another slot window, is refused before anything is
+/// mapped.
+Status ReadHeader(RegionBackend* backend, const std::string& path,
                   PeekedHeader* out) {
   alignas(alignof(RegionHeader)) unsigned char buffer[kHeaderSize];
   std::uint64_t store_size = 0;
@@ -42,32 +55,37 @@ Status PeekHeader(RegionBackend* backend, const std::string& path,
     return Status::Corruption("file too small to be a TSP region: " + path);
   }
   const auto* header = reinterpret_cast<const RegionHeader*>(buffer);
-  out->magic = header->magic;
-  out->version = header->version;
-  out->address_slot = header->address_slot;
-  out->base_address = header->base_address;
-  out->region_size = header->region_size;
-  out->store_size = store_size;
-  return Status::OK();
-}
-
-/// Validates the recorded slot against the recorded base address and
-/// reserves it for the lifetime of the mapping. Returns whether the
-/// caller owns a slot to release.
-StatusOr<bool> ReserveRecordedSlot(const PeekedHeader& peeked,
-                                   const std::string& path) {
-  if (peeked.address_slot == AddressSlotAllocator::kNoSlot) return false;
-  if (AddressSlotAllocator::AddressOf(peeked.address_slot) !=
-      peeked.base_address) {
-    return Status::FailedPrecondition(
-        "region header of " + path + " records address slot " +
-        std::to_string(peeked.address_slot) +
-        " but a base address that is not that slot's; refusing to map "
-        "(no silent clobber)");
+  if (header->magic != kRegionMagic) {
+    return Status::Corruption("bad magic; not a TSP region: " + path);
   }
-  TSP_RETURN_IF_ERROR(AddressSlotAllocator::Instance().AcquireSpecific(
-      peeked.address_slot, peeked.region_size));
-  return true;
+  if (header->version != kLayoutVersion) {
+    return Status::Corruption("unsupported region layout version " +
+                              std::to_string(header->version));
+  }
+  if (header->region_size != store_size) {
+    return Status::Corruption("region size mismatch with file size");
+  }
+  const std::uint32_t slot = header->address_slot;
+  const bool in_window = slot < AddressSlotAllocator::kSlotCount;
+  if (!in_window ||
+      AddressSlotAllocator::AddressOf(slot) != header->base_address) {
+    return Status::FailedPrecondition(
+        "region header of " + path + " records base address " +
+        Hex(header->base_address) + " at address slot " +
+        std::to_string(slot) + ", but this build maps slot " +
+        std::to_string(slot) + " at " +
+        (in_window ? Hex(AddressSlotAllocator::AddressOf(slot))
+                   : "no address (its window has " +
+                         std::to_string(AddressSlotAllocator::kSlotCount) +
+                         " slots from " +
+                         Hex(AddressSlotAllocator::kSlotBase) + ")") +
+        "; refusing to map a heap from another slot window (no silent "
+        "clobber)");
+  }
+  out->slot = slot;
+  out->base = header->base_address;
+  out->size = header->region_size;
+  return Status::OK();
 }
 
 }  // namespace
@@ -79,7 +97,7 @@ MappedRegion::~MappedRegion() {
     TspSanitizer::ForgetRangesIn(base_, size_);
     backend_->Unmap(base_, size_);
   }
-  if (owns_slot_) {
+  if (!read_only_) {
     AddressSlotAllocator::Instance().Release(slot_);
   }
 }
@@ -95,68 +113,42 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Create(
         "region size too small for header + runtime area + a usable arena");
   }
 
+  // Walk free slots, quarantining any whose range a foreign mapping
+  // occupies.
   AddressSlotAllocator& slots = AddressSlotAllocator::Instance();
-  std::uintptr_t base_address = 0;
-  std::uint32_t slot = AddressSlotAllocator::kNoSlot;
-  bool owns_slot = false;
+  std::uint32_t slot = 0;
   void* mapped_base = nullptr;
-
-  if (options.base_address != 0) {
-    // Caller-fixed placement. When the address is exactly a slot
-    // boundary, still reserve the slot so auto-placed regions cannot
-    // land on it.
-    base_address = options.base_address;
-    if (base_address % kGranule != 0) {
-      return Status::InvalidArgument("base address must be 16-byte aligned");
+  Status last_failure = Status::OK();
+  for (int attempt = 0; attempt <= kSlotRetries; ++attempt) {
+    auto acquired = slots.Acquire(size);
+    if (!acquired.ok()) {
+      return last_failure.ok() ? acquired.status() : last_failure;
     }
-    slot = AddressSlotAllocator::SlotOf(base_address);
-    if (slot != AddressSlotAllocator::kNoSlot) {
-      TSP_RETURN_IF_ERROR(slots.AcquireSpecific(slot, size));
-      owns_slot = true;
+    slot = *acquired;
+    auto mapped = backend->CreateAndMap(path, size,
+                                        AddressSlotAllocator::AddressOf(slot));
+    if (mapped.ok()) {
+      mapped_base = *mapped;
+      break;
     }
-    auto mapped = backend->CreateAndMap(path, size, base_address);
-    if (!mapped.ok()) {
-      if (owns_slot) slots.Release(slot);
-      return mapped.status();
+    slots.Release(slot);
+    if (mapped.status().code() != StatusCode::kFailedPrecondition) {
+      return mapped.status();  // not an address conflict: no retry
     }
-    mapped_base = *mapped;
-  } else {
-    // Auto placement: walk free slots, quarantining any whose range a
-    // foreign mapping occupies.
-    Status last_failure = Status::OK();
-    for (int attempt = 0; attempt <= options.slot_retries; ++attempt) {
-      auto acquired = slots.Acquire(size);
-      if (!acquired.ok()) {
-        return last_failure.ok() ? acquired.status() : last_failure;
-      }
-      slot = *acquired;
-      base_address = AddressSlotAllocator::AddressOf(slot);
-      auto mapped = backend->CreateAndMap(path, size, base_address);
-      if (mapped.ok()) {
-        owns_slot = true;
-        mapped_base = *mapped;
-        break;
-      }
-      slots.Release(slot);
-      if (mapped.status().code() != StatusCode::kFailedPrecondition) {
-        return mapped.status();  // not an address conflict: no retry
-      }
-      // Something foreign occupies this slot's range; never offer it
-      // again in this process, then try the next one.
-      slots.Quarantine(slot, size);
-      last_failure = mapped.status();
-      slot = AddressSlotAllocator::kNoSlot;
-    }
-    if (mapped_base == nullptr) {
-      return last_failure;
-    }
+    // Something foreign occupies this slot's range; never offer it
+    // again in this process, then try the next one.
+    slots.Quarantine(slot, size);
+    last_failure = mapped.status();
+  }
+  if (mapped_base == nullptr) {
+    return last_failure;
   }
 
   auto* header = new (mapped_base) RegionHeader();
   header->magic = kRegionMagic;
   header->version = kLayoutVersion;
   header->header_size = kHeaderSize;
-  header->base_address = base_address;
+  header->base_address = AddressSlotAllocator::AddressOf(slot);
   header->region_size = size;
   header->runtime_area_offset = kHeaderSize;
   header->runtime_area_size = runtime_size;
@@ -174,12 +166,9 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Create(
   header->total_allocs.store(0, std::memory_order_relaxed);
   header->total_frees.store(0, std::memory_order_relaxed);
 
-  auto region = std::unique_ptr<MappedRegion>(
-      new MappedRegion(path, mapped_base, size, std::move(backend)));
-  region->slot_ = slot;
-  region->owns_slot_ = owns_slot;
-  region->opened_after_crash_ = false;
-  return region;
+  return std::unique_ptr<MappedRegion>(new MappedRegion(
+      path, mapped_base, size, std::move(backend), slot,
+      /*read_only=*/false));
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenWritable(
@@ -188,34 +177,19 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenWritable(
   const std::string path = backend->ResolvePath(user_path);
 
   PeekedHeader peeked;
-  TSP_RETURN_IF_ERROR(PeekHeader(backend.get(), path, &peeked));
-  if (peeked.magic != kRegionMagic) {
-    return Status::Corruption("bad magic; not a TSP region: " + path);
-  }
-  if (peeked.version != kLayoutVersion) {
-    return Status::Corruption("unsupported region layout version " +
-                              std::to_string(peeked.version));
-  }
-  if (peeked.region_size != peeked.store_size) {
-    return Status::Corruption("region size mismatch with file size");
-  }
-
-  TSP_ASSIGN_OR_RETURN(const bool owns_slot,
-                       ReserveRecordedSlot(peeked, path));
-  auto mapped = backend->MapExisting(path, peeked.region_size,
-                                     peeked.base_address,
+  TSP_RETURN_IF_ERROR(ReadHeader(backend.get(), path, &peeked));
+  AddressSlotAllocator& slots = AddressSlotAllocator::Instance();
+  TSP_RETURN_IF_ERROR(slots.AcquireSpecific(peeked.slot, peeked.size));
+  auto mapped = backend->MapExisting(path, peeked.size, peeked.base,
                                      /*read_only=*/false);
   if (!mapped.ok()) {
-    if (owns_slot) {
-      AddressSlotAllocator::Instance().Release(peeked.address_slot);
-    }
+    slots.Release(peeked.slot);
     return mapped.status();
   }
 
-  auto region = std::unique_ptr<MappedRegion>(new MappedRegion(
-      path, *mapped, peeked.region_size, std::move(backend)));
-  region->slot_ = peeked.address_slot;
-  region->owns_slot_ = owns_slot;
+  auto region = std::unique_ptr<MappedRegion>(
+      new MappedRegion(path, *mapped, peeked.size, std::move(backend),
+                       peeked.slot, /*read_only=*/false));
   RegionHeader* header = region->header();
   if (attach) {
     // Cooperative join: the crash/clean bookkeeping belongs to the
@@ -260,29 +234,19 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenReadOnly(
   const std::string path = backend->ResolvePath(user_path);
 
   PeekedHeader peeked;
-  TSP_RETURN_IF_ERROR(PeekHeader(backend.get(), path, &peeked));
-  if (peeked.magic != kRegionMagic ||
-      peeked.region_size != peeked.store_size) {
-    return Status::Corruption("not a TSP region (or truncated): " + path);
-  }
-  if (peeked.version != kLayoutVersion) {
-    return Status::Corruption("unsupported region layout version " +
-                              std::to_string(peeked.version));
-  }
-
+  TSP_RETURN_IF_ERROR(ReadHeader(backend.get(), path, &peeked));
   // Diagnostics never reserve the slot: the mapping is private and
   // read-only, and a live writer in another process stays untouched.
-  auto mapped = backend->MapExisting(path, peeked.region_size,
-                                     peeked.base_address, /*read_only=*/true);
+  auto mapped = backend->MapExisting(path, peeked.size, peeked.base,
+                                     /*read_only=*/true);
   if (!mapped.ok()) {
     return Status::FailedPrecondition(
         "cannot map read-only region at its fixed address: " +
         mapped.status().message());
   }
-  auto region = std::unique_ptr<MappedRegion>(new MappedRegion(
-      path, *mapped, peeked.region_size, std::move(backend)));
-  region->slot_ = peeked.address_slot;
-  region->read_only_ = true;
+  auto region = std::unique_ptr<MappedRegion>(
+      new MappedRegion(path, *mapped, peeked.size, std::move(backend),
+                       peeked.slot, /*read_only=*/true));
   region->opened_after_crash_ =
       region->header()->clean_shutdown.load(std::memory_order_relaxed) == 0;
   return region;

@@ -7,10 +7,11 @@
 // msync during failure-free operation.
 //
 // Where the bytes live is a RegionBackend (backend.h); where the bytes
-// are mapped is an AddressSlotAllocator slot (address_slots.h) unless
-// the caller fixes the address. MappedRegion itself owns the format:
-// header validation, generation/clean-shutdown bookkeeping, and slot
-// revalidation on reopen.
+// are mapped is an AddressSlotAllocator slot (address_slots.h): the
+// lowest free one on create, the recorded one on every open.
+// MappedRegion itself owns the format: header validation,
+// generation/clean-shutdown bookkeeping, and slot revalidation on
+// reopen.
 
 #ifndef TSP_PHEAP_REGION_H_
 #define TSP_PHEAP_REGION_H_
@@ -31,27 +32,12 @@ namespace tsp::pheap {
 struct RegionOptions {
   /// Total file/mapping size in bytes. Rounded up to the page size.
   std::size_t size = 256 * 1024 * 1024;
-  /// Virtual address to map at. 0 takes the next free slot from the
-  /// process-wide AddressSlotAllocator (slot 0 == the historical
-  /// default address). Every subsequent Open maps at the address
-  /// recorded in the header.
-  std::uintptr_t base_address = 0;
   /// Bytes reserved between the header and the arena for the resilience
   /// runtime (undo logs, lock words).
   std::size_t runtime_area_size = 16 * 1024 * 1024;
   /// Storage mechanics; null uses the process-wide PosixFileBackend.
   std::shared_ptr<RegionBackend> backend;
-  /// When auto-placing (base_address == 0) and a slot's range turns out
-  /// to be occupied by a foreign mapping, quarantine it and try up to
-  /// this many further slots before giving up.
-  int slot_retries = 8;
 };
-
-/// Default fixed mapping address (== AddressSlotAllocator slot 0).
-/// Chosen in a normally-empty part of the x86-64 user address space,
-/// away from the program heap, stacks, and the mmap area.
-inline constexpr std::uintptr_t kDefaultBaseAddress =
-    AddressSlotAllocator::kSlotBase;
 
 /// A mapped persistent region. Move-only; unmaps on destruction
 /// *without* marking a clean shutdown (destruction is
@@ -65,15 +51,16 @@ class MappedRegion {
   MappedRegion& operator=(const MappedRegion&) = delete;
 
   /// Creates a new region file at `path` (fails if it already exists),
-  /// formats the header, and maps it.
+  /// maps it at the lowest free address slot, and formats the header.
   static StatusOr<std::unique_ptr<MappedRegion>> Create(
       const std::string& path, const RegionOptions& options);
 
-  /// Opens an existing region file and maps it at its recorded base
-  /// address. Returns kCorruption for files that are not TSP regions
-  /// and kFailedPrecondition if the address range is unavailable or the
-  /// header's recorded slot disagrees with its base address (no silent
-  /// clobber).
+  /// Opens an existing region file and maps it at its recorded slot.
+  /// Returns kCorruption for files that are not TSP regions, and
+  /// kFailedPrecondition if the recorded slot is outside this build's
+  /// window or the recorded base is not that slot's address here, or
+  /// if the slot is held or its range occupied (no silent clobber).
+  /// Attach and OpenReadOnly apply the same placement check.
   static StatusOr<std::unique_ptr<MappedRegion>> Open(
       const std::string& path,
       std::shared_ptr<RegionBackend> backend = nullptr);
@@ -111,8 +98,9 @@ class MappedRegion {
   /// The backend storing this region's bytes.
   RegionBackend* backend() const { return backend_.get(); }
 
-  /// AddressSlotAllocator slot, or AddressSlotAllocator::kNoSlot for
-  /// caller-fixed addresses outside the slot space.
+  /// AddressSlotAllocator slot the region is mapped at. Writable
+  /// regions hold it until destruction; read-only ones never reserve
+  /// it.
   std::uint32_t address_slot() const { return slot_; }
 
   /// True iff the previous session did NOT mark a clean shutdown, i.e.
@@ -154,22 +142,24 @@ class MappedRegion {
       const std::string& user_path, std::shared_ptr<RegionBackend> backend,
       bool attach);
 
+  /// Takes over the mapping, and the slot unless `read_only`.
   MappedRegion(std::string path, void* mapped_base, std::size_t mapped_size,
-               std::shared_ptr<RegionBackend> backend)
+               std::shared_ptr<RegionBackend> backend, std::uint32_t slot,
+               bool read_only)
       : path_(std::move(path)),
         base_(mapped_base),
         size_(mapped_size),
-        backend_(std::move(backend)) {}
+        backend_(std::move(backend)),
+        slot_(slot),
+        read_only_(read_only) {}
 
   std::string path_;
   void* base_ = nullptr;
   std::size_t size_ = 0;
   std::shared_ptr<RegionBackend> backend_;
-  std::uint32_t slot_ = AddressSlotAllocator::kNoSlot;
-  /// True when this open acquired slot_ and must release it.
-  bool owns_slot_ = false;
+  std::uint32_t slot_;
+  bool read_only_;
   bool opened_after_crash_ = false;
-  bool read_only_ = false;
   bool attached_ = false;
 };
 

@@ -56,7 +56,6 @@ Status MapSession::Init() {
   options.requirements = row->requirements;
   options.hardware = row->hardware;
   options.region.size = config_.heap_size;
-  options.region.base_address = config_.base_address;
   options.region.runtime_area_size = config_.runtime_area_size;
   options.region.backend = config_.backend;
   options.shards = config_.shards;

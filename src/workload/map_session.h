@@ -65,7 +65,6 @@ class MapSession {
     MapVariant variant = MapVariant::kMutexLogOnly;
     std::string path;
     std::size_t heap_size = 512 * 1024 * 1024;  // per shard
-    std::uintptr_t base_address = 0;  // 0 = slot-allocated; shards>1 needs 0
     std::size_t runtime_area_size = 32 * 1024 * 1024;
     maps::MutexHashMap::Options hash_options;
     /// Sequence stamps leased per block from the global counter

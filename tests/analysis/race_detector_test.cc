@@ -34,12 +34,10 @@ using atlas::AtlasThread;
 using atlas::PMutex;
 using atlas::PMutexLock;
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
-pheap::RegionOptions SmallOptions(std::uintptr_t base) {
+pheap::RegionOptions SmallOptions() {
   pheap::RegionOptions options;
   options.size = 32 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = 2048 * 1024;
   return options;
 }
@@ -74,8 +72,7 @@ class RaceDetectorTest : public ::testing::Test {
       GTEST_SKIP() << "built with -DTSP_ANALYSIS=OFF";
     }
     file_ = std::make_unique<ScopedRegionFile>("tsprace");
-    auto heap = pheap::PersistentHeap::Create(
-        file_->path(), SmallOptions(UniqueBaseAddress()));
+    auto heap = pheap::PersistentHeap::Create(file_->path(), SmallOptions());
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
     AtlasRuntime::Options options;
@@ -275,8 +272,7 @@ TEST_F(RaceDetectorTest, SampledRacyReadWarns) {
 TEST_F(RaceDetectorTest, CrossShardLockOrderCycleIsReported) {
   // A second runtime on its own heap models a second shard.
   ScopedRegionFile file2("tsprace2");
-  auto heap2_or = pheap::PersistentHeap::Create(
-      file2.path(), SmallOptions(UniqueBaseAddress()));
+  auto heap2_or = pheap::PersistentHeap::Create(file2.path(), SmallOptions());
   ASSERT_TRUE(heap2_or.ok()) << heap2_or.status().ToString();
   std::unique_ptr<pheap::PersistentHeap> heap2 = std::move(*heap2_or);
   AtlasRuntime::Options rt_options;
@@ -401,7 +397,6 @@ TEST(RaceDetectorSessionTest, EnvArmedWorkloadRunsClean) {
     config.variant = workload::MapVariant::kMutexLogOnly;
     config.path = file.path();
     config.heap_size = 128 * 1024 * 1024;
-    config.base_address = UniqueBaseAddress();
     config.runtime_area_size = 8 * 1024 * 1024;
     auto session = workload::MapSession::OpenOrCreate(config);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -444,7 +439,6 @@ TEST(RaceDetectorHarnessTest, ArmedCrashCyclesStayConsistent) {
   options.session.variant = workload::MapVariant::kMutexLogOnly;
   options.session.path = file.path();
   options.session.heap_size = 128 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.session.runtime_area_size = 8 * 1024 * 1024;
   options.workload.threads = 2;
   options.workload.high_range = 1024;

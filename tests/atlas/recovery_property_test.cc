@@ -28,7 +28,6 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 constexpr int kContexts = 4;
 constexpr int kLocks = 3;
@@ -50,10 +49,8 @@ TEST_P(RecoveryPropertyTest, RandomHistoriesRecoverSoundly) {
   Random rng(seed * 1007 + 13);
 
   ScopedRegionFile file("atlas_prop");
-  const std::uintptr_t base = UniqueBaseAddress();
   pheap::RegionOptions region_options;
   region_options.size = 64 * 1024 * 1024;
-  region_options.base_address = base;
   region_options.runtime_area_size = 8 * 1024 * 1024;
 
   std::vector<OcsFact> facts;

@@ -18,17 +18,15 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 // Persistent root for these tests: a few plain words.
 struct TestRoot {
   std::uint64_t values[8];
 };
 
-pheap::RegionOptions Options(std::uintptr_t base) {
+pheap::RegionOptions Options() {
   pheap::RegionOptions options;
   options.size = 32 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = 2 * 1024 * 1024;
   return options;
 }
@@ -38,9 +36,9 @@ pheap::RegionOptions Options(std::uintptr_t base) {
 // store persisted, no clean-shutdown mark).
 class Session {
  public:
-  Session(const std::string& path, std::uintptr_t base, bool create) {
+  Session(const std::string& path, bool create) {
     if (create) {
-      auto heap = pheap::PersistentHeap::Create(path, Options(base));
+      auto heap = pheap::PersistentHeap::Create(path, Options());
       TSP_CHECK(heap.ok()) << heap.status().ToString();
       heap_ = std::move(*heap);
       TestRoot* root = heap_->New<TestRoot>();
@@ -95,20 +93,18 @@ class AtlasRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     file_ = std::make_unique<ScopedRegionFile>("atlasrec");
-    base_ = UniqueBaseAddress();
   }
 
   std::unique_ptr<ScopedRegionFile> file_;
-  std::uintptr_t base_ = 0;
 };
 
 TEST_F(AtlasRecoveryTest, CleanHeapNeedsNoRecovery) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     session.CloseCleanly();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   EXPECT_FALSE(session.heap()->needs_recovery());
   const RecoveryStats stats = session.Recover();
   EXPECT_FALSE(stats.performed);
@@ -116,7 +112,7 @@ TEST_F(AtlasRecoveryTest, CleanHeapNeedsNoRecovery) {
 
 TEST_F(AtlasRecoveryTest, CrashWithNoOpenOcsUndoesNothing) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
@@ -126,7 +122,7 @@ TEST_F(AtlasRecoveryTest, CrashWithNoOpenOcsUndoesNothing) {
     }
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   EXPECT_TRUE(session.heap()->needs_recovery());
   const RecoveryStats stats = session.Recover();
   EXPECT_TRUE(stats.performed);
@@ -137,7 +133,7 @@ TEST_F(AtlasRecoveryTest, CrashWithNoOpenOcsUndoesNothing) {
 
 TEST_F(AtlasRecoveryTest, InterruptedOcsIsRolledBack) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
     TestRoot* root = session.root();
@@ -154,7 +150,7 @@ TEST_F(AtlasRecoveryTest, InterruptedOcsIsRolledBack) {
     thread->Store(&root->values[1], std::uint64_t{888});
     session.Crash();  // never released
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_TRUE(stats.performed);
   EXPECT_EQ(stats.ocses_incomplete, 1u);
@@ -166,7 +162,7 @@ TEST_F(AtlasRecoveryTest, InterruptedOcsIsRolledBack) {
 
 TEST_F(AtlasRecoveryTest, RepeatedStoresRollBackToOcsEntryValue) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
     TestRoot* root = session.root();
@@ -180,14 +176,14 @@ TEST_F(AtlasRecoveryTest, RepeatedStoresRollBackToOcsEntryValue) {
     }
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   session.Recover();
   EXPECT_EQ(session.root()->values[2], 5u);
 }
 
 TEST_F(AtlasRecoveryTest, CompletedDependentOcsCascades) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     TestRoot* root = session.root();
 
@@ -208,7 +204,7 @@ TEST_F(AtlasRecoveryTest, CompletedDependentOcsCascades) {
 
     session.Crash();  // A never committed
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.ocses_cascaded, 1u)
@@ -219,7 +215,7 @@ TEST_F(AtlasRecoveryTest, CompletedDependentOcsCascades) {
 
 TEST_F(AtlasRecoveryTest, IndependentCompletedOcsDoesNotCascade) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     TestRoot* root = session.root();
 
@@ -236,7 +232,7 @@ TEST_F(AtlasRecoveryTest, IndependentCompletedOcsDoesNotCascade) {
 
     session.Crash();  // only A incomplete
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.ocses_cascaded, 0u);
@@ -246,7 +242,7 @@ TEST_F(AtlasRecoveryTest, IndependentCompletedOcsDoesNotCascade) {
 
 TEST_F(AtlasRecoveryTest, CascadeIsTransitive) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     TestRoot* root = session.root();
 
@@ -270,7 +266,7 @@ TEST_F(AtlasRecoveryTest, CascadeIsTransitive) {
 
     session.Crash();  // A incomplete
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.ocses_cascaded, 2u);
@@ -281,7 +277,7 @@ TEST_F(AtlasRecoveryTest, CascadeIsTransitive) {
 
 TEST_F(AtlasRecoveryTest, UndoAppliesInReverseGlobalOrder) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     TestRoot* root = session.root();
     root->values[3] = 1;
@@ -304,7 +300,7 @@ TEST_F(AtlasRecoveryTest, UndoAppliesInReverseGlobalOrder) {
 
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.stores_undone, 2u);
   // Wrong order would leave 2 (B's old value applied last); reverse
@@ -314,7 +310,7 @@ TEST_F(AtlasRecoveryTest, UndoAppliesInReverseGlobalOrder) {
 
 TEST_F(AtlasRecoveryTest, StableTrimmedOcsesNeverRollBack) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
@@ -331,7 +327,7 @@ TEST_F(AtlasRecoveryTest, StableTrimmedOcsesNeverRollBack) {
     thread->Store(&root->values[4], std::uint64_t{666});
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(session.root()->values[4], 20u)
@@ -340,7 +336,7 @@ TEST_F(AtlasRecoveryTest, StableTrimmedOcsesNeverRollBack) {
 
 TEST_F(AtlasRecoveryTest, RecoveryResetsLogsForNextSession) {
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
     PLockWord word;
@@ -349,7 +345,7 @@ TEST_F(AtlasRecoveryTest, RecoveryResetsLogsForNextSession) {
     session.Crash();
   }
   {
-    Session session(file_->path(), base_, /*create=*/false);
+    Session session(file_->path(), /*create=*/false);
     session.Recover();
     // A second recovery of the same image is a no-op: logs were reset.
     // (Simulate by re-running RecoverAtlas directly.)
@@ -367,7 +363,7 @@ TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
   // must roll back exactly the open OCS even though the ring indices
   // are far past the capacity.
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
@@ -390,7 +386,7 @@ TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
     thread->Store(&root->values[5], std::uint64_t{0xBAD});
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.stores_undone, 1u);
@@ -409,7 +405,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordRecoversOldBytes) {
     after[i] = 0xBADBADBAD0000000ULL + i;
   }
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
     TestRoot* root = session.root();
@@ -426,7 +422,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordRecoversOldBytes) {
     ASSERT_EQ(std::memcmp(root->values, after, sizeof(after)), 0);
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.stores_undone, 5u) << "one record per captured word";
@@ -446,7 +442,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     after[i] = 0xDEAD000000000000ULL + i;
   }
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly(),
                          /*use_counter_slots=*/false);
     PMutex mutex(session.runtime());
@@ -485,7 +481,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     ASSERT_EQ(slot->tail.load(), capacity + 4) << "batch must straddle";
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(stats.stores_undone, 5u);
@@ -500,7 +496,7 @@ TEST_F(AtlasRecoveryTest, FreshObjectsInInterruptedOcsAreReclaimed) {
   // recovery GC reclaims them. After the full pipeline the heap must be
   // byte-accounted — no leaked spans, no undo work for the fresh data.
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
 
@@ -517,7 +513,7 @@ TEST_F(AtlasRecoveryTest, FreshObjectsInInterruptedOcsAreReclaimed) {
     EXPECT_EQ(thread->local_stats().undo_records, 0u);
     session.Crash();  // OCS never committed; objects never published
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   ASSERT_TRUE(session.heap()->needs_recovery());
   pheap::TypeRegistry registry;  // TestRoot embeds no pointers
   auto result = RecoverHeap(session.heap(), registry);
@@ -540,7 +536,7 @@ TEST_F(AtlasRecoveryTest, FreshObjectsInInterruptedOcsAreReclaimed) {
 TEST_F(AtlasRecoveryTest, LogFlushModeRecoversIdentically) {
   // The flush policy changes failure-free cost, not recovery semantics.
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::SyncFlush());
     AtlasThread* thread = session.runtime()->CurrentThread();
     TestRoot* root = session.root();
@@ -549,7 +545,7 @@ TEST_F(AtlasRecoveryTest, LogFlushModeRecoversIdentically) {
     thread->Store(&root->values[6], std::uint64_t{77});
     session.Crash();
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
   EXPECT_EQ(stats.ocses_incomplete, 1u);
   EXPECT_EQ(session.root()->values[6], 0u);
@@ -557,7 +553,7 @@ TEST_F(AtlasRecoveryTest, LogFlushModeRecoversIdentically) {
 
 TEST_F(AtlasRecoveryTest, HeapThatNeverUsedAtlasRecoversVacuously) {
   {
-    auto heap = pheap::PersistentHeap::Create(file_->path(), Options(base_));
+    auto heap = pheap::PersistentHeap::Create(file_->path(), Options());
     ASSERT_TRUE(heap.ok());
     (*heap)->set_root((*heap)->New<TestRoot>());
     // crash without ever starting Atlas
@@ -577,7 +573,7 @@ TEST_F(AtlasRecoveryTest, HeapThatNeverUsedAtlasRecoversVacuously) {
 TEST_F(AtlasRecoveryTest, DecoderOpenSetMatchesIncompleteRollbacks) {
   std::set<std::uint64_t> expected_open;
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     TestRoot* root = session.root();
     AtlasThread a(session.runtime(), 20);
@@ -598,7 +594,7 @@ TEST_F(AtlasRecoveryTest, DecoderOpenSetMatchesIncompleteRollbacks) {
                      PackThreadOcs(21, b.current_ocs())};
     session.Crash();  // no CloseClean: a and b never committed
   }
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   const AtlasArea area(
       session.heap()->runtime_area(),
       AtlasAreaSize(session.heap()->runtime_area_size()));
@@ -625,10 +621,9 @@ TEST_F(AtlasRecoveryTest, DecoderOpenSetMatchesIncompleteRollbacks) {
 // Crashes a session inside an OCS, then rewrites the Atlas area header
 // with `corrupt` (heap mapped, still awaiting recovery).
 template <typename Corrupt>
-void CrashThenCorruptHeader(const std::string& path, std::uintptr_t base,
-                            std::size_t runtime_area_size,
-                            Corrupt corrupt) {
-  pheap::RegionOptions options = Options(base);
+void CrashThenCorruptHeader(const std::string& path,
+                            std::size_t runtime_area_size, Corrupt corrupt) {
+  pheap::RegionOptions options = Options();
   options.runtime_area_size = runtime_area_size;
   {
     auto heap = pheap::PersistentHeap::Create(path, options);
@@ -659,7 +654,7 @@ TEST_F(AtlasRecoveryTest, RingsReachingIntoTraceReservationAreRefused) {
   constexpr std::size_t kRuntimeArea = 8u << 20;
   ASSERT_GT(obs::TraceReservationBytes(kRuntimeArea), 0u);
   CrashThenCorruptHeader(
-      file_->path(), base_, kRuntimeArea, [](AtlasAreaHeader* header) {
+      file_->path(), kRuntimeArea, [](AtlasAreaHeader* header) {
         const std::uint64_t whole_area =
             (kRuntimeArea - header->entries_offset) /
             (sizeof(LogEntry) * header->max_threads);
@@ -688,7 +683,7 @@ TEST_F(AtlasRecoveryTest, PreviousFormatVersionIsRefusedThenReformatted) {
       "format version " + std::to_string(kAtlasFormatVersion - 1);
   const std::string current =
       "only version " + std::to_string(kAtlasFormatVersion);
-  CrashThenCorruptHeader(file_->path(), base_, 2u << 20,
+  CrashThenCorruptHeader(file_->path(), 2u << 20,
                          [](AtlasAreaHeader* header) {
                            header->version = kAtlasFormatVersion - 1;
                          });
@@ -725,7 +720,7 @@ TEST_F(AtlasRecoveryTest, PreviousFormatVersionIsRefusedThenReformatted) {
 TEST_F(AtlasRecoveryTest, FullLifecycleAcrossCrashes) {
   // Session 1: create, commit work, crash mid-OCS.
   {
-    Session session(file_->path(), base_, /*create=*/true);
+    Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     AtlasThread* thread = session.runtime()->CurrentThread();
     PMutex mutex(session.runtime());
@@ -740,7 +735,7 @@ TEST_F(AtlasRecoveryTest, FullLifecycleAcrossCrashes) {
   }
   // Session 2: recover, verify, commit more, crash again mid-OCS.
   {
-    Session session(file_->path(), base_, /*create=*/false);
+    Session session(file_->path(), /*create=*/false);
     session.Recover();
     EXPECT_EQ(session.root()->values[0], 1u);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
@@ -757,13 +752,13 @@ TEST_F(AtlasRecoveryTest, FullLifecycleAcrossCrashes) {
   }
   // Session 3: recover and close cleanly.
   {
-    Session session(file_->path(), base_, /*create=*/false);
+    Session session(file_->path(), /*create=*/false);
     session.Recover();
     EXPECT_EQ(session.root()->values[0], 10u);
     session.CloseCleanly();
   }
   // Session 4: clean open.
-  Session session(file_->path(), base_, /*create=*/false);
+  Session session(file_->path(), /*create=*/false);
   EXPECT_FALSE(session.heap()->needs_recovery());
   EXPECT_EQ(session.root()->values[0], 10u);
 }

@@ -36,7 +36,6 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 /// A 64-byte persistent blob for the StoreBytes test.
 struct Blob {
@@ -49,7 +48,6 @@ class RobustLockTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("robust");
     pheap::RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 8 * 1024 * 1024;
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();

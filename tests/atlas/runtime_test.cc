@@ -13,13 +13,10 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
-pheap::RegionOptions SmallOptions(std::uintptr_t base,
-                                  std::size_t runtime_kb = 2048) {
+pheap::RegionOptions SmallOptions(std::size_t runtime_kb = 2048) {
   pheap::RegionOptions options;
   options.size = 32 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = runtime_kb * 1024;
   return options;
 }
@@ -69,7 +66,7 @@ class AtlasRuntimeTest : public ::testing::Test {
     heap_.reset();
     file_ = std::make_unique<ScopedRegionFile>("atlasrt");
     auto heap = pheap::PersistentHeap::Create(
-        file_->path(), SmallOptions(UniqueBaseAddress(), runtime_kb));
+        file_->path(), SmallOptions(runtime_kb));
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
     AtlasRuntime::Options options;

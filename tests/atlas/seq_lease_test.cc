@@ -21,7 +21,6 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 class SeqLeaseTest : public ::testing::Test {
  protected:
@@ -31,7 +30,6 @@ class SeqLeaseTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("seqlease");
     pheap::RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     // Large enough that no ring wraps (the stamp scans below read raw
     // ring bytes from position 0).
     options.runtime_area_size = 16 * 1024 * 1024;

@@ -10,7 +10,6 @@ namespace tsp::atlas {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 class AtlasStatsTest : public ::testing::Test {
  protected:
@@ -18,7 +17,6 @@ class AtlasStatsTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("stats");
     pheap::RegionOptions options;
     options.size = 32 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 2 * 1024 * 1024;
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok());

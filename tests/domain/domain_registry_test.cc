@@ -243,14 +243,38 @@ TEST(DomainRegistryTest, ReopenAtAnotherShardCountIsRefused) {
   }
 }
 
-TEST(DomainRegistryTest, ShardedDomainRejectsFixedBaseAddress) {
+// Every heap records the lowest slot free when it was created, so two
+// domains created one after the other (the first closed in between)
+// record the same slot: the one placement rule is that domains which
+// must be open together are created together. Opening the first while
+// the second holds the slot is refused, and succeeds once it closes.
+TEST(DomainRegistryTest, DomainsCreatedApartCannotBeOpenTogether) {
   const pheap::TypeRegistry registry = MakeRegistry();
-  auto options = BaseOptions(UniqueRegionPath("reg_badbase"));
-  options.shards = 2;
-  options.region.base_address = pheap::kDefaultBaseAddress;
-  auto domain = PersistenceDomain::Open(options, &registry);
-  ASSERT_FALSE(domain.ok());
-  EXPECT_EQ(domain.status().code(), StatusCode::kInvalidArgument);
+  DomainRegistry domains;
+  ScopedRegionFile first_file("reg_apart1");
+  ScopedRegionFile second_file("reg_apart2");
+  auto first = domains.Open("first", BaseOptions(first_file.path()),
+                            &registry);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::uint32_t slot = (*first)->heap()->region()->address_slot();
+  ASSERT_TRUE(domains.Close("first").ok());
+
+  auto second = domains.Open("second", BaseOptions(second_file.path()),
+                             &registry);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ((*second)->heap()->region()->address_slot(), slot);
+
+  auto again = domains.Open("first", BaseOptions(first_file.path()),
+                            &registry);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(domains.size(), 1u);
+
+  ASSERT_TRUE(domains.Close("second").ok());
+  again = domains.Open("first", BaseOptions(first_file.path()), &registry);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->heap()->region()->address_slot(), slot);
+  domains.CloseAllClean();
 }
 
 }  // namespace

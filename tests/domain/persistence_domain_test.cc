@@ -9,7 +9,6 @@ namespace tsp::domain {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 struct Counter {
   static constexpr std::uint32_t kPersistentTypeId = 0x434E5452;  // "CNTR"
@@ -22,19 +21,17 @@ pheap::TypeRegistry MakeRegistry() {
   return registry;
 }
 
-PersistenceDomain::Options BaseOptions(const std::string& path,
-                                       std::uintptr_t base) {
+PersistenceDomain::Options BaseOptions(const std::string& path) {
   PersistenceDomain::Options options;
   options.path = path;
   options.region.size = 32 * 1024 * 1024;
-  options.region.base_address = base;
   options.region.runtime_area_size = 2 * 1024 * 1024;
   return options;
 }
 
 TEST(PersistenceDomainTest, NonBlockingProcessCrashPlanHasNoRuntime) {
   ScopedRegionFile file("dom_nb");
-  auto options = BaseOptions(file.path(), UniqueBaseAddress());
+  auto options = BaseOptions(file.path());
   options.requirements.tolerated =
       FailureSet::Of(FailureClass::kProcessCrash);
   options.requirements.needs_rollback = false;
@@ -49,7 +46,7 @@ TEST(PersistenceDomainTest, NonBlockingProcessCrashPlanHasNoRuntime) {
 
 TEST(PersistenceDomainTest, MutexProcessCrashPlanAttachesLogOnlyRuntime) {
   ScopedRegionFile file("dom_mx");
-  auto options = BaseOptions(file.path(), UniqueBaseAddress());
+  auto options = BaseOptions(file.path());
   options.requirements.tolerated =
       FailureSet::Of(FailureClass::kProcessCrash);
   options.requirements.needs_rollback = true;
@@ -64,7 +61,7 @@ TEST(PersistenceDomainTest, MutexProcessCrashPlanAttachesLogOnlyRuntime) {
 
 TEST(PersistenceDomainTest, NonTspHardwareGetsLogAndFlush) {
   ScopedRegionFile file("dom_flush");
-  auto options = BaseOptions(file.path(), UniqueBaseAddress());
+  auto options = BaseOptions(file.path());
   options.requirements.tolerated =
       FailureSet::Of(FailureClass::kPowerOutage);
   options.requirements.needs_rollback = true;
@@ -81,7 +78,7 @@ TEST(PersistenceDomainTest, NonTspHardwareGetsLogAndFlush) {
 
 TEST(PersistenceDomainTest, MsyncPlanCommitSyncs) {
   ScopedRegionFile file("dom_msync");
-  auto options = BaseOptions(file.path(), UniqueBaseAddress());
+  auto options = BaseOptions(file.path());
   options.requirements.tolerated =
       FailureSet::Of(FailureClass::kKernelPanic);
   options.requirements.needs_rollback = false;
@@ -99,9 +96,8 @@ TEST(PersistenceDomainTest, MsyncPlanCommitSyncs) {
 
 TEST(PersistenceDomainTest, FullCrashRecoveryCycle) {
   ScopedRegionFile file("dom_cycle");
-  const std::uintptr_t base = UniqueBaseAddress();
   const pheap::TypeRegistry registry = MakeRegistry();
-  auto options = BaseOptions(file.path(), base);
+  auto options = BaseOptions(file.path());
   options.requirements.tolerated =
       FailureSet::Of(FailureClass::kProcessCrash);
   options.requirements.needs_rollback = true;
@@ -138,7 +134,7 @@ TEST(PersistenceDomainTest, FullCrashRecoveryCycle) {
 
 TEST(PersistenceDomainTest, NullRegistryRejected) {
   ScopedRegionFile file("dom_null");
-  auto options = BaseOptions(file.path(), UniqueBaseAddress());
+  auto options = BaseOptions(file.path());
   auto domain = PersistenceDomain::Open(options, nullptr);
   EXPECT_EQ(domain.status().code(), StatusCode::kInvalidArgument);
 }

@@ -19,7 +19,6 @@ namespace tsp::faultsim {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 using workload::MapVariant;
 using workload::MapVariantName;
 
@@ -31,7 +30,6 @@ TEST_P(CrashInjectionTest, RecoversConsistentlyAfterRepeatedKills) {
   options.session.variant = GetParam();
   options.session.path = file.path();
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.session.runtime_area_size = 16 * 1024 * 1024;
   options.workload.threads = 4;
   options.workload.high_range = 4096;
@@ -75,7 +73,6 @@ TEST(CrashInjectionAtlasTest, RollbackPathIsExercised) {
   options.session.variant = MapVariant::kMutexLogOnly;
   options.session.path = file.path();
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.session.runtime_area_size = 16 * 1024 * 1024;
   options.workload.threads = 4;
   options.workload.high_range = 256;  // high contention
@@ -121,7 +118,6 @@ TEST(CrashInjectionAtlasTest, RecoversWithTinyLeaseBlocks) {
   options.session.variant = MapVariant::kMutexLogOnly;
   options.session.path = file.path();
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.session.runtime_area_size = 16 * 1024 * 1024;
   options.session.seq_block_size = 2;  // force constant re-lease/resync
   options.workload.threads = 4;
@@ -151,7 +147,6 @@ TEST(CrashInjectionTspSanTest, RecoversWithSanitizerArmed) {
   options.session.variant = MapVariant::kMutexLogOnly;
   options.session.path = file.path();
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.session.runtime_area_size = 16 * 1024 * 1024;
   options.workload.threads = 4;
   options.workload.high_range = 512;
@@ -176,7 +171,6 @@ TEST(CrashInjectionSkipListTest, RecoveryNeedsNoRollback) {
   options.session.variant = MapVariant::kLockFreeSkipList;
   options.session.path = file.path();
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = UniqueBaseAddress();
   options.workload.threads = 4;
   options.workload.high_range = 256;
   options.cycles = 6;

@@ -15,16 +15,13 @@ namespace tsp::faultsim {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 using workload::MapVariant;
 
-CrashCycleOptions HashMapOptions(const std::string& path,
-                                 std::uintptr_t base) {
+CrashCycleOptions HashMapOptions(const std::string& path) {
   CrashCycleOptions options;
   options.session.variant = MapVariant::kLockFreeHashMap;
   options.session.path = path;
   options.session.heap_size = 256 * 1024 * 1024;
-  options.session.base_address = base;
   options.session.hash_options.bucket_count = 1 << 12;
   options.workload.threads = 4;
   options.cycles = 6;
@@ -38,8 +35,7 @@ CrashCycleOptions HashMapOptions(const std::string& path,
 // heap checks out clean (the harness fails the report otherwise).
 TEST(HashMapCrashTest, RecoveryNeedsNoRollback) {
   ScopedRegionFile file("hm_crash_nb");
-  CrashCycleOptions options =
-      HashMapOptions(file.path(), UniqueBaseAddress());
+  CrashCycleOptions options = HashMapOptions(file.path());
   options.workload.high_range = 256;  // high contention per bucket chain
   options.seed = 17;
 
@@ -56,8 +52,7 @@ TEST(HashMapCrashTest, RecoveryNeedsNoRollback) {
 // publish/mark/unlink windows Michael's algorithm is built around.
 TEST(HashMapCrashTest, LongChainsSurviveRepeatedKills) {
   ScopedRegionFile file("hm_crash_chains");
-  CrashCycleOptions options =
-      HashMapOptions(file.path(), UniqueBaseAddress());
+  CrashCycleOptions options = HashMapOptions(file.path());
   options.session.hash_options.bucket_count = 64;
   options.workload.high_range = 4096;
   options.seed = 0x4A5B;
@@ -72,8 +67,7 @@ TEST(HashMapCrashTest, LongChainsSurviveRepeatedKills) {
 // free with one epoch domain spanning all shards.
 TEST(ShardedSkipListCrashTest, RecoveryNeedsNoRollback) {
   ScopedRegionFile file("ssl_crash_nb");
-  CrashCycleOptions options =
-      HashMapOptions(file.path(), UniqueBaseAddress());
+  CrashCycleOptions options = HashMapOptions(file.path());
   options.session.variant = MapVariant::kLockFreeSkipListSharded;
   options.session.lockfree_shards = 4;
   options.workload.high_range = 512;

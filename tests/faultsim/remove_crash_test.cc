@@ -29,7 +29,6 @@ namespace tsp::faultsim {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 using workload::MapSession;
 using workload::MapVariant;
 
@@ -185,7 +184,6 @@ TEST(RemoveCrashTest, PutRemoveCyclesRecoverExactly) {
   ASSERT_TRUE(progress.ok());
   ScopedRegionFile file("remove_crash");
   CrashCycleOptions options = RemoveCycleOptions(file.path(), &progress);
-  options.session.base_address = UniqueBaseAddress();
   options.seed = 0x5EED;
 
   const CrashCycleReport report = RunCrashCycles(options);

@@ -24,7 +24,6 @@ namespace tsp {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 struct CompositeRoot {
   static constexpr std::uint32_t kPersistentTypeId = 0x434F4D50;  // "COMP"
@@ -57,10 +56,8 @@ pheap::TypeRegistry MakeRegistry() {
 
 TEST(MultiStructureTest, EverythingSurvivesCrashOnOneHeap) {
   ScopedRegionFile file("multi");
-  const std::uintptr_t base = UniqueBaseAddress();
   pheap::RegionOptions options;
   options.size = 256 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = 8 * 1024 * 1024;
   const maps::MutexHashMap::Options hash_options;
 

@@ -14,7 +14,6 @@ namespace tsp::lockfree {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 class QueueTest : public ::testing::Test {
  protected:
@@ -22,7 +21,6 @@ class QueueTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("queue");
     pheap::RegionOptions options;
     options.size = 256 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);

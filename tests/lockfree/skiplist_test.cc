@@ -15,16 +15,13 @@ namespace tsp::lockfree {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 class SkipListTest : public ::testing::Test {
  protected:
   void SetUp() override {
     file_ = std::make_unique<ScopedRegionFile>("skiplist");
-    base_ = UniqueBaseAddress();
     pheap::RegionOptions options;
     options.size = 128 * 1024 * 1024;
-    options.base_address = base_;
     options.runtime_area_size = 1 * 1024 * 1024;
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
@@ -41,7 +38,6 @@ class SkipListTest : public ::testing::Test {
   }
 
   std::unique_ptr<ScopedRegionFile> file_;
-  std::uintptr_t base_ = 0;
   std::unique_ptr<pheap::PersistentHeap> heap_;
   std::unique_ptr<SkipListMap> map_;
 };

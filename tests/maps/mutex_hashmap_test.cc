@@ -15,7 +15,6 @@ namespace tsp::maps {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
 enum class Mode { kNative, kLogOnly, kLogFlush };
 
@@ -25,7 +24,6 @@ class MutexHashMapTest : public ::testing::TestWithParam<Mode> {
     file_ = std::make_unique<ScopedRegionFile>("hashmap");
     pheap::RegionOptions region_options;
     region_options.size = 128 * 1024 * 1024;
-    region_options.base_address = UniqueBaseAddress();
     region_options.runtime_area_size = 8 * 1024 * 1024;
     auto heap = pheap::PersistentHeap::Create(file_->path(), region_options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();

@@ -34,7 +34,6 @@ namespace tsp::obs {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 using workload::MapSession;
 using workload::MapVariant;
 
@@ -60,7 +59,6 @@ TEST(TraceCrashTest, OpenSpansMatchRecoveredRollbacks) {
   config.variant = MapVariant::kMutexLogOnly;
   config.path = file.path();
   config.heap_size = 256 * 1024 * 1024;
-  config.base_address = UniqueBaseAddress();
   config.runtime_area_size = 16 * 1024 * 1024;
 
   // Two budgets. OCSes are short next to the time between them (about

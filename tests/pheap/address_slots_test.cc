@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -22,11 +23,8 @@ using Alloc = AddressSlotAllocator;
 TEST(AddressSlotsTest, GeometryConstants) {
   EXPECT_EQ(Alloc::AddressOf(0), Alloc::kSlotBase);
   EXPECT_EQ(Alloc::AddressOf(1), Alloc::kSlotBase + Alloc::kSlotStride);
-  EXPECT_EQ(Alloc::SlotOf(Alloc::AddressOf(7)), 7u);
-  EXPECT_EQ(Alloc::SlotOf(Alloc::kSlotBase + 4096), Alloc::kNoSlot);
-  EXPECT_EQ(Alloc::SlotOf(0x12345000ULL), Alloc::kNoSlot);
-  EXPECT_EQ(Alloc::SlotOf(Alloc::AddressOf(Alloc::kSlotCount)),
-            Alloc::kNoSlot);
+  // The whole window lies below the 47-bit user-space ceiling.
+  EXPECT_LE(Alloc::AddressOf(Alloc::kSlotCount), std::uintptr_t{1} << 47);
   EXPECT_EQ(Alloc::SlotsFor(1), 1u);
   EXPECT_EQ(Alloc::SlotsFor(Alloc::kSlotStride), 1u);
   EXPECT_EQ(Alloc::SlotsFor(Alloc::kSlotStride + 1), 2u);

@@ -29,7 +29,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 constexpr std::size_t kSlots = 128;
 constexpr int kWorkerThreads = 3;
@@ -134,7 +133,6 @@ TEST(AllocCrashTest, MagazinesRecoverCleanAfterRepeatedSigkill) {
   ScopedRegionFile file("alloc_crash");
   RegionOptions options;
   options.size = 128 * 1024 * 1024;
-  options.base_address = UniqueBaseAddress();
   options.runtime_area_size = 1 * 1024 * 1024;
   {
     auto heap = PersistentHeap::Create(file.path(), options);

@@ -17,7 +17,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 struct Shadow {
   std::size_t size;
@@ -31,7 +30,6 @@ TEST_P(AllocatorPropertyTest, RandomOpsAgainstShadowModel) {
   ScopedRegionFile file("alloc_prop");
   RegionOptions options;
   options.size = 128 * 1024 * 1024;
-  options.base_address = UniqueBaseAddress();
   options.runtime_area_size = 1 * 1024 * 1024;
   auto heap_or = PersistentHeap::Create(file.path(), options);
   ASSERT_TRUE(heap_or.ok());
@@ -117,7 +115,6 @@ TEST(AllocatorReuseTest, FreedMemoryIsFullyRecycledWithinClasses) {
   ScopedRegionFile file("alloc_reuse");
   RegionOptions options;
   options.size = 64 * 1024 * 1024;
-  options.base_address = UniqueBaseAddress();
   options.runtime_area_size = 1 * 1024 * 1024;
   auto heap = std::move(PersistentHeap::Create(file.path(), options)).value();
 

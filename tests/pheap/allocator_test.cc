@@ -16,7 +16,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 class AllocatorTest : public ::testing::Test {
  protected:
@@ -24,7 +23,6 @@ class AllocatorTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("alloc");
     RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 1 * 1024 * 1024;
     auto region = MappedRegion::Create(file_->path(), options);
     ASSERT_TRUE(region.ok()) << region.status().ToString();

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "pheap/address_slots.h"
 #include "pheap/heap.h"
 #include "pheap/region.h"
 #include "pheap/test_util.h"
@@ -114,13 +115,20 @@ TEST(BackendTest, DescribeMappingConflictNamesTheOccupant) {
       ~static_cast<std::uintptr_t>(4095);
   const std::string described = DescribeMappingConflict(here, 4096);
   EXPECT_NE(described.find("overlaps"), std::string::npos) << described;
-  // A hole: 0x600000000000 sits between the slot space and the mmap
-  // area, untouched in this process.
-  EXPECT_EQ(DescribeMappingConflict(0x600000000000ULL, 4096), "");
+  // A hole: a free address slot, which nothing in this process maps
+  // whatever the build's slot window and sanitizer runtime.
+  AddressSlotAllocator& slots = AddressSlotAllocator::Instance();
+  auto free_slot = slots.Acquire(4096);
+  ASSERT_TRUE(free_slot.ok()) << free_slot.status().ToString();
+  slots.Release(*free_slot);
+  EXPECT_EQ(
+      DescribeMappingConflict(AddressSlotAllocator::AddressOf(*free_slot),
+                              4096),
+      "");
 }
 
-// Satellite (a): opening the same region file twice in one process must
-// fail with a diagnostic, never remap (clobber) the live region.
+// Opening the same region file twice in one process must fail with a
+// diagnostic, never remap (clobber) the live region.
 TEST(BackendTest, DoubleOpenIsRefusedNoSilentClobber) {
   ScopedRegionFile file("dblopen");
   auto first = PersistentHeap::Create(file.path(), SmallRegion());
@@ -133,27 +141,39 @@ TEST(BackendTest, DoubleOpenIsRefusedNoSilentClobber) {
       << second.status().ToString();
 }
 
-// Satellite (a): creating at an explicitly occupied base address fails
-// with the conflict named; auto-placement simply skips to a free slot.
+// A foreign mapping in a free slot's range (here a backend mapped
+// without the slot allocator): mapping over it fails with the occupant
+// named, and region creation skips that slot, quarantined for the rest
+// of the process, for the next free one.
 TEST(BackendTest, CreateConflictDiagnosesAndAutoPlacementRetries) {
-  ScopedRegionFile occupied("occupied");
-  auto first = PersistentHeap::Create(occupied.path(), SmallRegion());
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  const std::uintptr_t taken =
-      reinterpret_cast<std::uintptr_t>((*first)->region()->base());
+  const std::size_t size = SmallRegion().size;
+  AddressSlotAllocator& slots = AddressSlotAllocator::Instance();
+  auto lowest = slots.Acquire(size);
+  ASSERT_TRUE(lowest.ok()) << lowest.status().ToString();
+  slots.Release(*lowest);
+  const std::uintptr_t taken = AddressSlotAllocator::AddressOf(*lowest);
+  AnonTestBackend foreign;
+  auto occupant = foreign.CreateAndMap("anon:occupant", size, taken);
+  ASSERT_TRUE(occupant.ok()) << occupant.status().ToString();
 
-  ScopedRegionFile clasher("clasher");
-  RegionOptions at_taken = SmallRegion();
-  at_taken.base_address = taken;
-  auto conflict = PersistentHeap::Create(clasher.path(), at_taken);
+  AnonTestBackend clasher;
+  auto conflict = clasher.CreateAndMap("anon:clasher", size, taken);
   ASSERT_FALSE(conflict.ok());
   EXPECT_EQ(conflict.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(conflict.status().message().find("overlaps"), std::string::npos)
+      << conflict.status().ToString();
 
-  // Auto-placement never lands on the occupied slot.
   ScopedRegionFile fresh("fresh");
   auto placed = PersistentHeap::Create(fresh.path(), SmallRegion());
   ASSERT_TRUE(placed.ok()) << placed.status().ToString();
-  EXPECT_NE((*placed)->region()->base(), (*first)->region()->base());
+  EXPECT_NE((*placed)->region()->address_slot(), *lowest);
+  foreign.Unmap(*occupant, size);
+
+  ScopedRegionFile later("later");
+  auto next = PersistentHeap::Create(later.path(), SmallRegion());
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_NE((*next)->region()->address_slot(), *lowest)
+      << "a quarantined slot is never reissued";
 }
 
 }  // namespace

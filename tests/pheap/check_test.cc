@@ -12,7 +12,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 struct Node {
   static constexpr std::uint32_t kPersistentTypeId = 0x4E4F4445;  // "NODE"
@@ -36,7 +35,6 @@ class CheckTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("check");
     RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 1 * 1024 * 1024;
     auto heap = PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok());

@@ -10,7 +10,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 class ContainersTest : public ::testing::Test {
  protected:
@@ -18,7 +17,6 @@ class ContainersTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("containers");
     RegionOptions options;
     options.size = 32 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 1 * 1024 * 1024;
     auto heap = PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok());

@@ -15,7 +15,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 // A persistent singly linked list node used to build reachable graphs.
 struct ListNode {
@@ -58,7 +57,6 @@ class GcTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("gc");
     RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 1 * 1024 * 1024;
     auto heap = PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();

@@ -10,12 +10,10 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
-RegionOptions SmallOptions(std::uintptr_t base) {
+RegionOptions SmallOptions() {
   RegionOptions options;
   options.size = 32 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = 2 * 1024 * 1024;
   return options;
 }
@@ -27,8 +25,7 @@ struct Account {
 
 TEST(HeapTest, NewConstructsAndDeleteFrees) {
   ScopedRegionFile file("heap_new");
-  auto heap = PersistentHeap::Create(file.path(),
-                                     SmallOptions(UniqueBaseAddress()));
+  auto heap = PersistentHeap::Create(file.path(), SmallOptions());
   ASSERT_TRUE(heap.ok());
   Account* account = (*heap)->New<Account>(Account{42, 1000});
   ASSERT_NE(account, nullptr);
@@ -42,8 +39,7 @@ TEST(HeapTest, NewConstructsAndDeleteFrees) {
 
 TEST(HeapTest, RootRoundTrips) {
   ScopedRegionFile file("heap_root");
-  auto heap = PersistentHeap::Create(file.path(),
-                                     SmallOptions(UniqueBaseAddress()));
+  auto heap = PersistentHeap::Create(file.path(), SmallOptions());
   ASSERT_TRUE(heap.ok());
   EXPECT_EQ((*heap)->root(), nullptr);
   Account* account = (*heap)->New<Account>(Account{7, 70});
@@ -55,9 +51,8 @@ TEST(HeapTest, RootRoundTrips) {
 
 TEST(HeapTest, DataAndRootSurviveCleanReopen) {
   ScopedRegionFile file("heap_reopen");
-  const std::uintptr_t base = UniqueBaseAddress();
   {
-    auto heap = PersistentHeap::Create(file.path(), SmallOptions(base));
+    auto heap = PersistentHeap::Create(file.path(), SmallOptions());
     ASSERT_TRUE(heap.ok());
     Account* account = (*heap)->New<Account>(Account{11, 1234});
     (*heap)->set_root(account);
@@ -76,9 +71,8 @@ TEST(HeapTest, DataAndRootSurviveCleanReopen) {
 
 TEST(HeapTest, UncleanReopenNeedsRecovery) {
   ScopedRegionFile file("heap_unclean");
-  const std::uintptr_t base = UniqueBaseAddress();
   {
-    auto heap = PersistentHeap::Create(file.path(), SmallOptions(base));
+    auto heap = PersistentHeap::Create(file.path(), SmallOptions());
     ASSERT_TRUE(heap.ok());
     Account* account = (*heap)->New<Account>(Account{3, 30});
     (*heap)->set_root(account);
@@ -102,8 +96,7 @@ TEST(HeapTest, UncleanReopenNeedsRecovery) {
 
 TEST(HeapTest, RuntimeAreaIsReservedAndWritable) {
   ScopedRegionFile file("heap_rta");
-  auto heap = PersistentHeap::Create(file.path(),
-                                     SmallOptions(UniqueBaseAddress()));
+  auto heap = PersistentHeap::Create(file.path(), SmallOptions());
   ASSERT_TRUE(heap.ok());
   void* area = (*heap)->runtime_area();
   const std::size_t size = (*heap)->runtime_area_size();
@@ -126,8 +119,7 @@ struct Untyped {
 
 TEST(HeapTest, AllocRespectsTypeIds) {
   ScopedRegionFile file("heap_type");
-  auto heap = PersistentHeap::Create(file.path(),
-                                     SmallOptions(UniqueBaseAddress()));
+  auto heap = PersistentHeap::Create(file.path(), SmallOptions());
   ASSERT_TRUE(heap.ok());
   void* p = (*heap)->Alloc(64, 1234);
   EXPECT_EQ(Allocator::HeaderOf(p)->type_id, 1234u);
@@ -141,10 +133,9 @@ TEST(HeapTest, AllocRespectsTypeIds) {
 
 TEST(HeapTest, ManyObjectsAcrossReopen) {
   ScopedRegionFile file("heap_many");
-  const std::uintptr_t base = UniqueBaseAddress();
   constexpr int kCount = 10000;
   {
-    auto heap = PersistentHeap::Create(file.path(), SmallOptions(base));
+    auto heap = PersistentHeap::Create(file.path(), SmallOptions());
     ASSERT_TRUE(heap.ok());
     std::uint64_t** index =
         static_cast<std::uint64_t**>((*heap)->Alloc(kCount * sizeof(void*)));

@@ -22,14 +22,11 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 TEST(KernelPersistenceTest, StoresSurviveSigkillWithZeroFlushes) {
   ScopedRegionFile file("kernelp");
-  const std::uintptr_t base = UniqueBaseAddress();
   RegionOptions options;
   options.size = 32 * 1024 * 1024;
-  options.base_address = base;
   options.runtime_area_size = 1 * 1024 * 1024;
 
   constexpr std::uint64_t kWords = 4096;

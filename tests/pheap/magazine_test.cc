@@ -21,7 +21,6 @@ namespace tsp::pheap {
 namespace {
 
 using testing::ScopedRegionFile;
-using testing::UniqueBaseAddress;
 
 class MagazineTest : public ::testing::Test {
  protected:
@@ -29,7 +28,6 @@ class MagazineTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("magazine");
     RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    options.base_address = UniqueBaseAddress();
     options.runtime_area_size = 1 * 1024 * 1024;
     auto heap = PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();

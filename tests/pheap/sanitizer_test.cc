@@ -36,7 +36,6 @@ class TspSanitizerTest : public ::testing::Test {
     file_ = std::make_unique<testing::ScopedRegionFile>("tspsan");
     RegionOptions options;
     options.size = 32 * 1024 * 1024;
-    options.base_address = testing::UniqueBaseAddress();
     options.runtime_area_size = 2 * 1024 * 1024;
     auto heap = PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();

@@ -1,6 +1,6 @@
 // Copyright 2026 The TSP Authors.
-// Helpers for pheap tests: unique region files in /dev/shm and unique
-// fixed base addresses so several regions can coexist in one process.
+// Helpers for pheap tests: unique region files in /dev/shm, removed
+// when the test ends.
 
 #ifndef TSP_TESTS_PHEAP_TEST_UTIL_H_
 #define TSP_TESTS_PHEAP_TEST_UTIL_H_
@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdint>
 #include <string>
 
 namespace tsp::pheap::testing {
@@ -21,13 +20,6 @@ inline std::string UniqueRegionPath(const std::string& tag) {
                            "_" + tag + "_" + std::to_string(n) + ".heap";
   ::unlink(path.c_str());
   return path;
-}
-
-/// Returns a fresh fixed mapping address, 4 GiB apart so differently
-/// sized regions never collide.
-inline std::uintptr_t UniqueBaseAddress() {
-  static std::atomic<std::uint64_t> counter{0};
-  return 0x210000000000ULL + counter.fetch_add(1) * 0x100000000ULL;
 }
 
 /// RAII deleter for region files.

@@ -53,7 +53,6 @@ TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
   const std::string& path = file.path();
   pheap::RegionOptions options;
   options.size = 32u << 20;
-  options.base_address = pheap::testing::UniqueBaseAddress();
   options.runtime_area_size = 8u << 20;  // room for the flight recorder
   std::uint16_t thread_id = 0;
   std::uint64_t open_ocs = 0;

@@ -12,15 +12,12 @@ namespace tsp::workload {
 namespace {
 
 using pheap::testing::ScopedRegionFile;
-using pheap::testing::UniqueBaseAddress;
 
-MapSession::Config SmallConfig(MapVariant variant, const std::string& path,
-                               std::uintptr_t base) {
+MapSession::Config SmallConfig(MapVariant variant, const std::string& path) {
   MapSession::Config config;
   config.variant = variant;
   config.path = path;
   config.heap_size = 128 * 1024 * 1024;
-  config.base_address = base;
   config.runtime_area_size = 8 * 1024 * 1024;
   config.hash_options.bucket_count = 1 << 14;
   return config;
@@ -30,8 +27,7 @@ class WorkloadVariantTest : public ::testing::TestWithParam<MapVariant> {};
 
 TEST_P(WorkloadVariantTest, CompletedRunSatisfiesInvariantsExactly) {
   ScopedRegionFile file("workload");
-  auto session = MapSession::OpenOrCreate(
-      SmallConfig(GetParam(), file.path(), UniqueBaseAddress()));
+  auto session = MapSession::OpenOrCreate(SmallConfig(GetParam(), file.path()));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
 
   WorkloadOptions options;
@@ -55,8 +51,7 @@ TEST_P(WorkloadVariantTest, CompletedRunSatisfiesInvariantsExactly) {
 
 TEST_P(WorkloadVariantTest, StateSurvivesCleanReopen) {
   ScopedRegionFile file("workload_reopen");
-  const std::uintptr_t base = UniqueBaseAddress();
-  const auto config = SmallConfig(GetParam(), file.path(), base);
+  const auto config = SmallConfig(GetParam(), file.path());
   {
     auto session = MapSession::OpenOrCreate(config);
     ASSERT_TRUE(session.ok());
@@ -81,8 +76,7 @@ TEST_P(WorkloadVariantTest, StateSurvivesCleanReopen) {
 
 TEST_P(WorkloadVariantTest, UncleanReopenRunsRecoveryAndKeepsInvariants) {
   ScopedRegionFile file("workload_crash");
-  const std::uintptr_t base = UniqueBaseAddress();
-  const auto config = SmallConfig(GetParam(), file.path(), base);
+  const auto config = SmallConfig(GetParam(), file.path());
   {
     auto session = MapSession::OpenOrCreate(config);
     ASSERT_TRUE(session.ok());
@@ -132,8 +126,7 @@ TEST(MapSessionTest, VariantMismatchIsRejected) {
        {std::pair{MapVariant::kMutexLogOnly, MapVariant::kLockFreeSkipList},
         std::pair{MapVariant::kLockFreeHashMap, MapVariant::kMutexLogOnly}}) {
     ScopedRegionFile file("mismatch");
-    const std::uintptr_t base = UniqueBaseAddress();
-    auto config = SmallConfig(created, file.path(), base);
+    auto config = SmallConfig(created, file.path());
     {
       auto session = MapSession::OpenOrCreate(config);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -178,7 +171,7 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
       }
     };
     ScopedRegionFile file("lf_attach");
-    auto config = SmallConfig(row.variant, file.path(), 0);
+    auto config = SmallConfig(row.variant, file.path());
     if (plan.atlas_mode == PersistenceMode::kNone) {
       auto joiner = config;
       joiner.attach = true;
@@ -217,7 +210,7 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
 TEST(MapSessionTest, AttachRefusedWhenStripesOutnumberRobustWords) {
   for (const std::uint64_t buckets : {300000u, 256000u}) {
     ScopedRegionFile file("stripe_attach");
-    auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path(), 0);
+    auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path());
     config.hash_options.bucket_count = buckets;
     {
       auto owner = MapSession::OpenOrCreate(config);
@@ -256,8 +249,8 @@ TEST(MapSessionTest, VariantNamesAreStable) {
 
 TEST(InvariantTest, DetectsEquation1Violation) {
   ScopedRegionFile file("inv1");
-  auto session = MapSession::OpenOrCreate(SmallConfig(
-      MapVariant::kMutexNative, file.path(), UniqueBaseAddress()));
+  auto session = MapSession::OpenOrCreate(
+      SmallConfig(MapVariant::kMutexNative, file.path()));
   ASSERT_TRUE(session.ok());
   maps::Map* map = (*session)->map();
   // c1 ran two iterations ahead of c2: impossible under the protocol.
@@ -270,8 +263,8 @@ TEST(InvariantTest, DetectsEquation1Violation) {
 
 TEST(InvariantTest, DetectsEquation2Violation) {
   ScopedRegionFile file("inv2");
-  auto session = MapSession::OpenOrCreate(SmallConfig(
-      MapVariant::kMutexNative, file.path(), UniqueBaseAddress()));
+  auto session = MapSession::OpenOrCreate(
+      SmallConfig(MapVariant::kMutexNative, file.path()));
   ASSERT_TRUE(session.ok());
   maps::Map* map = (*session)->map();
   // H contains more increments than iterations started.
@@ -286,8 +279,8 @@ TEST(InvariantTest, DetectsEquation2Violation) {
 
 TEST(InvariantTest, EmptyMapIsConsistent) {
   ScopedRegionFile file("inv_empty");
-  auto session = MapSession::OpenOrCreate(SmallConfig(
-      MapVariant::kMutexNative, file.path(), UniqueBaseAddress()));
+  auto session = MapSession::OpenOrCreate(
+      SmallConfig(MapVariant::kMutexNative, file.path()));
   ASSERT_TRUE(session.ok());
   const InvariantReport report =
       CheckMapInvariants(*(*session)->map(), 8);
@@ -298,8 +291,8 @@ TEST(InvariantTest, EmptyMapIsConsistent) {
 
 TEST(InvariantTest, MidIterationStateIsConsistent) {
   ScopedRegionFile file("inv_mid");
-  auto session = MapSession::OpenOrCreate(SmallConfig(
-      MapVariant::kMutexNative, file.path(), UniqueBaseAddress()));
+  auto session = MapSession::OpenOrCreate(
+      SmallConfig(MapVariant::kMutexNative, file.path()));
   ASSERT_TRUE(session.ok());
   maps::Map* map = (*session)->map();
   // Crash between step 1 and step 2 of iteration 4: c1=4, H=3, c2=3.
