@@ -1,5 +1,6 @@
 #include "atlas/log_layout.h"
 
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -60,8 +61,9 @@ std::uint64_t AtlasArea::Format(void* base, std::size_t size,
   }
   if (size <= entries_offset + sizeof(LogEntry) * max_threads) return 0;
 
-  const std::uint64_t entries_per_thread =
-      (size - entries_offset) / (sizeof(LogEntry) * max_threads);
+  // A power of two, so every ring index is a mask, never a divide.
+  const std::uint64_t entries_per_thread = std::bit_floor(
+      (size - entries_offset) / (sizeof(LogEntry) * max_threads));
 
   std::memset(base, 0, entries_offset);
   auto* header = static_cast<AtlasAreaHeader*>(base);
@@ -121,6 +123,12 @@ Status AtlasArea::Check(const void* base, std::size_t size) {
     return Status::Corruption(
         "Atlas log area header is malformed: its geometry exceeds the "
         "area or is empty");
+  }
+  if (!std::has_single_bit(header->entries_per_thread)) {
+    return Status::Corruption(
+        "Atlas log area header is malformed: its ring capacity " +
+        std::to_string(header->entries_per_thread) +
+        " is not a power of two");
   }
   return Status::OK();
 }

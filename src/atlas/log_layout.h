@@ -100,8 +100,10 @@ inline constexpr std::uint32_t kSlotFree = 0;
 inline constexpr std::uint32_t kSlotClaimed = 1;
 inline constexpr std::uint32_t kSlotHarvesting = 2;
 
-/// Per-thread ring header. head/tail are monotonically increasing entry
-/// counts; the slot at index i lives at entries[i % capacity].
+/// Per-thread ring header. head/tail are entry counts that only move
+/// forward, except that a fast-path commit rewinds both to its OCS's
+/// begin position; the entry at index i lives at entries[i & (capacity -
+/// 1)] (AtlasArea::entry), the capacity being a power of two.
 struct alignas(64) ThreadLogHeader {
   /// kSlotFree / kSlotClaimed / kSlotHarvesting. Claims CAS free→claimed
   /// and stamp the owner fields below; a crashed process leaves its
@@ -109,11 +111,13 @@ struct alignas(64) ThreadLogHeader {
   /// attach-time recovery find them. Full recovery resets every slot.
   std::atomic<std::uint32_t> in_use;
   std::uint32_t thread_id;
-  /// Oldest retained entry (advanced by trimming at commit time; only
-  /// OCSes whose logs can never be needed again are trimmed).
+  /// Oldest retained entry (advanced by the pruner past OCSes whose
+  /// logs can never be needed again, and set to the rewound tail by a
+  /// fast-path commit). Never passes tail.
   std::atomic<std::uint64_t> head;
   /// Next append position. Published with release order after the entry
-  /// bytes are written.
+  /// bytes are written; a fast-path commit rewinds it to the OCS's begin
+  /// position, dropping the OCS's entries.
   std::atomic<std::uint64_t> tail;
   /// Highest OCS id that committed (its outermost release ran).
   std::atomic<std::uint64_t> committed_ocs;
@@ -193,7 +197,7 @@ struct PLockWord {
 /// cache miss inside the critical section. The bit never reaches the
 /// ring: a stable releaser records no dependency at all. Safe because
 /// stability is monotone and the releaser sets the bit only after its
-/// inline trim, which happens before the mutex can change hands.
+/// fast-path rewind, which happens before the mutex can change hands.
 inline constexpr std::uint64_t kLastReleaseStable = 1ULL << 47;
 
 /// One robust lock word, the TSP analog of a robust futex word.
@@ -239,8 +243,9 @@ static_assert(sizeof(RobustTableHeader) == 64);
 
 /// The on-media format version, and the only one this build reads:
 /// an area stamped with any other version is refused (AtlasArea::Check
-/// names both versions), and a clean Initialize reformats it.
-inline constexpr std::uint32_t kAtlasFormatVersion = 4;
+/// names both versions), and a clean Initialize reformats it. Version 5
+/// made the ring capacity a power of two.
+inline constexpr std::uint32_t kAtlasFormatVersion = 5;
 
 /// Header of the Atlas area, placed at the start of the region's
 /// runtime area.
@@ -248,6 +253,7 @@ struct AtlasAreaHeader {
   std::uint64_t magic;
   std::uint32_t version;
   std::uint32_t max_threads;
+  /// Ring capacity, a power of two.
   std::uint64_t entries_per_thread;
   /// Offset (from the Atlas area base) of the ThreadLogHeader array;
   /// the entry rings follow it.
@@ -289,7 +295,8 @@ inline std::size_t AtlasAreaSize(std::size_t runtime_area_size) {
 class AtlasArea {
  public:
   /// Formats `size` bytes at `base` for `max_threads` rings and returns
-  /// the entries-per-thread capacity (0 if the area is too small).
+  /// the entries-per-thread capacity: the largest power of two that
+  /// fits (0 if the area is too small).
   static std::uint64_t Format(void* base, std::size_t size,
                               std::uint32_t max_threads);
 
@@ -300,7 +307,8 @@ class AtlasArea {
   /// Validate, with the reason when it fails: kNotFound when the bytes
   /// carry no Atlas magic (never formatted — nothing to roll back),
   /// kCorruption naming both versions for an area of another format
-  /// version, kCorruption for a malformed geometry.
+  /// version, kCorruption for a malformed geometry (including a ring
+  /// capacity that is not a power of two).
   static Status Check(const void* base, std::size_t size);
 
   AtlasArea(void* base, std::size_t size)
@@ -355,13 +363,21 @@ class AtlasArea {
            index;
   }
 
+  /// First entry of thread `thread_id`'s ring.
+  LogEntry* ring(std::uint32_t thread_id) const {
+    return reinterpret_cast<LogEntry*>(base_ + header()->entries_offset) +
+           static_cast<std::uint64_t>(thread_id) *
+               header()->entries_per_thread;
+  }
+
+  /// Ring capacity minus one: position `index` lives at
+  /// ring(t)[index & ring_mask()]. Every writer and reader indexes the
+  /// ring through this mask.
+  std::uint64_t ring_mask() const { return header()->entries_per_thread - 1; }
+
   /// Entry storage for ring position `index` of thread `thread_id`.
   LogEntry* entry(std::uint32_t thread_id, std::uint64_t index) const {
-    LogEntry* ring = reinterpret_cast<LogEntry*>(base_ +
-                                                 header()->entries_offset) +
-                     static_cast<std::uint64_t>(thread_id) *
-                         header()->entries_per_thread;
-    return ring + (index % header()->entries_per_thread);
+    return ring(thread_id) + (index & ring_mask());
   }
 
  private:

@@ -170,7 +170,11 @@ class alignas(64) PMutex {
 class PMutexLock {
  public:
   explicit PMutexLock(PMutex* mutex)
-      : mutex_(mutex), thread_(mutex->LoggingThread()) {
+      : PMutexLock(mutex, mutex->LoggingThread()) {}
+  /// With a context the caller already resolved (mutex->LoggingThread(),
+  /// null for a plain mutex), for callers that also store through it.
+  PMutexLock(PMutex* mutex, AtlasThread* thread)
+      : mutex_(mutex), thread_(thread) {
     mutex_->LockWith(thread_);
   }
   ~PMutexLock() { mutex_->UnlockWith(thread_); }

@@ -415,6 +415,8 @@ bool AtlasRuntime::MaybeHarvestSlot(std::uint32_t t) {
 AtlasThread::AtlasThread(AtlasRuntime* runtime, std::uint16_t thread_id)
     : runtime_(runtime),
       slot_(runtime->area().slot(thread_id)),
+      ring_(runtime->area().ring(thread_id)),
+      ring_mask_(runtime->area().ring_mask()),
       thread_id_(thread_id) {
   obs::Recorder* recorder = runtime->heap()->recorder();
   if (recorder != nullptr) trace_ = recorder->writer();
@@ -647,14 +649,15 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
   // Fast-path eligibility: outermost, dependency-free, and every
   // earlier OCS of this thread already stable — then this OCS is stable
   // the moment it commits. Decided before the release entry would be
-  // written, because the fast path never writes one: the inline trim
-  // would erase it in the same breath, and a crash before the trim
-  // simply rolls the OCS back — the mutex is still held here, so no
-  // thread has observed its writes. Deferred frees do not disqualify:
-  // stability is exactly when they are due, so OnReleaseFinish applies
-  // them.
+  // written, because the fast path never writes one: the rewind would
+  // erase it in the same breath, and a crash before the rewind simply
+  // rolls the OCS back — the mutex is still held here, so no thread has
+  // observed its writes. Deferred frees do not disqualify: stability is
+  // exactly when they are due, so OnReleaseFinish applies them.
+  // The acquire pairs with the pruner's release of stable_ocs: its head
+  // stores for earlier OCSes happen before our rewind's head store.
   fast_commit_ = depth_ == 1 && current_deps_.empty() &&
-                 slot_->stable_ocs.load(std::memory_order_relaxed) ==
+                 slot_->stable_ocs.load(std::memory_order_acquire) ==
                      current_ocs_ - 1;
   if (!fast_commit_) {
     // Also publishes any still-staged bracket entries: an OCS that
@@ -665,28 +668,33 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
     // The outermost release IS the commit record.
     slot_->committed_ocs.store(current_ocs_, std::memory_order_release);
     if (fast_commit_) {
-      // Immediately immune to rollback: trim inline, before the mutex
-      // is released, so the next acquirer observes this OCS stable and
-      // records no dependency edge. Unpublished bracket entries are
-      // simply dropped. (The pruner cannot race: our pending queue is
-      // provably empty here.)
+      // Immediately immune to rollback: rewind the ring to this OCS's
+      // begin position before the mutex is released, so the next
+      // acquirer observes this OCS stable and records no dependency
+      // edge, and back-to-back OCSes rewrite the same hot ring entries
+      // instead of walking the ring. The tail store is the commit point
+      // for recovery: before it the OCS is open in the ring and rolls
+      // back whole (its counter slots too, being above stable_ocs);
+      // after it the OCS is out of the window, and a slot whose OCS is
+      // absent from the window is never applied. Staged entries are
+      // dropped. The pruner cannot race: our pending queue is empty,
+      // and a late head store from its last pass writes the end of the
+      // last published OCS, which is this OCS's begin position.
       staged_ = 0;
+      slot_->tail.store(current_ocs_begin_tail_, std::memory_order_release);
       slot_->stable_ocs.store(current_ocs_, std::memory_order_release);
-      slot_->head.store(slot_->tail.load(std::memory_order_relaxed),
-                        std::memory_order_release);
+      slot_->head.store(current_ocs_begin_tail_, std::memory_order_release);
       ++stats_.fast_path_commits;
     }
     if (ocs_trace_open_) {
       // Only OCSes that became ring-visible emitted a begin event;
-      // close exactly those (aux distinguishes fast-path from
-      // published), and do it here — still before the mutex is
-      // released — so the recorder's commit cannot trail the ring's by
-      // a futex wake-up: a kill in that window would make the recorder
-      // claim an open span recovery never rolls back.
+      // close exactly those by moving the ring's commit watermark, and
+      // do it here — still before the mutex is released — so the
+      // recorder's commit cannot trail the ring's by a futex wake-up: a
+      // kill in that window would make the recorder claim an open span
+      // recovery never rolls back.
       ocs_trace_open_ = false;
-      TSP_TRACE_EVENT(trace_, obs::EventCode::kOcsCommit,
-                      PackThreadOcs(thread_id_, current_ocs_), 0,
-                      fast_commit_ ? 1 : 0);
+      TSP_TRACE_COMMIT(trace_, PackThreadOcs(thread_id_, current_ocs_));
     }
     finish_pending_ = true;
   }
@@ -696,7 +704,7 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
   // (seq_frontier_, not just our own issued stamps — an OCS that issues
   // no stamps still relays frontiers it observed). Runs after the
   // commit block so a fast-path commit can vouch for its own stability
-  // (kLastReleaseStable) only once the inline trim is already done.
+  // (kLastReleaseStable) only once the rewind is already done.
   lock->release_seq.store(seq_frontier_, std::memory_order_release);
   lock->last_release.store(PackThreadOcs(thread_id_, current_ocs_) |
                                (fast_commit_ ? kLastReleaseStable : 0),
@@ -708,7 +716,7 @@ void AtlasThread::OnReleaseFinish() {
   finish_pending_ = false;
   ++stats_.ocses_committed;
   if (fast_commit_) {
-    // Stable since the inline trim, so the deferred frees are due now:
+    // Stable since the rewind, so the deferred frees are due now:
     // they run here, after the mutex drop, into this thread's own
     // magazine. A crash before they finish leaks the blocks to the
     // recovery GC; the unlinking stores cannot roll back any more.
@@ -771,17 +779,16 @@ LogEntry* AtlasThread::StageEntry(EntryKind kind, std::uint8_t size,
                                   std::uint32_t aux,
                                   std::uint64_t addr_offset,
                                   std::uint64_t payload) {
-  const std::uint64_t capacity = runtime_->area().entries_per_thread();
   const std::uint64_t position =
       slot_->tail.load(std::memory_order_relaxed) + staged_;
   if (TSP_PREDICT_FALSE(
-          position - slot_->head.load(std::memory_order_acquire) >=
-          capacity)) {
+          position - slot_->head.load(std::memory_order_acquire) >
+          ring_mask_)) {
     // Only head moves while we wait; position stays valid.
     HandleRingFull();
   }
   ++staged_;
-  LogEntry* entry = runtime_->area().entry(thread_id_, position);
+  LogEntry* entry = &ring_[position & ring_mask_];
   entry->addr_offset = addr_offset;
   entry->payload = payload;
   entry->kind = kind;
@@ -824,14 +831,12 @@ void AtlasThread::PublishStaged(bool ordered) {
   // staged range is contiguous in the ring except across the wrap, and
   // is ordered by a single trailing fence (E7 log batching).
   const PersistencePolicy& policy = runtime_->policy();
-  const std::uint64_t capacity = runtime_->area().entries_per_thread();
-  const std::uint64_t until_wrap = capacity - first % capacity;
+  const std::uint64_t until_wrap = ring_mask_ + 1 - (first & ring_mask_);
   const std::uint64_t first_run = count < until_wrap ? count : until_wrap;
-  policy.FlushLogBytes(runtime_->area().entry(thread_id_, first),
+  policy.FlushLogBytes(&ring_[first & ring_mask_],
                        first_run * sizeof(LogEntry));
   if (count > first_run) {
-    policy.FlushLogBytes(runtime_->area().entry(thread_id_, first + first_run),
-                         (count - first_run) * sizeof(LogEntry));
+    policy.FlushLogBytes(ring_, (count - first_run) * sizeof(LogEntry));
   }
   if (ordered) policy.OrderLogPublication();
 }
@@ -849,7 +854,7 @@ void AtlasThread::HandleRingFull() {
   // this is bounded in correct programs (every critical section exits).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  const std::uint64_t capacity = runtime_->area().entries_per_thread();
+  const std::uint64_t capacity = ring_mask_ + 1;
   for (;;) {
     runtime_->StabilizeNow();
     const std::uint64_t head = slot_->head.load(std::memory_order_acquire);

@@ -71,7 +71,7 @@ struct AtlasRuntimeStats {
   /// run of quiet epochs (the unbounded-growth fix).
   std::uint64_t addrset_shrinks = 0;
   std::uint64_t ocses_committed = 0;
-  std::uint64_t fast_path_commits = 0;  // trimmed inline at commit
+  std::uint64_t fast_path_commits = 0;  // ring rewound at commit
   std::uint64_t published_commits = 0;  // handed to the pruner
   std::uint64_t deps_recorded = 0;
   std::uint64_t pending_unstable = 0;  // current pruner backlog
@@ -222,9 +222,13 @@ class alignas(64) AtlasThread {
 
   AtlasRuntime* runtime_;
   ThreadLogHeader* slot_;
+  /// This thread's ring and its index mask (AtlasArea::ring_mask).
+  LogEntry* ring_;
+  std::uint64_t ring_mask_;
   /// Flight-recorder handle (null when tracing is off). Bound once at
-  /// registration; OCS begin/commit plus the cold lease/resync/batch
-  /// branches are the only traced sites on the logging path.
+  /// registration; the OCS begin event, the commit watermark and the
+  /// cold lease/resync/batch branches are the only traced sites on the
+  /// logging path.
   obs::TraceWriter* trace_ = nullptr;
   std::uint16_t thread_id_;
   int depth_ = 0;
@@ -240,8 +244,9 @@ class alignas(64) AtlasThread {
   /// lease when an observed release frontier overtakes it).
   std::uint64_t seq_frontier_ = 0;
   std::uint64_t current_ocs_ = 0;
-  /// Ring index of the current OCS's opening kAcquire; when the ring head
-  /// catches up to it while full, the OCS alone overflows the ring.
+  /// Ring index of the current OCS's opening kAcquire: where a fast-path
+  /// commit rewinds the ring to, and, when the ring head catches up to
+  /// it while full, proof that the OCS alone overflows the ring.
   std::uint64_t current_ocs_begin_tail_ = 0;
   AddressSet logged_addresses_;
   /// Persistent FliT counter-slot array of this thread (null when the
@@ -270,7 +275,7 @@ class alignas(64) AtlasThread {
   /// True once the current OCS emitted its kOcsBegin trace event —
   /// deferred to the first publication so the recorder's open-span
   /// story matches what recovery can see in the ring. Capture-free
-  /// OCSes emit neither begin nor commit.
+  /// OCSes emit no begin and move no commit watermark.
   bool ocs_trace_open_ = false;
   /// Lock id of the outermost acquire, for the deferred begin event.
   std::uint32_t ocs_lock_id_ = 0;

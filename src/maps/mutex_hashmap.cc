@@ -1,6 +1,9 @@
 #include "maps/mutex_hashmap.h"
 
+#include <algorithm>
+#include <bit>
 #include <new>
+#include <string>
 
 #include "analysis/race_hooks.h"
 #include "common/logging.h"
@@ -10,14 +13,16 @@ namespace tsp::maps {
 HashMapRoot* MutexHashMap::CreateRoot(pheap::PersistentHeap* heap,
                                       const Options& options) {
   TSP_CHECK_GT(options.bucket_count, 0u);
-  void* mem = heap->Alloc(BucketArray::AllocationSize(options.bucket_count),
+  TSP_CHECK_LE(options.bucket_count, kMaxBuckets);
+  const std::uint64_t bucket_count = std::bit_ceil(options.bucket_count);
+  void* mem = heap->Alloc(BucketArray::AllocationSize(bucket_count),
                           BucketArray::kPersistentTypeId);
   if (mem == nullptr) return nullptr;
   auto* array = new (mem) BucketArray{};
   // Pre-publication init: the array is unreachable until the root
   // pointer is set, so a crash here just leaks it to the recovery GC.
-  array->bucket_count = options.bucket_count;  // tsp-lint: allow(raw-store)
-  for (std::uint64_t i = 0; i < options.bucket_count; ++i) {
+  array->bucket_count = bucket_count;  // tsp-lint: allow(raw-store)
+  for (std::uint64_t i = 0; i < bucket_count; ++i) {
     array->buckets[i] = nullptr;  // tsp-lint: allow(raw-store)
   }
   HashMapRoot* root = heap->New<HashMapRoot>();
@@ -27,6 +32,17 @@ HashMapRoot* MutexHashMap::CreateRoot(pheap::PersistentHeap* heap,
   }
   root->buckets = array;  // tsp-lint: allow(raw-store) -- unpublished
   return root;
+}
+
+Status MutexHashMap::CheckRoot(const HashMapRoot* root) {
+  const std::uint64_t buckets = root->buckets->bucket_count;
+  if (!std::has_single_bit(buckets) || buckets > kMaxBuckets) {
+    return Status::Corruption(
+        "mutex hash map has " + std::to_string(buckets) +
+        " buckets, but this build serves only a power of two of at most "
+        "2^32; use the build that wrote it");
+  }
+  return Status::OK();
 }
 
 void MutexHashMap::RegisterTypes(pheap::TypeRegistry* registry) {
@@ -53,13 +69,17 @@ void MutexHashMap::RegisterTypes(pheap::TypeRegistry* registry) {
 MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
                            atlas::AtlasRuntime* runtime,
                            const Options& options)
-    : heap_(heap),
-      runtime_(runtime),
-      buckets_per_lock_(options.buckets_per_lock) {
+    : heap_(heap), runtime_(runtime) {
   TSP_CHECK(root != nullptr && root->buckets != nullptr);
-  TSP_CHECK_GT(buckets_per_lock_, 0u);
+  const Status root_status = CheckRoot(root);
+  TSP_CHECK(root_status.ok()) << root_status.ToString();
+  TSP_CHECK_GT(options.buckets_per_lock, 0u);
   buckets_ = root->buckets->buckets;
   bucket_count_ = root->buckets->bucket_count;
+  // One stripe covers the whole map at most, which also keeps the
+  // divisor within the reciprocal's exact range.
+  buckets_per_lock_ = std::min(options.buckets_per_lock, bucket_count_);
+  stripe_of_ = Reciprocal(buckets_per_lock_);
   const std::uint64_t lock_count =
       (bucket_count_ + buckets_per_lock_ - 1) / buckets_per_lock_;
   locks_.reserve(lock_count);
@@ -92,10 +112,11 @@ std::uint64_t MutexHashMap::Hash(std::uint64_t key) {
 
 void MutexHashMap::Put(std::uint64_t key, std::uint64_t value) {
   const std::uint64_t bucket = BucketOf(key);
-  // Resolve the thread-local logging context before taking the lock so
-  // the scan stays out of the critical section.
-  atlas::AtlasThread* thread = Thread();
-  atlas::PMutexLock lock(LockFor(bucket));
+  // Resolve the thread-local logging context once, before taking the
+  // lock: the guard and the logged stores share it.
+  atlas::PMutex* mutex = LockFor(bucket);
+  atlas::AtlasThread* thread = mutex->LoggingThread();
+  atlas::PMutexLock lock(mutex, thread);
   HashEntry** head = &buckets_[bucket];
   for (HashEntry* entry = *head; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {
@@ -131,8 +152,9 @@ std::optional<std::uint64_t> MutexHashMap::Get(std::uint64_t key) const {
 std::uint64_t MutexHashMap::IncrementBy(std::uint64_t key,
                                         std::uint64_t delta) {
   const std::uint64_t bucket = BucketOf(key);
-  atlas::AtlasThread* thread = Thread();
-  atlas::PMutexLock lock(LockFor(bucket));
+  atlas::PMutex* mutex = LockFor(bucket);
+  atlas::AtlasThread* thread = mutex->LoggingThread();
+  atlas::PMutexLock lock(mutex, thread);
   HashEntry** head = &buckets_[bucket];
   for (HashEntry* entry = *head; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {
@@ -154,8 +176,9 @@ std::uint64_t MutexHashMap::IncrementBy(std::uint64_t key,
 
 bool MutexHashMap::Remove(std::uint64_t key) {
   const std::uint64_t bucket = BucketOf(key);
-  atlas::AtlasThread* thread = Thread();
-  atlas::PMutexLock lock(LockFor(bucket));
+  atlas::PMutex* mutex = LockFor(bucket);
+  atlas::AtlasThread* thread = mutex->LoggingThread();
+  atlas::PMutexLock lock(mutex, thread);
   HashEntry** link = &buckets_[bucket];
   for (HashEntry* entry = *link; entry != nullptr; entry = entry->next) {
     if (entry->key == key) {

@@ -16,6 +16,8 @@
 
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
+#include "common/reciprocal.h"
+#include "common/status.h"
 #include "maps/map_interface.h"
 #include "pheap/heap.h"
 #include "pheap/type_registry.h"
@@ -51,23 +53,34 @@ struct HashMapRoot {
 class MutexHashMap final : public Map {
  public:
   struct Options {
-    /// Number of hash buckets (fixed at creation).
+    /// Number of hash buckets (fixed at creation), rounded up to a power
+    /// of two so a bucket index is a mask.
     std::uint64_t bucket_count = 1 << 16;
     /// The paper's lock granularity: one mutex per this many buckets.
     std::uint64_t buckets_per_lock = 1000;
   };
 
-  /// Allocates the persistent root + bucket array. Returns nullptr when
-  /// the heap is exhausted.
+  /// The most buckets a map holds: the stripe reciprocal is exact only
+  /// for 32-bit bucket indices.
+  static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 32;
+
+  /// Allocates the persistent root + bucket array with
+  /// options.bucket_count rounded up to a power of two (at most
+  /// kMaxBuckets). Returns nullptr when the heap is exhausted.
   static HashMapRoot* CreateRoot(pheap::PersistentHeap* heap,
                                  const Options& options);
+
+  /// Why `root` cannot be served: its stored bucket count is not a
+  /// power of two of at most kMaxBuckets (kCorruption). OK otherwise.
+  static Status CheckRoot(const HashMapRoot* root);
 
   /// Registers trace functions for the recovery GC.
   static void RegisterTypes(pheap::TypeRegistry* registry);
 
-  /// Attaches to an existing root. `runtime` may be null (native mode);
-  /// when set, every critical section becomes an Atlas OCS and every
-  /// store is undo-logged per the runtime's policy.
+  /// Attaches to an existing root, which must pass CheckRoot. `runtime`
+  /// may be null (native mode); when set, every critical section becomes
+  /// an Atlas OCS and every store is undo-logged per the runtime's
+  /// policy.
   MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
                atlas::AtlasRuntime* runtime, const Options& options);
 
@@ -96,15 +109,12 @@ class MutexHashMap final : public Map {
   /// of following it. The stripe's lock line is not prefetched; see
   /// DESIGN.md §5.
   std::uint64_t BucketOf(std::uint64_t key) const {
-    const std::uint64_t bucket = Hash(key) % bucket_count_;
+    const std::uint64_t bucket = Hash(key) & (bucket_count_ - 1);
     __builtin_prefetch(&buckets_[bucket]);
     return bucket;
   }
   atlas::PMutex* LockFor(std::uint64_t bucket) const {
-    return locks_[bucket / buckets_per_lock_].get();
-  }
-  atlas::AtlasThread* Thread() const {
-    return runtime_ != nullptr ? runtime_->CurrentThread() : nullptr;
+    return locks_[stripe_of_.Divide(bucket)].get();
   }
 
   template <typename T>
@@ -123,6 +133,8 @@ class MutexHashMap final : public Map {
   atlas::AtlasRuntime* runtime_;
   std::uint64_t bucket_count_;
   std::uint64_t buckets_per_lock_;
+  /// Divides a bucket index by buckets_per_lock_: its lock stripe.
+  Reciprocal stripe_of_;
   std::vector<std::unique_ptr<atlas::PMutex>> locks_;
   bool cross_process_locks_ = false;
 };

@@ -203,6 +203,13 @@ class ScopedPhaseTimer {
     ::tsp::obs::TraceWriter* _tsp_writer = (writer_ptr);            \
     if (_tsp_writer != nullptr) _tsp_writer->Emit(__VA_ARGS__);     \
   } while (false)
+/// Moves the ring's commit watermark (TraceWriter::Commit) iff
+/// `writer_ptr` is non-null.
+#define TSP_TRACE_COMMIT(writer_ptr, packed_ocs)                    \
+  do {                                                              \
+    ::tsp::obs::TraceWriter* _tsp_writer = (writer_ptr);            \
+    if (_tsp_writer != nullptr) _tsp_writer->Commit(packed_ocs);    \
+  } while (false)
 
 #else  // TSP_OBS_DISABLED
 
@@ -223,6 +230,9 @@ class ScopedPhaseTimer {
   } while (false)
 #define TSP_TRACE_EVENT(writer_ptr, ...) \
   do {                                   \
+  } while (false)
+#define TSP_TRACE_COMMIT(writer_ptr, packed_ocs) \
+  do {                                           \
   } while (false)
 
 #endif  // TSP_OBS_DISABLED

@@ -79,27 +79,33 @@ void SetTraceEnabled(bool enabled) {
   g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Recorder> Recorder::Attach(void* runtime_area,
-                                           std::size_t runtime_area_size,
-                                           const AttachOptions& options) {
+StatusOr<std::unique_ptr<Recorder>> Recorder::Attach(
+    void* runtime_area, std::size_t runtime_area_size,
+    const AttachOptions& options) {
+  std::unique_ptr<Recorder> untraced;
 #ifdef TSP_OBS_DISABLED
   (void)runtime_area;
   (void)runtime_area_size;
   (void)options;
-  return nullptr;
+  return untraced;
 #else
-  if (!TraceEnabled() || runtime_area == nullptr) return nullptr;
+  if (!TraceEnabled() || runtime_area == nullptr) return untraced;
   const std::size_t reservation = TraceReservationBytes(runtime_area_size);
-  if (reservation == 0) return nullptr;
+  if (reservation == 0) return untraced;
   void* base =
       static_cast<std::uint8_t*>(runtime_area) + runtime_area_size -
       reservation;
-  if (!TraceArea::Validate(base, reservation)) {
-    // Legacy heap (formatted before the trace reservation existed) that is
-    // mid-recovery: do not write anything, run without a recorder.
-    if (!options.allow_format) return nullptr;
+  const Status area_status = TraceArea::Check(base, reservation);
+  if (!area_status.ok()) {
+    if (!options.allow_format) {
+      // A crashed or shared heap: its area is evidence, never formatted.
+      // Without the trace magic there is none to read, so run untraced;
+      // another version or a torn geometry is refused with its reason.
+      if (area_status.code() == StatusCode::kNotFound) return untraced;
+      return area_status;
+    }
     if (TraceArea::Format(base, reservation, kDefaultMaxTraceThreads) == 0) {
-      return nullptr;
+      return untraced;
     }
   }
   TraceArea area(base, reservation);
@@ -153,13 +159,14 @@ TraceWriter* Recorder::writer() {
     // discarded, and it only happens once a new live thread needs the slot.
     slot->head.store(0, std::memory_order_relaxed);
     slot->tail.store(0, std::memory_order_relaxed);
+    slot->commit_watermark.store(0, std::memory_order_relaxed);
     slot->generation = generation_;
     // Identity stamp (birth before pid; pid's release publishes both) so
     // peers sharing the area can harvest this ring if we die with it.
     slot->owner_birth = self.birth;
     slot->owner_pid.store(self.pid, std::memory_order_release);
     auto writer = std::make_unique<TraceWriter>(slot, area_.events(i),
-                                               header->events_per_thread);
+                                               area_.event_mask());
     TraceWriter* raw = writer.get();
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -4,14 +4,15 @@
 // A Recorder attaches to the trace reservation at the tail of a heap's
 // runtime area and hands out one wait-free TraceWriter per thread. Emitting
 // an event is a handful of plain stores plus one release-store of the ring
-// tail — no CAS, no flush, no syscall — so it is cheap enough to leave on
-// in the Atlas OCS hot path (E13, bench_table1 --trace off,on: ≤5%).
+// tail — no CAS, no flush, no syscall — and an OCS commit is one store of
+// the ring's commit watermark, so it is cheap enough to leave on in the
+// Atlas OCS hot path (E13, bench_table1 --trace off,on: ≤5%).
 //
 // Compile-time kill switch: building with -DTSP_OBS=OFF defines
-// TSP_OBS_DISABLED and Attach() collapses to `return nullptr`, so every
-// TSP_TRACE_EVENT site dissolves into a null-check against a pointer that
-// is provably null. Runtime switch: TSP_TRACE=0 (or SetTraceEnabled(false))
-// makes Attach() return nullptr as well.
+// TSP_OBS_DISABLED and Attach() collapses to returning no recorder, so
+// every TSP_TRACE_EVENT site dissolves into a null-check against a
+// pointer that is provably null. Runtime switch: TSP_TRACE=0 (or
+// SetTraceEnabled(false)) makes Attach() return no recorder as well.
 
 #ifndef TSP_OBS_RECORDER_H_
 #define TSP_OBS_RECORDER_H_
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/status.h"
 #include "obs/trace_layout.h"
 
 namespace tsp {
@@ -42,10 +44,11 @@ class TraceWriter {
   /// A real TraceStamp() read every this-many events; see Emit().
   static constexpr std::uint32_t kStampRefreshInterval = 16;
 
-  TraceWriter(TraceRingHeader* slot, TraceEvent* ring, std::uint64_t capacity)
+  /// `mask` is the ring capacity minus one (TraceArea::event_mask).
+  TraceWriter(TraceRingHeader* slot, TraceEvent* ring, std::uint64_t mask)
       : slot_(slot),
         ring_(ring),
-        capacity_(capacity),
+        mask_(mask),
         tail_(slot->tail.load(std::memory_order_relaxed)),
         head_(slot->head.load(std::memory_order_relaxed)) {}
 
@@ -68,8 +71,8 @@ class TraceWriter {
   TSP_ALWAYS_INLINE void Emit(EventCode code, std::uint64_t arg0 = 0,
                               std::uint64_t arg1 = 0, std::uint32_t aux = 0) {
     const std::uint64_t pos = tail_;
-    if (TSP_PREDICT_FALSE(pos - head_ >= capacity_)) {
-      head_ = pos - capacity_ + 1;
+    if (TSP_PREDICT_FALSE(pos - head_ > mask_)) {
+      head_ = pos - mask_;
       slot_->head.store(head_, std::memory_order_relaxed);
     }
     std::uint64_t stamp = last_stamp_ + 1;
@@ -79,7 +82,7 @@ class TraceWriter {
       if (fresh > stamp) stamp = fresh;
     }
     last_stamp_ = stamp;
-    TraceEvent* e = &ring_[pos % capacity_];
+    TraceEvent* e = &ring_[pos & mask_];
     e->stamp = stamp;
     e->arg0 = arg0;
     e->arg1 = arg1;
@@ -93,12 +96,20 @@ class TraceWriter {
     slot_->tail.store(tail_, std::memory_order_release);
   }
 
+  /// Records the commit of OCS `packed_ocs` (atlas::PackThreadOcs): one
+  /// store of the ring's commit watermark, which closes the span that
+  /// OCS's kOcsBegin opened. A post-crash reader sees the span open
+  /// exactly when the kill landed before this store.
+  TSP_ALWAYS_INLINE void Commit(std::uint64_t packed_ocs) {
+    slot_->commit_watermark.store(packed_ocs, std::memory_order_release);
+  }
+
   std::uint32_t ring_id() const { return slot_->ring_id; }
 
  private:
   TraceRingHeader* slot_;
   TraceEvent* ring_;
-  std::uint64_t capacity_;
+  std::uint64_t mask_;
   std::uint64_t tail_;  // cached; slot_->tail is the published copy
   std::uint64_t head_;
   std::uint64_t last_stamp_ = 0;
@@ -113,9 +124,10 @@ class Recorder {
  public:
   struct AttachOptions {
     std::uint64_t generation = 0;
-    /// When false (heap needs recovery) an invalid trace area is left
-    /// untouched instead of formatted, so attach never destroys evidence
-    /// and never writes to a crashed legacy-layout heap.
+    /// When false (heap needs recovery, or a multi-process attach) an
+    /// area that fails TraceArea::Check is never formatted: one without
+    /// the trace magic runs untraced, one of another version or with a
+    /// torn geometry is refused, so attach never destroys evidence.
     bool allow_format = true;
     /// Multi-process attach (MappedRegion::Attach): ring claims found in
     /// the area belong to *live peer processes*, not to a finished
@@ -126,12 +138,15 @@ class Recorder {
   };
 
   /// Attaches to (formatting if invalid and allowed) the trace reservation
-  /// at the tail of `runtime_area`. Returns nullptr when the recorder
-  /// cannot or should not run; callers treat a null recorder as "tracing
-  /// off" throughout.
-  static std::unique_ptr<Recorder> Attach(void* runtime_area,
-                                          std::size_t runtime_area_size,
-                                          const AttachOptions& options);
+  /// at the tail of `runtime_area`. Returns a null recorder when it
+  /// cannot or should not run: tracing off, no reservation, or an area
+  /// without the trace magic that may not be formatted; callers treat a
+  /// null recorder as "tracing off" throughout. Returns TraceArea::Check's
+  /// kCorruption when formatting is not allowed and the area has another
+  /// version or a torn geometry.
+  static StatusOr<std::unique_ptr<Recorder>> Attach(
+      void* runtime_area, std::size_t runtime_area_size,
+      const AttachOptions& options);
 
   ~Recorder();
 

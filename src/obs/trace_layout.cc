@@ -2,7 +2,9 @@
 
 #include "obs/trace_layout.h"
 
+#include <bit>
 #include <cstring>
+#include <string>
 
 namespace tsp {
 namespace obs {
@@ -13,8 +15,6 @@ const char* EventCodeName(EventCode code) {
       return "none";
     case EventCode::kOcsBegin:
       return "ocs_begin";
-    case EventCode::kOcsCommit:
-      return "ocs_commit";
     case EventCode::kSeqBlockLease:
       return "seq_block_lease";
     case EventCode::kSeqResync:
@@ -40,8 +40,8 @@ std::uint64_t TraceArea::Format(void* base, std::size_t size,
       rings_offset + static_cast<std::uint64_t>(max_threads) *
                          sizeof(TraceRingHeader);
   if (events_offset + sizeof(TraceEvent) * max_threads > size) return 0;
-  const std::uint64_t events_per_thread =
-      (size - events_offset) / (sizeof(TraceEvent) * max_threads);
+  const std::uint64_t events_per_thread = std::bit_floor(
+      (size - events_offset) / (sizeof(TraceEvent) * max_threads));
 
   std::memset(base, 0, events_offset);
   auto* header = static_cast<TraceAreaHeader*>(base);
@@ -59,21 +59,41 @@ std::uint64_t TraceArea::Format(void* base, std::size_t size,
   return events_per_thread;
 }
 
-bool TraceArea::Validate(const void* base, std::size_t size) {
-  if (base == nullptr || size < sizeof(TraceAreaHeader)) return false;
+Status TraceArea::Check(const void* base, std::size_t size) {
   const auto* header = static_cast<const TraceAreaHeader*>(base);
-  if (header->magic != kTraceMagic || header->version != kTraceVersion) {
-    return false;
+  if (base == nullptr || size < sizeof(TraceAreaHeader) ||
+      header->magic != kTraceMagic) {
+    return Status::NotFound("no flight-recorder area");
   }
-  if (header->max_threads == 0 || header->events_per_thread == 0) return false;
-  const std::uint64_t needed =
-      header->events_offset + header->events_per_thread *
-                                  header->max_threads * sizeof(TraceEvent);
-  return header->rings_offset >= sizeof(TraceAreaHeader) &&
-         header->events_offset >=
-             header->rings_offset +
-                 header->max_threads * sizeof(TraceRingHeader) &&
-         needed <= size;
+  if (header->version != kTraceVersion) {
+    return Status::Corruption(
+        "flight-recorder area has format version " +
+        std::to_string(header->version) + ", but this build reads only "
+        "version " + std::to_string(kTraceVersion) +
+        "; use the build that wrote it");
+  }
+  // Overflow-safe: every product is bounded by `size` before it is
+  // formed.
+  const std::uint64_t threads = header->max_threads;
+  const bool fits =
+      threads > 0 && header->events_per_thread > 0 &&
+      header->rings_offset >= sizeof(TraceAreaHeader) &&
+      header->rings_offset <= size &&
+      threads <= (size - header->rings_offset) / sizeof(TraceRingHeader) &&
+      header->events_offset >=
+          header->rings_offset + threads * sizeof(TraceRingHeader) &&
+      header->events_offset <= size &&
+      header->events_per_thread <=
+          (size - header->events_offset) / sizeof(TraceEvent) / threads;
+  if (!fits || !std::has_single_bit(header->events_per_thread)) {
+    return Status::Corruption(
+        "flight-recorder area header is torn: its geometry (" +
+        std::to_string(threads) + " rings of " +
+        std::to_string(header->events_per_thread) +
+        " events) exceeds the area, is empty, or has a ring capacity "
+        "that is not a power of two");
+  }
+  return Status::OK();
 }
 
 }  // namespace obs

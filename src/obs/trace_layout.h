@@ -19,17 +19,20 @@
 #include <ctime>
 
 #include "common/macros.h"
+#include "common/status.h"
 
 namespace tsp {
 namespace obs {
 
 /// Event codes recorded by the instrumented layers. Codes are part of the
-/// on-media format: append new codes, never renumber existing ones.
+/// on-media format: append new codes, never renumber existing ones. An
+/// OCS commit is not an event: it moves the ring's commit watermark
+/// (TraceRingHeader::commit_watermark). Code 2, the commit event of
+/// format version 1, stays unused.
 enum class EventCode : std::uint16_t {
   kNone = 0,
   // Atlas (src/atlas/runtime.cc).
   kOcsBegin = 1,        // arg0 = packed (thread,ocs) id, aux = lock id
-  kOcsCommit = 2,       // arg0 = packed (thread,ocs) id, aux = fast-path flag
   kSeqBlockLease = 3,   // arg0 = first leased stamp, arg1 = block size
   kSeqResync = 4,       // arg0 = observed frontier, arg1 = previous frontier
   kLogBatchPublish = 5, // arg0 = packed (thread,ocs) id, arg1 = entry count
@@ -64,9 +67,10 @@ inline constexpr std::uint32_t kRingClaimed = 1;
 inline constexpr std::uint32_t kRingHarvesting = 2;
 
 /// Per-ring control block, one cache line. `head`/`tail` are monotonic
-/// event indices (position in the ring is index % capacity); the writer
-/// advances `head` when it overwrites the oldest event, flight-recorder
-/// style, so `tail - head` is the number of decodable events.
+/// event indices (position in the ring is index & (capacity - 1), the
+/// capacity being a power of two); the writer advances `head` when it
+/// overwrites the oldest event, flight-recorder style, so `tail - head`
+/// is the number of decodable events.
 ///
 /// `owner_pid`/`owner_birth` stamp the claimant's process identity
 /// (common/process_id.h) so that under multi-process attach a survivor
@@ -84,7 +88,10 @@ struct alignas(kCacheLineSize) TraceRingHeader {
   std::atomic<std::uint32_t> owner_pid; // claimant process (0 = unstamped)
   std::uint32_t reserved32;
   std::uint64_t owner_birth;            // claimant birth epoch (0 = unknown)
-  std::uint64_t reserved;
+  /// Packed (thread, ocs) id of the last OCS whose commit this ring's
+  /// writer recorded (0 = none yet). An OCS's kOcsBegin with no later
+  /// begin is an open span unless the watermark names it.
+  std::atomic<std::uint64_t> commit_watermark;
 };
 static_assert(sizeof(TraceRingHeader) == kCacheLineSize,
               "TraceRingHeader must stay one cache line");
@@ -95,13 +102,15 @@ struct TraceAreaHeader {
   std::uint64_t magic;
   std::uint32_t version;
   std::uint32_t max_threads;
-  std::uint64_t events_per_thread;
+  std::uint64_t events_per_thread;  // a power of two
   std::uint64_t rings_offset;    // from trace-area base, to TraceRingHeader[]
   std::uint64_t events_offset;   // from trace-area base, to TraceEvent[]
 };
 
 inline constexpr std::uint64_t kTraceMagic = 0x5453505452414345ull;  // "TSPTRACE"
-inline constexpr std::uint32_t kTraceVersion = 1;
+/// The only trace format this build reads. Version 2: power-of-two
+/// rings, and the commit watermark in place of a commit event.
+inline constexpr std::uint32_t kTraceVersion = 2;
 inline constexpr std::uint32_t kDefaultMaxTraceThreads = 64;
 
 /// Bytes reserved for the recorder at the tail of a runtime area of
@@ -120,7 +129,7 @@ constexpr std::size_t TraceReservationBytes(std::size_t runtime_area_size) {
 }
 
 /// View over a formatted trace area. Mirrors atlas::AtlasArea: Format()
-/// lays the area out, Validate() checks a (possibly foreign-geometry)
+/// lays the area out, Check() checks a (possibly foreign-geometry)
 /// header against the mapped size, accessors navigate via the
 /// self-described offsets.
 class TraceArea {
@@ -129,15 +138,19 @@ class TraceArea {
   TraceArea(void* base, std::size_t size)
       : base_(static_cast<std::uint8_t*>(base)), size_(size) {}
 
-  /// Formats the area for `max_threads` rings, splitting the space after
-  /// the headers evenly. Returns events-per-thread (0 if the area is too
-  /// small for even one event per ring).
+  /// Formats the area for `max_threads` rings, each of the largest
+  /// power-of-two capacity that fits. Returns events-per-thread (0 if
+  /// the area is too small for even one event per ring).
   static std::uint64_t Format(void* base, std::size_t size,
                               std::uint32_t max_threads);
 
-  /// True when `base` starts with a well-formed trace header whose
-  /// self-described geometry fits in `size` bytes.
-  static bool Validate(const void* base, std::size_t size);
+  /// Why `size` bytes at `base` do not hold a readable trace area:
+  /// kNotFound when they carry no trace magic (never formatted, or a
+  /// heap from before the reservation), kCorruption naming both
+  /// versions for an area of another kTraceVersion, kCorruption for a
+  /// torn geometry (tables past `size`, no rings, or a ring capacity
+  /// that is not a power of two). OK for a readable area.
+  static Status Check(const void* base, std::size_t size);
 
   TraceAreaHeader* header() { return reinterpret_cast<TraceAreaHeader*>(base_); }
   const TraceAreaHeader* header() const {
@@ -153,6 +166,10 @@ class TraceArea {
                                                     header()->rings_offset) +
            i;
   }
+
+  /// Ring capacity minus one: event index `i` of a ring lives at
+  /// events(ring)[i & event_mask()], for the writer and every reader.
+  std::uint64_t event_mask() const { return header()->events_per_thread - 1; }
 
   TraceEvent* events(std::uint32_t ring_index) {
     return reinterpret_cast<TraceEvent*>(base_ + header()->events_offset) +

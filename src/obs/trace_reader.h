@@ -18,7 +18,8 @@ namespace tsp {
 namespace obs {
 
 /// An OCS that was begun but never committed in a ring's surviving window —
-/// post-crash, the interrupted OCS recovery must roll back.
+/// post-crash, the interrupted OCS recovery must roll back. The ring's
+/// last kOcsBegin is open unless the ring's commit watermark names it.
 struct OpenOcsSpan {
   std::uint32_t ring_id;
   std::uint64_t packed_ocs;  // atlas::PackThreadOcs value from the event
@@ -29,11 +30,14 @@ struct OpenOcsSpan {
 class TraceReader {
  public:
   /// Attaches to the trace reservation at the tail of `runtime_area`.
-  /// valid() is false when the area holds no recorder (legacy heap, tiny
-  /// runtime area, or recorder compiled/switched off when it ran).
+  /// valid() is false when the area holds no readable recorder: status()
+  /// is kNotFound for none at all (tiny runtime area, or recorder
+  /// compiled/switched off when it ran), or TraceArea::Check's reason
+  /// for an area of another version or a torn geometry.
   TraceReader(const void* runtime_area, std::size_t runtime_area_size);
 
-  bool valid() const { return valid_; }
+  bool valid() const { return status_.ok(); }
+  const Status& status() const { return status_; }
   const TraceArea& area() const { return area_; }
 
   /// All surviving events of one ring, oldest first. Empty for unused or
@@ -44,7 +48,8 @@ class TraceReader {
   /// stamps, by ring index).
   std::vector<TraceEvent> MergedEvents() const;
 
-  /// Per ring, the trailing OCS begin with no matching commit, if any.
+  /// Per ring, the last OCS begin when the ring's commit watermark does
+  /// not name its OCS.
   std::vector<OpenOcsSpan> OpenOcsSpans() const;
 
   /// Sum of published tails across rings.
@@ -52,7 +57,7 @@ class TraceReader {
 
  private:
   TraceArea area_;
-  bool valid_ = false;
+  Status status_;
 };
 
 }  // namespace obs

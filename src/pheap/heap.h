@@ -47,6 +47,9 @@ class PersistentHeap {
  public:
   static StatusOr<std::unique_ptr<PersistentHeap>> Create(
       const std::string& path, const RegionOptions& options = {});
+  /// Also refuses (kCorruption, naming both versions) a crashed heap
+  /// whose flight-recorder area has another format version or a torn
+  /// geometry: recovery must not run beside evidence it cannot read.
   static StatusOr<std::unique_ptr<PersistentHeap>> Open(
       const std::string& path,
       std::shared_ptr<RegionBackend> backend = nullptr);
@@ -165,6 +168,10 @@ class PersistentHeap {
 
  private:
   explicit PersistentHeap(std::unique_ptr<MappedRegion> region);
+  /// Every factory's last step: the heap over `region`, with its flight
+  /// recorder attached (writable mappings only).
+  static StatusOr<std::unique_ptr<PersistentHeap>> Wrap(
+      std::unique_ptr<MappedRegion> region);
 
   std::unique_ptr<MappedRegion> region_;
   Allocator allocator_;

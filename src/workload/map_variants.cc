@@ -71,6 +71,7 @@ MapOrError OpenMutexMap(const MapSession::Config& config,
   TSP_ASSIGN_OR_RETURN(auto* root, RootIn<maps::HashMapRoot>(map_root, [&] {
     return maps::MutexHashMap::CreateRoot(heap, config.hash_options);
   }));
+  TSP_RETURN_IF_ERROR(maps::MutexHashMap::CheckRoot(root));
   auto map = std::make_unique<maps::MutexHashMap>(heap, root, runtime,
                                                   config.hash_options);
   // Unbound locks exclude nothing across processes, so a joiner would

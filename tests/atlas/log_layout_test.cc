@@ -119,6 +119,29 @@ TEST(AtlasAreaTest, RingsAreDisjointAndWrap) {
   EXPECT_EQ(end_of_ring0 + 1, area.entry(1, 0));
 }
 
+// Ring indices are masks, never divides: Format rounds the capacity
+// down to a power of two, and Check refuses any other capacity. With
+// the default 32 MiB runtime area (2 MiB of it the trace reservation)
+// ~14.8k entries per thread would fit; the ring holds 8192.
+TEST(AtlasAreaTest, RingCapacityIsAPowerOfTwo) {
+  constexpr std::size_t kRuntimeArea = std::size_t{32} << 20;
+  std::vector<char> buffer(AtlasAreaSize(kRuntimeArea));
+  EXPECT_EQ(AtlasArea::Format(buffer.data(), buffer.size(),
+                              kDefaultMaxThreads),
+            8192u);
+  AtlasArea area(buffer.data(), buffer.size());
+  EXPECT_EQ(area.ring_mask(), 8191u);
+  EXPECT_TRUE(AtlasArea::Check(buffer.data(), buffer.size()).ok());
+
+  area.header()->entries_per_thread = 8191;
+  EXPECT_FALSE(AtlasArea::Validate(buffer.data(), buffer.size()));
+  const Status status = AtlasArea::Check(buffer.data(), buffer.size());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("8191 is not a power of two"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(AtlasAreaTest, SlotsAreCacheLineAligned) {
   // The real runtime area is page-aligned; emulate that here.
   alignas(4096) static char buffer[1 << 20];

@@ -98,6 +98,28 @@ class AtlasRecoveryTest : public ::testing::Test {
   std::unique_ptr<ScopedRegionFile> file_;
 };
 
+/// Makes `thread`'s next OCS publish instead of committing inline: the
+/// manual context `peer` opens an OCS and releases a nested lock that
+/// `thread` then takes, so `thread` records a dependency on an open OCS;
+/// `peer` commits right after. Until a pruner pass, every later OCS of
+/// `thread` publishes too (its predecessor is not stable), so its ring
+/// advances instead of rewinding. The chain's first OCS stores `value`
+/// to `*word`.
+void StartPublishChain(AtlasThread* peer, AtlasThread* thread,
+                       std::uint64_t* word, std::uint64_t value) {
+  PLockWord outer;
+  PLockWord shared;
+  peer->OnAcquire(&outer, 91);
+  peer->OnAcquire(&shared, 92);
+  peer->OnRelease(&shared, 92);  // nested: releases while still open
+  const std::uint64_t published = thread->local_stats().published_commits;
+  thread->OnAcquire(&shared, 92);
+  thread->Store(word, value);
+  thread->OnRelease(&shared, 92);
+  peer->OnRelease(&outer, 91);
+  ASSERT_EQ(thread->local_stats().published_commits, published + 1);
+}
+
 TEST_F(AtlasRecoveryTest, CleanHeapNeedsNoRecovery) {
   {
     Session session(file_->path(), /*create=*/true);
@@ -358,27 +380,33 @@ TEST_F(AtlasRecoveryTest, RecoveryResetsLogsForNextSession) {
 }
 
 TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
-  // Drive enough OCSes through a small ring that it wraps several
-  // times (inline pruning keeps it live), then crash mid-OCS: recovery
-  // must roll back exactly the open OCS even though the ring indices
-  // are far past the capacity.
+  // Drive enough published OCSes through a small ring that it wraps
+  // several times (each chain runs until the full ring's inline pass
+  // stabilizes it), then crash mid-OCS: recovery must roll back exactly
+  // the open OCS even though the ring indices are far past the capacity.
   {
     Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
+    AtlasThread peer(session.runtime(), 40);
     TestRoot* root = session.root();
     const std::uint64_t capacity =
         session.runtime()->area().entries_per_thread();
-    // 1 published entry/OCS (the kAcquire; the store is slot-absorbed
-    // and the fast-path commit elides the kRelease) → wraps ~3x.
-    const std::uint64_t rounds = 3 * capacity;
-    for (std::uint64_t i = 1; i <= rounds; ++i) {
-      PMutexLock lock(&mutex);
-      thread->Store(&root->values[5], i);
-    }
     const ThreadLogHeader* slot =
         session.runtime()->area().slot(thread->thread_id());
+    // A published OCS keeps its kAcquire, its record and its kRelease
+    // (3 entries), so one chain of `capacity` OCSes fills the ring once;
+    // the OCS that finds it full stabilizes the chain inline, and the
+    // rest commit inline and rewind. Three chains wrap it ~3x.
+    std::uint64_t i = 0;
+    while (slot->tail.load() < 3 * capacity) {
+      StartPublishChain(&peer, thread, &root->values[6], ++i);
+      for (std::uint64_t n = 0; n < capacity; ++n) {
+        PMutexLock lock(&mutex);
+        thread->Store(&root->values[5], ++i);
+      }
+    }
     ASSERT_GT(slot->tail.load(), capacity) << "ring must have wrapped";
 
     PLockWord word;
@@ -447,6 +475,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
                          /*use_counter_slots=*/false);
     PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
+    AtlasThread peer(session.runtime(), 40);
     TestRoot* root = session.root();
     const std::uint64_t capacity =
         session.runtime()->area().entries_per_thread();
@@ -457,15 +486,16 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     thread->StoreBytes(root->values, before, sizeof(before));
     thread->OnRelease(&word, 1);
 
-    // Committed filler OCSes publish their kAcquire plus one record per
-    // word (the kRelease is elided): 2 entries for a one-word store, 3
-    // for a two-word one, which fixes the parity once. Walk the tail to
-    // capacity - 2.
+    // Committed filler OCSes of one publish chain keep their kAcquire,
+    // one record per word and their kRelease: 3 entries for a one-word
+    // store, 4 for a two-word one. Walk the tail to capacity - 2, taking
+    // 4-entry steps until the rest is a multiple of 3.
     const ThreadLogHeader* slot =
         session.runtime()->area().slot(thread->thread_id());
-    for (std::uint64_t i = 1; slot->tail.load() < capacity - 2; ++i) {
+    StartPublishChain(&peer, thread, &root->values[7], 1);
+    for (std::uint64_t i = 2; slot->tail.load() < capacity - 2; ++i) {
       PMutexLock lock(&mutex);
-      if ((capacity - 2 - slot->tail.load()) % 2 != 0) {
+      if ((capacity - 2 - slot->tail.load()) % 3 != 0) {
         const std::uint64_t pair[2] = {i, i};
         thread->StoreBytes(&root->values[6], pair, sizeof(pair));
       } else {
@@ -475,7 +505,8 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     ASSERT_EQ(slot->tail.load(), capacity - 2);
 
     // Open OCS: kAcquire at capacity-2, the first word record at
-    // capacity-1, the other four wrapped to physical indices 0..3.
+    // capacity-1, the other four wrapped to physical indices 0..3 (the
+    // full ring's inline pass stabilizes the fillers to make room).
     thread->OnAcquire(&word, 3);
     thread->StoreBytes(root->values, after, sizeof(after));
     ASSERT_EQ(slot->tail.load(), capacity + 4) << "batch must straddle";
@@ -488,6 +519,73 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
   EXPECT_EQ(std::memcmp(session.root()->values, before, sizeof(before)), 0)
       << "wrapped word records must replay correctly";
   EXPECT_GT(session.root()->values[7], 0u) << "committed fillers survive";
+}
+
+// A fast-path commit rewinds the ring to its OCS's begin position, so
+// back-to-back inline commits rewrite the same entries; a published OCS
+// still advances the tail; the pruner's head store for it names the
+// position the next inline commit rewinds to (so that store cannot pass
+// the tail even when it lands after the rewind); and a crash inside the
+// next OCS rolls back exactly that OCS, whether its capture armed a
+// counter slot or wrote a ring record.
+TEST_F(AtlasRecoveryTest, InlineCommitsRewindAndTheNextOcsStillRollsBack) {
+  for (const bool use_counter_slots : {true, false}) {
+    SCOPED_TRACE(use_counter_slots ? "counter-slot capture"
+                                   : "ring-record capture");
+    ScopedRegionFile file(use_counter_slots ? "rewind_slots"
+                                            : "rewind_ring");
+    {
+      Session session(file.path(), /*create=*/true);
+      session.StartRuntime(PersistencePolicy::TspLogOnly(),
+                           use_counter_slots);
+      PMutex mutex(session.runtime());
+      AtlasThread* thread = session.runtime()->CurrentThread();
+      AtlasThread peer(session.runtime(), 40);
+      TestRoot* root = session.root();
+      const ThreadLogHeader* slot =
+          session.runtime()->area().slot(thread->thread_id());
+
+      const std::uint64_t begin = slot->tail.load();
+      for (std::uint64_t i = 1; i <= 100; ++i) {
+        PMutexLock lock(&mutex);
+        thread->Store(&root->values[5], i);
+        ASSERT_GT(slot->tail.load(), begin) << "the capture published";
+      }
+      EXPECT_EQ(thread->local_stats().fast_path_commits, 100u);
+      EXPECT_EQ(slot->tail.load(), begin);
+      EXPECT_EQ(slot->head.load(), begin);
+
+      StartPublishChain(&peer, thread, &root->values[6], 66);
+      const std::uint64_t published_end = slot->tail.load();
+      EXPECT_GT(published_end, begin) << "a published OCS keeps its entries";
+      EXPECT_EQ(slot->head.load(), begin);
+
+      // The pruner's pass stores stable_ocs, then head = the published
+      // OCS's end; an inline commit may run between the two stores.
+      ASSERT_EQ(session.runtime()->StabilizeNow(), 1u);
+      EXPECT_EQ(slot->head.load(), published_end);
+      {
+        PMutexLock lock(&mutex);
+        thread->Store(&root->values[5], std::uint64_t{500});
+      }
+      EXPECT_EQ(thread->local_stats().fast_path_commits, 101u);
+      EXPECT_EQ(slot->tail.load(), published_end)
+          << "rewound to the published OCS's end";
+      EXPECT_EQ(slot->head.load(), published_end);
+
+      PLockWord word;
+      thread->OnAcquire(&word, 3);
+      thread->Store(&root->values[5], std::uint64_t{0xBAD});
+      session.Crash();
+    }
+    Session session(file.path(), /*create=*/false);
+    const RecoveryStats stats = session.Recover();
+    EXPECT_EQ(stats.ocses_seen, 1u) << "only the open OCS is in the ring";
+    EXPECT_EQ(stats.ocses_incomplete, 1u);
+    EXPECT_EQ(stats.stores_undone, 1u);
+    EXPECT_EQ(session.root()->values[5], 500u);
+    EXPECT_EQ(session.root()->values[6], 66u);
+  }
 }
 
 TEST_F(AtlasRecoveryTest, FreshObjectsInInterruptedOcsAreReclaimed) {
@@ -655,11 +753,13 @@ TEST_F(AtlasRecoveryTest, RingsReachingIntoTraceReservationAreRefused) {
   ASSERT_GT(obs::TraceReservationBytes(kRuntimeArea), 0u);
   CrashThenCorruptHeader(
       file_->path(), kRuntimeArea, [](AtlasAreaHeader* header) {
-        const std::uint64_t whole_area =
-            (kRuntimeArea - header->entries_offset) /
-            (sizeof(LogEntry) * header->max_threads);
-        ASSERT_GT(whole_area, header->entries_per_thread);
-        header->entries_per_thread = whole_area;
+        // The same power-of-two rings, moved to end where the runtime
+        // area ends: inside the trace reservation.
+        const std::uint64_t ring_bytes = sizeof(LogEntry) *
+                                         header->max_threads *
+                                         header->entries_per_thread;
+        ASSERT_GT(kRuntimeArea - ring_bytes, header->entries_offset);
+        header->entries_offset = kRuntimeArea - ring_bytes;
       });
   auto heap = pheap::PersistentHeap::Open(file_->path());
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();

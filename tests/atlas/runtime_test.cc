@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "atlas/pmutex.h"
 #include "common/flush.h"
+#include "common/random.h"
+#include "obs/recorder.h"
+#include "obs/trace_reader.h"
 #include "pheap/test_util.h"
 
 namespace tsp::atlas {
@@ -21,16 +25,15 @@ pheap::RegionOptions SmallOptions(std::size_t runtime_kb = 2048) {
   return options;
 }
 
-// Collects the kinds of all entries ever appended to a thread's ring
-// (including trimmed ones — commit trims stable OCSes immediately, but
-// the bytes remain until the ring wraps). Only valid while total
-// appends < ring capacity.
+// The kinds of the entries in a thread's ring window [head, tail). A
+// fast-path commit rewinds the ring past its OCS's entries, so read
+// them while the OCS is still open.
 std::vector<EntryKind> RingKinds(const AtlasRuntime& runtime,
                                  std::uint16_t thread_id) {
   const AtlasArea& area = runtime.area();
   const ThreadLogHeader* slot = area.slot(thread_id);
   std::vector<EntryKind> kinds;
-  for (std::uint64_t i = 0; i < slot->tail.load(); ++i) {
+  for (std::uint64_t i = slot->head.load(); i < slot->tail.load(); ++i) {
     kinds.push_back(area.entry(thread_id, i)->kind);
   }
   return kinds;
@@ -94,22 +97,26 @@ TEST_F(AtlasRuntimeTest, OcsLogsAcquireStoreRelease) {
   *value = 1;
   PMutex mutex(runtime_.get());
   AtlasThread* thread = runtime_->CurrentThread();
+  const ThreadLogHeader* ring = runtime_->area().slot(thread->thread_id());
+  const std::uint64_t begin = ring->tail.load();
   {
     PMutexLock lock(&mutex);
     EXPECT_TRUE(thread->in_ocs());
     thread->Store(value, std::uint64_t{2});
+    // The single store is absorbed by a FliT counter slot, so the ring
+    // carries only the published kAcquire (arming the slot publishes
+    // the staged bracket so recovery can attribute the capture).
+    const std::vector<EntryKind> kinds =
+        RingKinds(*runtime_, thread->thread_id());
+    ASSERT_EQ(kinds.size(), 1u);
+    EXPECT_EQ(kinds[0], EntryKind::kAcquire);
   }
   EXPECT_FALSE(thread->in_ocs());
   EXPECT_EQ(*value, 2u);
-
-  // The single store is absorbed by a FliT counter slot, so the ring
-  // carries only the published kAcquire (arming the slot publishes the
-  // staged bracket so recovery can attribute the capture); the fast-path
-  // commit elides the kRelease — the inline trim would erase it anyway.
-  const std::vector<EntryKind> kinds =
-      RingKinds(*runtime_, thread->thread_id());
-  ASSERT_EQ(kinds.size(), 1u);
-  EXPECT_EQ(kinds[0], EntryKind::kAcquire);
+  // The fast-path commit elides the kRelease and rewinds the ring to
+  // the OCS's begin position, dropping its kAcquire.
+  EXPECT_EQ(ring->tail.load(), begin);
+  EXPECT_EQ(ring->head.load(), begin);
   const CounterSlot* slot = FindArmedSlot(
       *runtime_, thread->thread_id(), heap_->region()->ToOffset(value));
   ASSERT_NE(slot, nullptr);
@@ -125,13 +132,13 @@ TEST_F(AtlasRuntimeTest, FirstStorePerLocationPerOcs) {
   {
     PMutexLock lock(&mutex);
     for (std::uint64_t i = 0; i < 100; ++i) thread->Store(value, i);
+    // Only the first store to a location per OCS captures an old value;
+    // with the FliT path on, that capture arms a counter slot and the 99
+    // repeats hit the slot without touching the ring or the AddressSet.
+    EXPECT_EQ(CountKind(RingKinds(*runtime_, thread->thread_id()),
+                        EntryKind::kStore),
+              0u);
   }
-  // Only the first store to a location per OCS captures an old value;
-  // with the FliT path on, that capture arms a counter slot and the 99
-  // repeats hit the slot without touching the ring or the AddressSet.
-  EXPECT_EQ(CountKind(RingKinds(*runtime_, thread->thread_id()),
-                      EntryKind::kStore),
-            0u);
   EXPECT_EQ(thread->local_stats().flit_rearms, 1u);
   EXPECT_EQ(thread->local_stats().flit_repeat_hits, 99u);
   EXPECT_EQ(thread->local_stats().dedup_hits, 99u);
@@ -219,24 +226,25 @@ TEST_F(AtlasRuntimeTest, StoreBytesSplitsLargeRanges) {
   {
     PMutexLock lock(&mutex);
     thread->StoreBytes(blob, data, 20);
+    // 20 bytes widen to a 24-byte word span → one word record per word,
+    // each carrying that word's old value, published in one batch. Read
+    // before the commit rewinds the ring past them.
+    const std::vector<EntryKind> kinds =
+        RingKinds(*runtime_, thread->thread_id());
+    EXPECT_EQ(CountKind(kinds, EntryKind::kStore), 3u);
+    const AtlasArea& area = runtime_->area();
+    const ThreadLogHeader* ring = area.slot(thread->thread_id());
+    std::uint64_t expected_offset = heap_->region()->ToOffset(blob);
+    for (std::uint64_t i = ring->head.load(); i < ring->tail.load(); ++i) {
+      const LogEntry* entry = area.entry(thread->thread_id(), i);
+      if (entry->kind != EntryKind::kStore) continue;
+      EXPECT_EQ(entry->addr_offset, expected_offset);
+      EXPECT_EQ(entry->size, 8u);
+      EXPECT_EQ(entry->payload, 0u) << "old value of a zeroed word";
+      expected_offset += 8;
+    }
   }
   for (int i = 0; i < 20; ++i) EXPECT_EQ(blob[i], static_cast<char>(i + 1));
-  // 20 bytes widen to a 24-byte word span → one word record per word,
-  // each carrying that word's old value, published in one batch.
-  const std::vector<EntryKind> kinds =
-      RingKinds(*runtime_, thread->thread_id());
-  EXPECT_EQ(CountKind(kinds, EntryKind::kStore), 3u);
-  const AtlasArea& area = runtime_->area();
-  std::uint64_t expected_offset = heap_->region()->ToOffset(blob);
-  for (std::uint64_t i = 0; i < area.slot(thread->thread_id())->tail.load();
-       ++i) {
-    const LogEntry* entry = area.entry(thread->thread_id(), i);
-    if (entry->kind != EntryKind::kStore) continue;
-    EXPECT_EQ(entry->addr_offset, expected_offset);
-    EXPECT_EQ(entry->size, 8u);
-    EXPECT_EQ(entry->payload, 0u) << "old value of a zeroed word";
-    expected_offset += 8;
-  }
   EXPECT_EQ(thread->local_stats().undo_records, 3u);
   EXPECT_EQ(thread->local_stats().batched_publishes, 1u);
   runtime_->UnregisterCurrentThread();
@@ -326,14 +334,193 @@ TEST_F(AtlasRuntimeTest, RingWrapsUnderPruning) {
   auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
   PMutex mutex(runtime_.get());
   AtlasThread* thread = runtime_->CurrentThread();
-  // Far more entries than the ring holds; inline pruning must keep us
-  // going (5 entries per OCS).
+  AtlasThread peer(runtime_.get(), 40);
+  // Inline commits rewind the ring, so make the OCSes publish: every
+  // 8th takes a lock the peer released mid-OCS (a dependency on an open
+  // OCS), and its successors publish until a pass stabilizes them. Far
+  // more entries than the ring holds (3 per published OCS); inline
+  // pruning on a full ring must keep us going.
   for (std::uint64_t i = 0; i < capacity; ++i) {
-    PMutexLock lock(&mutex);
+    if (i % 8 != 0) {
+      PMutexLock lock(&mutex);
+      thread->Store(value, i);
+      continue;
+    }
+    PLockWord outer;
+    PLockWord shared;
+    peer.OnAcquire(&outer, 91);
+    peer.OnAcquire(&shared, 92);
+    peer.OnRelease(&shared, 92);
+    thread->OnAcquire(&shared, 92);
     thread->Store(value, i);
+    thread->OnRelease(&shared, 92);
+    peer.OnRelease(&outer, 91);
   }
   EXPECT_EQ(*value, capacity - 1);
+  EXPECT_GT(runtime_->area().slot(thread->thread_id())->tail.load(),
+            2 * capacity)
+      << "published OCSes must wrap the ring";
   runtime_->UnregisterCurrentThread();
+}
+
+// Head never passes tail while the OCSes of several threads publish
+// (nested locks: a thread taking a lock another released mid-OCS
+// records a dependency), commit inline and are pruned concurrently. The
+// pruner's head store for a published OCS names the position the next
+// inline commit of that thread rewinds to, and head only moves forward,
+// so a sampler that reads head before tail must never see it ahead.
+TEST_F(AtlasRuntimeTest, HeadNeverPassesTailUnderThePruner) {
+  runtime_.reset();
+  AtlasRuntime::Options options;
+  options.prune_interval_us = 10;
+  runtime_ = std::make_unique<AtlasRuntime>(
+      heap_.get(), PersistencePolicy::TspLogOnly(), options);
+  ASSERT_TRUE(runtime_->Initialize().ok());
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kLocks = 4;
+  constexpr int kOcses = 5000;
+  auto* words = static_cast<std::uint64_t*>(heap_->Alloc(kLocks * 8));
+  std::vector<std::unique_ptr<PMutex>> locks;
+  for (std::uint64_t l = 0; l < kLocks; ++l) {
+    locks.push_back(std::make_unique<PMutex>(runtime_.get()));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread sampler([this, &done, &violations] {
+    const AtlasArea& area = runtime_->area();
+    while (!done.load()) {
+      for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
+        const std::uint64_t head = area.slot(t)->head.load();
+        if (head > area.slot(t)->tail.load()) violations.fetch_add(1);
+      }
+    }
+  });
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([this, w, words, &locks, &ready] {
+      AtlasThread* thread = runtime_->CurrentThread();
+      Random rng(100 + w);
+      // Start together, so the threads' OCSes overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kOcses; ++i) {
+        // Ordered nesting (outer < inner) keeps the lock graph acyclic.
+        const std::uint64_t outer = rng.Uniform(kLocks - 1);
+        const std::uint64_t inner = outer + 1 + rng.Uniform(kLocks - 1 - outer);
+        PMutexLock lock(locks[outer].get(), thread);
+        thread->Store(&words[outer], words[outer] + 1);
+        if (i % 2 == 0) {
+          {
+            PMutexLock nested(locks[inner].get(), thread);
+            thread->Store(&words[inner], words[inner] + 1);
+          }
+          // Hold the OCS open past the nested release, so a thread
+          // waiting for `inner` takes it from an unstable releaser.
+          std::this_thread::yield();
+        }
+      }
+      runtime_->UnregisterCurrentThread();
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  done.store(true);
+  sampler.join();
+  EXPECT_EQ(violations.load(), 0u);
+  const AtlasRuntimeStats stats = runtime_->GetStats();
+  EXPECT_GT(stats.published_commits, 0u);
+  EXPECT_GT(stats.fast_path_commits, 0u);
+}
+
+// The flight recorder's open span tracks the ring's open OCS at every
+// commit: a kill before the commit (the watermark store) leaves both
+// open, a kill after it leaves both closed. A post-mortem reader sees
+// the bytes read here, for inline, nested and published commits.
+TEST_F(AtlasRuntimeTest, CommitWatermarkClosesTheOpenSpan) {
+#ifdef TSP_OBS_DISABLED
+  GTEST_SKIP() << "flight recorder compiled out (TSP_OBS=OFF)";
+#else
+  const bool trace_was_enabled = obs::TraceEnabled();
+  obs::SetTraceEnabled(true);
+  Recreate(PersistencePolicy::TspLogOnly(), /*runtime_kb=*/8192);
+  ASSERT_NE(heap_->recorder(), nullptr);
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  PMutex outer(runtime_.get());
+  PMutex shared(runtime_.get());
+  AtlasThread* thread = runtime_->CurrentThread();
+  const std::uint16_t id = thread->thread_id();
+  const auto open_spans = [this, id] {
+    std::vector<std::uint64_t> open;
+    const obs::TraceReader reader(heap_->runtime_area(),
+                                  heap_->runtime_area_size());
+    for (const obs::OpenOcsSpan& span : reader.OpenOcsSpans()) {
+      if (UnpackThread(span.packed_ocs) == id) open.push_back(span.packed_ocs);
+    }
+    return open;
+  };
+  const auto ring_open = [this, id] {
+    const ThreadLogHeader* slot = runtime_->area().slot(id);
+    const DecodedRing ring = DecodeRing(runtime_->area(), id,
+                                        slot->head.load(), slot->tail.load());
+    return !ring.ocses.empty() && !ring.ocses.back().committed;
+  };
+  const auto expect_open = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(open_spans(), std::vector<std::uint64_t>{PackThreadOcs(
+                                id, thread->current_ocs())});
+    EXPECT_TRUE(ring_open());
+  };
+  const auto expect_closed = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_TRUE(open_spans().empty());
+    EXPECT_FALSE(ring_open());
+  };
+
+  {
+    PMutexLock lock(&outer);
+    thread->Store(value, std::uint64_t{1});
+    expect_open("inline, before the commit");
+  }
+  expect_closed("inline, after the commit");
+  EXPECT_EQ(thread->local_stats().fast_path_commits, 1u);
+
+  {
+    PMutexLock lock(&outer);
+    {
+      PMutexLock nested(&shared);
+      thread->Store(value, std::uint64_t{2});
+    }
+    expect_open("nested, after the inner release");
+  }
+  expect_closed("nested, after the outer release");
+
+  // A peer thread releases `shared` while its OCS stays open, so this
+  // thread's next OCS depends on it and publishes.
+  std::atomic<int> phase{0};
+  std::thread peer([this, &outer, &shared, &phase] {
+    AtlasThread* peer_thread = runtime_->CurrentThread();
+    outer.lock();
+    shared.lock();
+    shared.unlock();
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+    outer.unlock();
+    EXPECT_EQ(peer_thread->local_stats().fast_path_commits, 1u);
+    runtime_->UnregisterCurrentThread();
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  {
+    PMutexLock lock(&shared);
+    thread->Store(value, std::uint64_t{3});
+    expect_open("published, before the commit");
+  }
+  expect_closed("published, after the commit");
+  EXPECT_EQ(thread->local_stats().published_commits, 1u);
+  phase.store(2);
+  peer.join();
+  runtime_->UnregisterCurrentThread();
+  obs::SetTraceEnabled(trace_was_enabled);
+#endif  // TSP_OBS_DISABLED
 }
 
 TEST_F(AtlasRuntimeTest, InitializeFailsOnUncleanHeap) {

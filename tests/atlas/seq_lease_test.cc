@@ -30,8 +30,6 @@ class SeqLeaseTest : public ::testing::Test {
     file_ = std::make_unique<ScopedRegionFile>("seqlease");
     pheap::RegionOptions options;
     options.size = 64 * 1024 * 1024;
-    // Large enough that no ring wraps (the stamp scans below read raw
-    // ring bytes from position 0).
     options.runtime_area_size = 16 * 1024 * 1024;
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
@@ -49,18 +47,16 @@ class SeqLeaseTest : public ::testing::Test {
     ASSERT_TRUE(runtime_->Initialize().ok());
   }
 
-  /// All (seq, payload) pairs of kStore entries for `offset`, scanning
-  /// every ring from position 0 (trimming moves head but leaves bytes in
-  /// place; valid while each ring's total appends < its capacity).
+  /// The (seq, payload) pairs of the kStore entries for `offset` in
+  /// every ring's window [head, tail). A fast-path commit rewinds its
+  /// ring past its OCS's records, so read them before the release.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> StoreStamps(
       std::uint64_t offset) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> stamps;
     const AtlasArea& area = runtime_->area();
     for (std::uint32_t t = 0; t < area.max_threads(); ++t) {
       const ThreadLogHeader* slot = area.slot(t);
-      const std::uint64_t tail = slot->tail.load();
-      EXPECT_LE(tail, area.entries_per_thread()) << "ring wrapped; test bug";
-      for (std::uint64_t i = 0; i < tail; ++i) {
+      for (std::uint64_t i = slot->head.load(); i < slot->tail.load(); ++i) {
         const LogEntry* entry = area.entry(t, i);
         if (entry->kind == EntryKind::kStore &&
             entry->addr_offset == offset) {
@@ -82,9 +78,16 @@ TEST_F(SeqLeaseTest, SingleThreadLeasesBlocksAndStaysMonotone) {
   std::memset(slots, 0, 20 * 8);
   PMutex mutex(runtime_.get());
   AtlasThread* thread = runtime_->CurrentThread();
+  // Each OCS's record is read before its release rewinds the ring.
+  std::vector<std::uint64_t> seqs;
   for (int i = 0; i < 20; ++i) {
     PMutexLock lock(&mutex);
     thread->Store(&slots[i], std::uint64_t{1});
+    const auto stamps = StoreStamps(heap_->region()->ToOffset(&slots[i]));
+    ASSERT_EQ(stamps.size(), 1u);
+    seqs.push_back(stamps[0].first);
+    EXPECT_EQ(thread->seq_frontier(), seqs.back())
+        << "the frontier is the highest stamp issued so far";
   }
   const AtlasRuntimeStats stats = runtime_->GetStats();
   EXPECT_EQ(stats.undo_records, 20u);
@@ -96,23 +99,9 @@ TEST_F(SeqLeaseTest, SingleThreadLeasesBlocksAndStaysMonotone) {
   EXPECT_EQ(stats.seq_resyncs, 0u);
 
   // Program-order stamps strictly increase across lease boundaries.
-  const AtlasArea& area = runtime_->area();
-  const std::uint16_t id = thread->thread_id();
-  std::uint64_t last_seq = 0;
-  std::uint64_t stores_seen = 0;
-  for (std::uint64_t i = 0; i < area.slot(id)->tail.load(); ++i) {
-    const LogEntry* entry = area.entry(id, i);
-    if (entry->kind == EntryKind::kStore) {
-      EXPECT_GT(entry->seq, last_seq);
-      last_seq = entry->seq;
-      ++stores_seen;
-    } else if (entry->kind == EntryKind::kRelease) {
-      // The release entry publishes the frontier: the highest stamp
-      // issued so far.
-      EXPECT_EQ(entry->seq, last_seq);
-    }
+  for (std::size_t i = 1; i < seqs.size(); ++i) {
+    EXPECT_GT(seqs[i], seqs[i - 1]);
   }
-  EXPECT_EQ(stores_seen, 20u);
   runtime_->UnregisterCurrentThread();
 }
 
@@ -138,6 +127,8 @@ TEST_F(SeqLeaseTest, FrontierPropagatesThroughStampFreeOcs) {
 
   a.OnAcquire(&l1, 1);  // A leases a later block (stamp for x)
   a.Store(x, std::uint64_t{1});
+  // Read A's record before its release rewinds A's ring.
+  const auto a_stamps = StoreStamps(heap_->region()->ToOffset(x));
   a.OnRelease(&l1, 1);
 
   b.OnAcquire(&l1, 1);  // B adopts A's frontier, issues no stamps
@@ -147,17 +138,16 @@ TEST_F(SeqLeaseTest, FrontierPropagatesThroughStampFreeOcs) {
 
   c.OnAcquire(&l2, 2);  // C's unspent lease is now stale → resync
   c.Store(x, std::uint64_t{2});
+  const auto c_stamps = StoreStamps(heap_->region()->ToOffset(x));
   c.OnRelease(&l2, 2);
 
   EXPECT_EQ(c.local_stats().seq_resyncs, 1u);
   EXPECT_GT(c.seq_frontier(), a.seq_frontier());
-  const auto x_stamps = StoreStamps(heap_->region()->ToOffset(x));
-  ASSERT_EQ(x_stamps.size(), 2u);
-  const std::uint64_t a_stamp =
-      x_stamps[0].second == 0 ? x_stamps[0].first : x_stamps[1].first;
-  const std::uint64_t c_stamp =
-      x_stamps[0].second == 0 ? x_stamps[1].first : x_stamps[0].first;
-  EXPECT_GT(c_stamp, a_stamp)
+  ASSERT_EQ(a_stamps.size(), 1u);
+  ASSERT_EQ(c_stamps.size(), 1u);
+  EXPECT_EQ(a_stamps[0].second, 0u) << "A's record holds x's first value";
+  EXPECT_EQ(c_stamps[0].second, 1u) << "C's record holds A's value";
+  EXPECT_GT(c_stamps[0].first, a_stamps[0].first)
       << "C's undo record must replay before A's (reverse-stamp order)";
 }
 
@@ -179,9 +169,14 @@ TEST_F(SeqLeaseTest, CrossThreadStampsFollowLockOrder) {
   *counter = 0;
   PMutex mutex(runtime_.get());
   std::atomic<std::uint64_t> turn{0};
+  // Every OCS's (seq, old value) record, read under the mutex before
+  // its release rewinds the ring.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stamps;
+  const std::uint64_t offset = heap_->region()->ToOffset(counter);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([this, counter, &mutex, &turn, t] {
+    threads.emplace_back([this, counter, offset, &mutex, &turn, &stamps,
+                          t] {
       AtlasThread* thread = runtime_->CurrentThread();
       for (std::uint64_t r = 0; r < kRounds; ++r) {
         while (turn.load() % kThreads != static_cast<std::uint64_t>(t)) {
@@ -190,6 +185,9 @@ TEST_F(SeqLeaseTest, CrossThreadStampsFollowLockOrder) {
         for (std::uint64_t i = 0; i < kPerRound; ++i) {
           PMutexLock lock(&mutex);
           thread->Store(counter, *counter + 1);
+          const auto records = StoreStamps(offset);
+          ASSERT_EQ(records.size(), 1u);
+          stamps.push_back(records[0]);
         }
         turn.fetch_add(1);
       }
@@ -197,8 +195,6 @@ TEST_F(SeqLeaseTest, CrossThreadStampsFollowLockOrder) {
   }
   for (auto& t : threads) t.join();
   ASSERT_EQ(*counter, kThreads * kRounds * kPerRound);
-
-  auto stamps = StoreStamps(heap_->region()->ToOffset(counter));
   ASSERT_EQ(stamps.size(), kThreads * kRounds * kPerRound);
   std::sort(stamps.begin(), stamps.end());
   for (std::uint64_t i = 0; i < stamps.size(); ++i) {

@@ -108,6 +108,30 @@ TEST_P(MutexHashMapTest, CollidingKeysChainCorrectly) {
   }
 }
 
+// Buckets are masked and stripes come from a reciprocal: the bucket
+// count rounds up to a power of two, the stripes still cover it in
+// buckets_per_lock runs, and a stripe wider than the map is one lock.
+TEST_P(MutexHashMapTest, BucketCountRoundsUpToAPowerOfTwo) {
+  for (const std::uint64_t buckets_per_lock : {100u, 4096u}) {
+    MutexHashMap::Options options;
+    options.bucket_count = 1000;
+    options.buckets_per_lock = buckets_per_lock;
+    HashMapRoot* root = MutexHashMap::CreateRoot(heap_.get(), options);
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->buckets->bucket_count, 1024u);
+    MutexHashMap map(heap_.get(), root, runtime_.get(), options);
+    EXPECT_EQ(map.bucket_count(), 1024u);
+    EXPECT_EQ(map.lock_count(), buckets_per_lock == 100u ? 11u : 1u);
+    for (std::uint64_t k = 0; k < 3000; ++k) map.Put(k, k + 1);
+    std::uint64_t visited = 0;
+    map.ForEach([&visited](std::uint64_t k, std::uint64_t v) {
+      EXPECT_EQ(v, k + 1);
+      ++visited;
+    });
+    EXPECT_EQ(visited, 3000u);
+  }
+}
+
 TEST_P(MutexHashMapTest, ForEachVisitsEverything) {
   std::map<std::uint64_t, std::uint64_t> reference;
   Random rng(5);

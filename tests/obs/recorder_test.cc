@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,16 @@ struct AreaBuffer {
   std::uint8_t* base;
 };
 
+/// Recorder::Attach over `buffer`, which must not refuse; null when it
+/// runs untraced.
+std::unique_ptr<Recorder> AttachOk(
+    const AreaBuffer& buffer,
+    const Recorder::AttachOptions& options = Recorder::AttachOptions{}) {
+  auto recorder = Recorder::Attach(buffer.base, buffer.size, options);
+  EXPECT_TRUE(recorder.ok()) << recorder.status().ToString();
+  return recorder.ok() ? std::move(*recorder) : nullptr;
+}
+
 TEST(TraceLayoutTest, ReservationCarve) {
   EXPECT_EQ(TraceReservationBytes(0), 0u);
   EXPECT_EQ(TraceReservationBytes(4 * kMiB - 1), 0u);  // too small: disabled
@@ -45,12 +56,59 @@ TEST(TraceLayoutTest, FormatThenValidate) {
   const std::uint64_t events =
       TraceArea::Format(buffer.base, buffer.size, kDefaultMaxTraceThreads);
   ASSERT_GT(events, 0u);
-  EXPECT_TRUE(TraceArea::Validate(buffer.base, buffer.size));
+  EXPECT_TRUE(TraceArea::Check(buffer.base, buffer.size).ok());
   // A shrunk mapping no longer fits the self-described geometry.
-  EXPECT_FALSE(TraceArea::Validate(buffer.base, buffer.size / 2));
+  EXPECT_FALSE(TraceArea::Check(buffer.base, buffer.size / 2).ok());
   TraceArea area(buffer.base, buffer.size);
   EXPECT_EQ(area.header()->max_threads, kDefaultMaxTraceThreads);
   EXPECT_EQ(area.header()->events_per_thread, events);
+}
+
+TEST(TraceLayoutTest, RingCapacityIsAPowerOfTwo) {
+  // The default 32 MiB runtime area reserves 2 MiB: 1021 events per ring
+  // would fit, and each ring holds the largest power of two below that.
+  AreaBuffer buffer(TraceReservationBytes(32 * kMiB));
+  EXPECT_EQ(
+      TraceArea::Format(buffer.base, buffer.size, kDefaultMaxTraceThreads),
+      512u);
+  TraceArea area(buffer.base, buffer.size);
+  EXPECT_EQ(area.event_mask(), 511u);
+}
+
+TEST(TraceLayoutTest, CheckNamesWhyAnAreaIsUnreadable) {
+  AreaBuffer buffer(kMiB);
+  std::memset(buffer.base, 0, buffer.size);
+  EXPECT_EQ(TraceArea::Check(buffer.base, buffer.size).code(),
+            StatusCode::kNotFound);
+  ASSERT_GT(
+      TraceArea::Format(buffer.base, buffer.size, kDefaultMaxTraceThreads),
+      0u);
+  ASSERT_TRUE(TraceArea::Check(buffer.base, buffer.size).ok());
+  TraceAreaHeader* header = TraceArea(buffer.base, buffer.size).header();
+
+  header->version = kTraceVersion - 1;
+  Status status = TraceArea::Check(buffer.base, buffer.size);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find(
+                "version " + std::to_string(kTraceVersion - 1)),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("version " + std::to_string(kTraceVersion)),
+            std::string::npos)
+      << status.message();
+  header->version = kTraceVersion;
+
+  const std::uint64_t events = header->events_per_thread;
+  header->events_per_thread = events - 1;
+  status = TraceArea::Check(buffer.base, buffer.size);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("power of two"), std::string::npos)
+      << status.message();
+  header->events_per_thread = events;
+
+  header->events_offset = buffer.size;  // torn: no room for the events
+  EXPECT_EQ(TraceArea::Check(buffer.base, buffer.size).code(),
+            StatusCode::kCorruption);
 }
 
 #ifndef TSP_OBS_DISABLED
@@ -59,14 +117,14 @@ TEST(RecorderTest, AttachRequiresAReservation) {
   // Runtime areas below the carve threshold have no trace reservation.
   AreaBuffer buffer(kMiB);
   Recorder::AttachOptions options;
-  EXPECT_EQ(Recorder::Attach(buffer.base, buffer.size, options), nullptr);
+  EXPECT_EQ(AttachOk(buffer, options), nullptr);
 }
 
 TEST(RecorderTest, EmitReadBackRoundTrip) {
   AreaBuffer buffer(8 * kMiB);
   Recorder::AttachOptions options;
   options.generation = 3;
-  auto recorder = Recorder::Attach(buffer.base, buffer.size, options);
+  auto recorder = AttachOk(buffer, options);
   ASSERT_NE(recorder, nullptr);
 
   TraceWriter* writer = recorder->writer();
@@ -75,8 +133,9 @@ TEST(RecorderTest, EmitReadBackRoundTrip) {
   EXPECT_EQ(recorder->writer(), writer);
 
   writer->Emit(EventCode::kOcsBegin, /*arg0=*/77, /*arg1=*/0, /*aux=*/5);
-  writer->Emit(EventCode::kOcsCommit, /*arg0=*/77, /*arg1=*/0, /*aux=*/1);
-  EXPECT_EQ(recorder->EventsRecorded(), 2u);
+  writer->Emit(EventCode::kSeqBlockLease, /*arg0=*/128, /*arg1=*/64);
+  writer->Commit(/*packed_ocs=*/77);
+  EXPECT_EQ(recorder->EventsRecorded(), 2u) << "a commit is not an event";
 
   const TraceReader reader(buffer.base, buffer.size);
   ASSERT_TRUE(reader.valid());
@@ -85,7 +144,8 @@ TEST(RecorderTest, EmitReadBackRoundTrip) {
   EXPECT_EQ(merged[0].code, static_cast<std::uint16_t>(EventCode::kOcsBegin));
   EXPECT_EQ(merged[0].arg0, 77u);
   EXPECT_EQ(merged[0].aux, 5u);
-  EXPECT_EQ(merged[1].code, static_cast<std::uint16_t>(EventCode::kOcsCommit));
+  EXPECT_EQ(merged[1].code,
+            static_cast<std::uint16_t>(EventCode::kSeqBlockLease));
   EXPECT_LE(merged[0].stamp, merged[1].stamp);
   EXPECT_TRUE(reader.OpenOcsSpans().empty()) << "commit closes the span";
 }
@@ -93,12 +153,12 @@ TEST(RecorderTest, EmitReadBackRoundTrip) {
 TEST(RecorderTest, UncommittedOcsShowsAsOpenSpan) {
   AreaBuffer buffer(8 * kMiB);
   auto recorder =
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{});
+      AttachOk(buffer);
   ASSERT_NE(recorder, nullptr);
   TraceWriter* writer = recorder->writer();
   ASSERT_NE(writer, nullptr);
   writer->Emit(EventCode::kOcsBegin, 11, 0, /*aux=*/4);
-  writer->Emit(EventCode::kOcsCommit, 11, 0, 1);
+  writer->Commit(11);
   writer->Emit(EventCode::kOcsBegin, 12, 0, /*aux=*/9);
   writer->Emit(EventCode::kMagazineRefill, 3, 64);  // non-OCS event after
 
@@ -112,7 +172,7 @@ TEST(RecorderTest, UncommittedOcsShowsAsOpenSpan) {
 TEST(RecorderTest, OverwritesOldestWhenFull) {
   AreaBuffer buffer(8 * kMiB);
   auto recorder =
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{});
+      AttachOk(buffer);
   ASSERT_NE(recorder, nullptr);
   TraceWriter* writer = recorder->writer();
   ASSERT_NE(writer, nullptr);
@@ -135,14 +195,14 @@ TEST(RecorderTest, ReattachPreservesEvidenceUntilAThreadClaims) {
   AreaBuffer buffer(8 * kMiB);
   {
     auto recorder =
-        Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{});
+        AttachOk(buffer);
     ASSERT_NE(recorder, nullptr);
     recorder->writer()->Emit(EventCode::kOcsBegin, 42, 0, 1);
     // No clean shutdown: the recorder dies with its slot still claimed,
     // like a SIGKILLed process.
   }
   auto recorder =
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{});
+      AttachOk(buffer);
   ASSERT_NE(recorder, nullptr);
   // Attach only clears claims; the dead session's events survive.
   {
@@ -169,28 +229,63 @@ TEST(RecorderTest, NeverFormatsOverACrashedLegacyArea) {
   std::memset(buffer.base, 0xAB, buffer.size);
   Recorder::AttachOptions options;
   options.allow_format = false;
-  EXPECT_EQ(Recorder::Attach(buffer.base, buffer.size, options), nullptr);
+  EXPECT_EQ(AttachOk(buffer, options), nullptr);
   for (std::size_t i = 0; i < buffer.size; i += 4097) {
     ASSERT_EQ(buffer.base[i], 0xAB) << "attach wrote at offset " << i;
   }
+}
+
+// A crashed heap's trace area is evidence: one this build cannot read
+// (another version, a torn geometry) is refused with TraceArea::Check's
+// reason, untouched, while a clean open reformats it.
+TEST(RecorderTest, UnreadableAreaIsRefusedWhenItMayNotBeFormatted) {
+  AreaBuffer buffer(8 * kMiB);
+  ASSERT_NE(AttachOk(buffer), nullptr);  // formats the reservation
+  auto* header = reinterpret_cast<TraceAreaHeader*>(
+      buffer.base + buffer.size - TraceReservationBytes(buffer.size));
+  Recorder::AttachOptions crashed;
+  crashed.allow_format = false;
+
+  header->version = kTraceVersion - 1;
+  auto refused = Recorder::Attach(buffer.base, buffer.size, crashed);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(header->version, kTraceVersion - 1) << "refusal wrote the area";
+  {
+    const TraceReader reader(buffer.base, buffer.size);
+    EXPECT_FALSE(reader.valid());
+    EXPECT_EQ(reader.status().message(), refused.status().message());
+  }
+  header->version = kTraceVersion;
+
+  const std::uint64_t events = header->events_per_thread;
+  header->events_per_thread = 1021;  // a torn, pre-rounding geometry
+  refused = Recorder::Attach(buffer.base, buffer.size, crashed);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+
+  // A clean open may format: it replaces the unreadable area.
+  ASSERT_NE(AttachOk(buffer), nullptr);
+  EXPECT_EQ(header->events_per_thread, events);
+  EXPECT_NE(AttachOk(buffer, crashed), nullptr);
 }
 
 TEST(RecorderTest, RuntimeToggleDisablesAttach) {
   AreaBuffer buffer(8 * kMiB);
   SetTraceEnabled(false);
   EXPECT_EQ(
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{}),
+      AttachOk(buffer),
       nullptr);
   SetTraceEnabled(true);
   EXPECT_NE(
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{}),
+      AttachOk(buffer),
       nullptr);
 }
 
 TEST(RecorderTest, WritersAreDistinctPerThread) {
   AreaBuffer buffer(8 * kMiB);
   auto recorder =
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{});
+      AttachOk(buffer);
   ASSERT_NE(recorder, nullptr);
   TraceWriter* main_writer = recorder->writer();
   ASSERT_NE(main_writer, nullptr);
@@ -218,7 +313,7 @@ TEST(RecorderTest, WritersAreDistinctPerThread) {
 TEST(RecorderTest, DisabledBuildNeverAttaches) {
   AreaBuffer buffer(8 * kMiB);
   EXPECT_EQ(
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{}),
+      AttachOk(buffer),
       nullptr);
 }
 

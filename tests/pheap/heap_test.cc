@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "obs/recorder.h"
+#include "obs/trace_layout.h"
 #include "pheap/test_util.h"
 
 namespace tsp::pheap {
@@ -107,6 +110,75 @@ TEST(HeapTest, RuntimeAreaIsReservedAndWritable) {
   ASSERT_NE(p, nullptr);
   EXPECT_GE(static_cast<char*>(p), static_cast<char*>(area) + size);
 }
+
+#ifndef TSP_OBS_DISABLED
+
+/// The trace area header at the tail of `heap`'s runtime area.
+obs::TraceAreaHeader* TraceHeaderOf(const PersistentHeap& heap) {
+  return reinterpret_cast<obs::TraceAreaHeader*>(
+      static_cast<char*>(heap.runtime_area()) + heap.runtime_area_size() -
+      obs::TraceReservationBytes(heap.runtime_area_size()));
+}
+
+// A crashed heap's flight-recorder rings are evidence recovery runs
+// beside: an area of another format version or with a torn geometry is
+// refused with one diagnostic naming both versions, never overwritten.
+// An area without the trace magic opens untraced, and a clean heap
+// reformats whatever it finds.
+TEST(HeapTest, CrashedHeapWithAnUnreadableTraceAreaIsRefused) {
+  const bool trace_was_enabled = obs::TraceEnabled();
+  obs::SetTraceEnabled(true);
+  ScopedRegionFile file("heap_trace_format");
+  RegionOptions options = SmallOptions();
+  options.runtime_area_size = 8 * 1024 * 1024;  // has a trace reservation
+  // Creates the heap, changes its trace header with `edit`, and leaves
+  // it crashed (no CloseClean) or clean.
+  auto make = [&](auto edit, bool clean) {
+    unlink(file.path().c_str());
+    auto heap = PersistentHeap::Create(file.path(), options);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    ASSERT_NE((*heap)->recorder(), nullptr);
+    edit(TraceHeaderOf(**heap));
+    if (clean) (*heap)->CloseClean();
+  };
+  const auto older = [](obs::TraceAreaHeader* h) {
+    h->version = obs::kTraceVersion - 1;
+  };
+
+  make(older, /*clean=*/false);
+  auto refused = PersistentHeap::Open(file.path());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+  const std::string& reason = refused.status().message();
+  EXPECT_NE(reason.find("version " + std::to_string(obs::kTraceVersion - 1)),
+            std::string::npos)
+      << reason;
+  EXPECT_NE(reason.find("version " + std::to_string(obs::kTraceVersion)),
+            std::string::npos)
+      << reason;
+
+  make([](obs::TraceAreaHeader* h) { h->events_per_thread = 1021; },
+       /*clean=*/false);
+  refused = PersistentHeap::Open(file.path());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCorruption);
+
+  make([](obs::TraceAreaHeader* h) { h->magic = 0; }, /*clean=*/false);
+  auto untraced = PersistentHeap::Open(file.path());
+  ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+  EXPECT_TRUE((*untraced)->needs_recovery());
+  EXPECT_EQ((*untraced)->recorder(), nullptr);
+  untraced->reset();
+
+  make(older, /*clean=*/true);
+  auto reformatted = PersistentHeap::Open(file.path());
+  ASSERT_TRUE(reformatted.ok()) << reformatted.status().ToString();
+  EXPECT_NE((*reformatted)->recorder(), nullptr);
+  EXPECT_EQ(TraceHeaderOf(**reformatted)->version, obs::kTraceVersion);
+  obs::SetTraceEnabled(trace_was_enabled);
+}
+
+#endif  // TSP_OBS_DISABLED
 
 struct Typed {
   static constexpr std::uint32_t kPersistentTypeId = 77;

@@ -18,6 +18,8 @@
 #include "atlas/log_layout.h"
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
+#include "obs/recorder.h"
+#include "obs/trace_layout.h"
 #include "pheap/heap.h"
 #include "pheap/test_util.h"
 #include "workload/map_session.h"
@@ -46,6 +48,39 @@ InspectRun Inspect(const std::string& args) {
   const int status = pclose(pipe);
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
   return run;
+}
+
+// A crashed heap whose flight-recorder area this build cannot read is
+// refused by PersistentHeap::Open; `trace` names the same reason and
+// exits 1 instead of printing an empty recorder.
+TEST(TspInspectTest, TraceNamesWhyItCannotReadTheRecorder) {
+#ifdef TSP_OBS_DISABLED
+  GTEST_SKIP() << "flight recorder compiled out (TSP_OBS=OFF)";
+#else
+  const bool trace_was_enabled = obs::TraceEnabled();
+  obs::SetTraceEnabled(true);
+  pheap::testing::ScopedRegionFile file("inspect_trace_version");
+  pheap::RegionOptions options;
+  options.size = 32u << 20;
+  options.runtime_area_size = 8u << 20;  // room for the flight recorder
+  {
+    auto heap = pheap::PersistentHeap::Create(file.path(), options);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    ASSERT_NE((*heap)->recorder(), nullptr);
+    auto* header = reinterpret_cast<obs::TraceAreaHeader*>(
+        static_cast<char*>((*heap)->runtime_area()) +
+        (*heap)->runtime_area_size() -
+        obs::TraceReservationBytes((*heap)->runtime_area_size()));
+    header->version = obs::kTraceVersion - 1;
+  }  // crash: unmapped without CloseClean
+  auto refused = pheap::PersistentHeap::Open(file.path());
+  ASSERT_FALSE(refused.ok());
+  const InspectRun trace = Inspect("trace " + file.path());
+  EXPECT_EQ(trace.exit_code, 1) << trace.output;
+  EXPECT_NE(trace.output.find(refused.status().message()), std::string::npos)
+      << trace.output;
+  obs::SetTraceEnabled(trace_was_enabled);
+#endif  // TSP_OBS_DISABLED
 }
 
 TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
@@ -121,8 +156,8 @@ TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
 // table: a lock-free map cannot (its plan has no Atlas mode), and a
 // log-only map can when every lock stripe gets a robust lock word. The
 // least buckets_per_lock it prints is the one MapSession's attach needs:
-// with 300000 buckets there are more stripes (300) at the default 1000
-// buckets per lock than the 256 words.
+// 300000 requested buckets round up to 524288, more stripes (525) at the
+// default 1000 buckets per lock than the 256 words.
 TEST(TspInspectTest, HeaderNamesSessionVariantAndWhetherItAttaches) {
   struct Case {
     workload::MapVariant variant;
@@ -136,9 +171,9 @@ TEST(TspInspectTest, HeaderNamesSessionVariantAndWhetherItAttaches) {
              "buckets, 256 robust lock words",
              4},
         Case{workload::MapVariant::kMutexLogOnly, 300000,
-             "yes if buckets_per_lock >= 1172 \\(Atlas mode log-only; "
-             "300000 buckets, 256 robust lock words",
-             1172},
+             "yes if buckets_per_lock >= 2048 \\(Atlas mode log-only; "
+             "524288 buckets, 256 robust lock words",
+             2048},
         Case{workload::MapVariant::kLockFreeHashMap, 1 << 10,
              "no \\(multi-process attach needs an Atlas mode", 0}}) {
     const std::string name = workload::MapVariantName(c.variant);

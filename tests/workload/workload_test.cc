@@ -205,13 +205,16 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
 }
 
 // A log-only map binds its lock stripes to the Atlas robust words only
-// when there is a word for each (256 words, 1000 buckets per stripe).
+// when there is a word for each (256 words, 1024 buckets per stripe).
 // With more stripes its locks are process-local, so attach must fail.
+// The bucket count rounds up to a power of two: 2^18 + 1 buckets are
+// 2^19, 512 stripes; 2^18 buckets are exactly 256 stripes.
 TEST(MapSessionTest, AttachRefusedWhenStripesOutnumberRobustWords) {
-  for (const std::uint64_t buckets : {300000u, 256000u}) {
+  for (const std::uint64_t buckets : {(1u << 18) + 1, 1u << 18}) {
     ScopedRegionFile file("stripe_attach");
     auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path());
     config.hash_options.bucket_count = buckets;
+    config.hash_options.buckets_per_lock = 1024;
     {
       auto owner = MapSession::OpenOrCreate(config);
       ASSERT_TRUE(owner.ok()) << owner.status().ToString();
@@ -220,7 +223,7 @@ TEST(MapSessionTest, AttachRefusedWhenStripesOutnumberRobustWords) {
     }
     config.attach = true;
     auto session = MapSession::OpenOrCreate(config);
-    if (buckets == 300000u) {
+    if (buckets == (1u << 18) + 1) {
       ASSERT_FALSE(session.ok());
       EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition)
           << session.status().ToString();
@@ -231,6 +234,33 @@ TEST(MapSessionTest, AttachRefusedWhenStripesOutnumberRobustWords) {
       (*session)->CloseDetach();
     }
   }
+}
+
+// A mutex map indexes buckets with a mask, so a root whose stored
+// bucket count is not a power of two (a map written by an older build)
+// is refused with one diagnostic instead of being served.
+TEST(MapSessionTest, MutexMapWithAnUnmaskableBucketCountIsRefused) {
+  ScopedRegionFile file("odd_buckets");
+  auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path());
+  config.hash_options.bucket_count = 1000;
+  {
+    auto session = MapSession::OpenOrCreate(config);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto* map = static_cast<maps::MutexHashMap*>((*session)->map());
+    EXPECT_EQ(map->bucket_count(), 1024u) << "rounded up at creation";
+    const auto record = MapSession::ReadRoot(*(*session)->heap());
+    ASSERT_TRUE(record.has_value());
+    // Shrinking the count keeps every stored chain inside the array.
+    static_cast<maps::HashMapRoot*>(const_cast<void*>(record->map_root))
+        ->buckets->bucket_count = 1000;
+    (*session)->CloseClean();
+  }
+  auto session = MapSession::OpenOrCreate(config);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(session.status().message().find("1000 buckets"),
+            std::string::npos)
+      << session.status().ToString();
 }
 
 TEST(MapSessionTest, VariantNamesAreStable) {

@@ -470,10 +470,16 @@ std::vector<std::uint64_t> UndoLogOpenOcses(const PersistentHeap& heap) {
 /// Decodes the flight recorder: per-thread rings merged into one
 /// stamp-ordered stream, plus the open OCS spans cross-referenced
 /// against the undo log's own begun-but-uncommitted OCSes. Shows the
-/// stream tail by default; -v dumps every surviving event.
+/// stream tail by default; -v dumps every surviving event. Exits 1 with
+/// TraceArea::Check's reason for an area of another version or a torn
+/// geometry.
 int ShowTrace(const PersistentHeap& heap, bool json, bool verbose) {
   const tsp::obs::TraceReader reader(heap.runtime_area(),
                                      heap.runtime_area_size());
+  if (reader.status().code() == tsp::StatusCode::kCorruption) {
+    std::fprintf(stderr, "%s\n", reader.status().message().c_str());
+    return 1;
+  }
   const std::vector<std::uint64_t> log_open = UndoLogOpenOcses(heap);
   const std::vector<tsp::obs::OpenOcsSpan> spans =
       reader.valid() ? reader.OpenOcsSpans()
