@@ -1,6 +1,6 @@
 // E7: microcosts of the Atlas runtime — what one OCS costs in each
-// persistence mode, what a logged store costs with and without the
-// first-store-per-location filter, and the log-pruning fast path.
+// persistence mode, what a logged store costs on the counter-slot path
+// and on the ring path, and the log-pruning fast path.
 // These per-operation numbers decompose the Table 1 column differences.
 
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "atlas/address_set.h"
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
 #include "pheap/heap.h"
@@ -81,8 +80,9 @@ void BM_OcsLogged(benchmark::State& state) {
 BENCHMARK(BM_OcsLogged<false>)->Name("BM_OcsLogged/tsp-log-only");
 BENCHMARK(BM_OcsLogged<true>)->Name("BM_OcsLogged/log+flush");
 
-// Stores inside one OCS: the dedup filter makes repeat stores to the
-// same location nearly free; unique locations each append a record.
+// Stores inside one OCS: a repeat store to the same word hits the
+// counter slot its first store armed (the slot path, no record);
+// unique locations each arm a slot or append a ring record.
 void BM_LoggedStoreSameLocation(benchmark::State& state) {
   Env env(PersistencePolicy::TspLogOnly());
   auto* value = static_cast<std::uint64_t*>(env.heap->Alloc(8));
@@ -106,8 +106,8 @@ void BM_LoggedStoreUniqueLocations(benchmark::State& state) {
   AtlasThread* thread = env.runtime->CurrentThread();
   PMutex mutex(env.runtime.get());
   std::uint64_t i = 0;
-  // Bounded OCS size: re-open the OCS every kSlots stores so the
-  // dedup set and ring stay finite.
+  // Bounded OCS size: re-open the OCS every kSlots stores so the ring
+  // stays finite.
   while (state.KeepRunningBatch(kSlots)) {
     tsp::atlas::PMutexLock lock(&mutex);
     for (std::size_t s = 0; s < kSlots; ++s) {
@@ -118,7 +118,7 @@ void BM_LoggedStoreUniqueLocations(benchmark::State& state) {
 }
 BENCHMARK(BM_LoggedStoreUniqueLocations);
 
-// Multi-word guarded store: one undo record per uncovered word, all
+// Multi-word guarded store: one undo record per word, all
 // published as one batch — a single tail advance and (in sync-flush
 // mode) one contiguous write-back + one fence, instead of a flush and
 // fence per word entry. The log+flush instance is the E7 ablation that
@@ -153,18 +153,6 @@ BENCHMARK(BM_StoreBytesBatch<true>)
     ->Name("BM_StoreBytesBatch/log+flush")
     ->Arg(64)
     ->Arg(256);
-
-void BM_AddressSetInsert(benchmark::State& state) {
-  tsp::atlas::AddressSet set;
-  std::uint64_t i = 0;
-  while (state.KeepRunningBatch(1024)) {
-    set.NewEpoch();
-    for (int s = 0; s < 1024; ++s) {
-      benchmark::DoNotOptimize(set.CoverWord((i++ % 512) * 8));
-    }
-  }
-}
-BENCHMARK(BM_AddressSetInsert);
 
 // Commit paths: dependency-free OCSes trim inline; OCSes with a
 // cross-thread dependency go through the pruner queue. Every row counts

@@ -462,7 +462,6 @@ int RunMproc(int procs, int kills, int shards,
           .Int("robust_steals", report.robust_steals)
           .Int("dead_owner_rollbacks", report.dead_owner_rollbacks)
           .Int("slots_harvested", report.slots_harvested)
-          .Int("nested_release_hazards", report.nested_release_hazards)
           .str();
   const std::string json =
       JsonObject()

@@ -85,13 +85,12 @@ int main(int argc, char** argv) {
 
   if (command == "produce" && argc == 4) {
     const std::uint64_t n = std::strtoull(argv[3], nullptr, 0);
-    const std::uint64_t base = app.queue->total_enqueued();
     for (std::uint64_t i = 0; i < n; ++i) {
-      app.queue->Enqueue(base + i + 1);  // job ids are 1-based and dense
+      app.queue->Enqueue(i + 1);  // job ids of one batch are 1..n
     }
     std::printf("enqueued %llu jobs (queue length %llu)\n",
                 static_cast<unsigned long long>(n),
-                static_cast<unsigned long long>(app.queue->size()));
+                static_cast<unsigned long long>(app.queue->Validate()));
   } else if (command == "drain" && argc == 4) {
     const std::uint64_t n = std::strtoull(argv[3], nullptr, 0);
     std::uint64_t drained = 0, last = 0;
@@ -104,23 +103,19 @@ int main(int argc, char** argv) {
     std::printf("drained %llu jobs (last id %llu, %llu remain)\n",
                 static_cast<unsigned long long>(drained),
                 static_cast<unsigned long long>(last),
-                static_cast<unsigned long long>(app.queue->size()));
+                static_cast<unsigned long long>(app.queue->Validate()));
   } else if (command == "crash" && argc == 3) {
     std::printf("producing and draining, then dying mid-operation...\n");
     std::fflush(stdout);
     for (std::uint64_t i = 0;; ++i) {
-      app.queue->Enqueue(app.queue->total_enqueued() + 1);
+      app.queue->Enqueue(i + 1);
       if (i % 3 == 0) app.queue->Dequeue();
       if (i == 20000) kill(getpid(), SIGKILL);
     }
   } else if (command == "status" && argc == 3) {
     const std::uint64_t length = app.queue->Validate();
-    std::printf("queue length %llu; %llu enqueued, %llu dequeued, "
-                "FIFO structure valid\n",
-                static_cast<unsigned long long>(length),
-                static_cast<unsigned long long>(app.queue->total_enqueued()),
-                static_cast<unsigned long long>(
-                    app.queue->total_dequeued()));
+    std::printf("queue length %llu; FIFO structure valid\n",
+                static_cast<unsigned long long>(length));
   } else {
     std::fprintf(stderr, "unknown command\n");
     return 2;

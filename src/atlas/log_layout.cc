@@ -175,8 +175,6 @@ DecodedRing DecodeRing(const AtlasArea& area, std::uint32_t thread,
         } else if (--depth == 0) {
           open->committed = true;
           open = nullptr;
-        } else {
-          open->released_nested = true;
         }
         break;
       case EntryKind::kStore:

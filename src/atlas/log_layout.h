@@ -147,8 +147,8 @@ static_assert(sizeof(ThreadLogHeader) == 64);
 /// thread owns a private direct-mapped array of these; a slot *is* an
 /// undo record at a fixed location for a hot, repeatedly-stored word.
 /// Re-arming a slot replaces a 32-byte ring append with one L1-resident
-/// line write, and a same-OCS hit replaces the AddressSet probe with a
-/// single predictable branch.
+/// line write, and a same-OCS hit captures nothing: a single
+/// predictable branch.
 ///
 /// Overwrite rule (the correctness core): a slot may be claimed or
 /// re-armed only when its current occupant OCS is *stable* (can never
@@ -231,12 +231,7 @@ struct alignas(64) RobustTableHeader {
   std::atomic<std::uint64_t> robust_steals;
   std::atomic<std::uint64_t> dead_owner_rollbacks;
   std::atomic<std::uint64_t> slots_harvested;
-  /// Dead owners whose incomplete OCS had released a *nested* lock
-  /// before the crash: rollback of such an OCS can strand a dependent
-  /// peer OCS (cross-process cascade, not implemented — see DESIGN.md
-  /// §12). Counted and warned; zero for single-lock OCS workloads.
-  std::atomic<std::uint64_t> nested_release_hazards;
-  std::uint64_t reserved_[4];
+  std::uint64_t reserved_[5];
 };
 
 static_assert(sizeof(RobustTableHeader) == 64);
@@ -402,9 +397,6 @@ struct DecodedOcs {
   std::uint64_t begin = 0;
   /// Its outermost release is in the ring; false = cut off by a crash.
   bool committed = false;
-  /// A nested lock was released while the OCS stayed open, so a peer
-  /// may have recorded a dependency on this OCS.
-  bool released_nested = false;
   /// Dependency edges: PackThreadOcs of the releasers it acquired from.
   std::vector<std::uint64_t> deps;
   /// Its kStore entries plus the counter slots armed for it.

@@ -66,6 +66,12 @@ class alignas(64) PMutex {
   /// the word. Robust operation requires logging (the slot token *is*
   /// the Atlas thread slot); with logging off the binding is ignored.
   ///
+  /// A bound mutex is always an outermost lock: lock() inside an open
+  /// OCS is fatal. Nested, it could be released while the OCS stays
+  /// open, so a live peer process could commit an OCS that depends on
+  /// one a harvest later rolls back — and a harvest is slot-local, it
+  /// never cascades into the peer (DESIGN.md §12).
+  ///
   /// Call before first use (not thread-safe against concurrent lock()).
   void BindRobust(RobustLockWord* word) { robust_ = word; }
   bool robust() const { return robust_ != nullptr; }
@@ -75,6 +81,10 @@ class alignas(64) PMutex {
   /// section; `thread` must belong to the calling thread.
   void LockWith(AtlasThread* thread) {
     if (thread != nullptr) {
+      TSP_CHECK(robust_ == nullptr || !thread->in_ocs())
+          << "robust PMutex (lock id " << lock_id_
+          << ") acquired inside an open OCS; a lock bound to a "
+          << "RobustLockWord must be the outermost lock";
       // Split hooks keep the hold time short: the thread-private
       // begin-of-OCS work runs before blocking on the mutex, and only
       // the resync + dependency edge runs with it held.

@@ -259,7 +259,6 @@ SlotHarvestStats HarvestDeadSlot(const AtlasArea& area,
     }
     stats.stores_undone = *undone;
     stats.rolled_back = true;
-    stats.nested_release_hazard = open.released_nested;
     rewind = open.begin;
   }
 

@@ -70,10 +70,6 @@ struct SlotHarvestStats {
   std::uint64_t stores_undone = 0;
   /// Robust lock words the dead slot still owned (cleared).
   std::uint64_t locks_cleared = 0;
-  /// The interrupted OCS had released a nested lock before the crash —
-  /// a dependent peer OCS may exist that a slot-local rollback cannot
-  /// cascade into (see RobustTableHeader::nested_release_hazards).
-  bool nested_release_hazard = false;
   Status status = Status::OK();
 };
 
@@ -87,11 +83,13 @@ struct SlotHarvestStats {
 /// death is completed by the next survivor.
 ///
 /// Soundness of the slot-local scope: an interrupted OCS still held its
-/// outermost lock when the owner died, so no later OCS can have
-/// recorded a dependency on it and no cascade is needed. The exception
-/// is an OCS that released a nested lock before dying — reported via
-/// nested_release_hazard, rolled back anyway (single-lock workloads,
-/// like every map in this repo, cannot produce it).
+/// outermost lock when the owner died, so no OCS of a live process can
+/// have recorded a dependency on it and no cascade is needed. Only a
+/// nested lock released early could carry such an edge, and PMutex
+/// refuses a robust lock — the only kind another process can take —
+/// inside an open OCS. An unbound lock nested in it serializes threads
+/// of the dead process alone; their committed OCSes are kept as they
+/// are (no cascade within the dead process either).
 SlotHarvestStats HarvestDeadSlot(const AtlasArea& area,
                                  const pheap::MappedRegion* region,
                                  std::uint32_t thread_id);

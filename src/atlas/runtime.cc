@@ -139,13 +139,10 @@ void AtlasRuntime::FinishSetup() {
         builder->AddCounter("atlas.log_entries_appended",
                             stats.log_entries_appended);
         builder->AddCounter("atlas.undo_records", stats.undo_records);
-        builder->AddCounter("atlas.dedup_hits", stats.dedup_hits);
         builder->AddCounter("atlas.elided_fresh", stats.elided_fresh);
         builder->AddCounter("atlas.flit_repeat_hits",
                             stats.flit_repeat_hits);
         builder->AddCounter("atlas.flit_rearms", stats.flit_rearms);
-        builder->AddCounter("atlas.addrset_shrinks",
-                            stats.addrset_shrinks);
         builder->AddCounter("atlas.ocses_committed", stats.ocses_committed);
         builder->AddCounter("atlas.fast_path_commits",
                             stats.fast_path_commits);
@@ -163,8 +160,6 @@ void AtlasRuntime::FinishSetup() {
         builder->AddCounter("atlas.dead_owner_rollbacks",
                             stats.dead_owner_rollbacks);
         builder->AddCounter("atlas.slots_harvested", stats.slots_harvested);
-        builder->AddCounter("atlas.nested_release_hazards",
-                            stats.nested_release_hazards);
       });
 #endif
   if (policy_.logging_enabled() && options_.prune_interval_us > 0) {
@@ -188,11 +183,9 @@ AtlasRuntimeStats AtlasRuntime::GetStats() {
     const AtlasRuntimeStats& s = thread->local_stats();
     total.log_entries_appended += s.log_entries_appended;
     total.undo_records += s.undo_records;
-    total.dedup_hits += s.dedup_hits;
     total.elided_fresh += s.elided_fresh;
     total.flit_repeat_hits += s.flit_repeat_hits;
     total.flit_rearms += s.flit_rearms;
-    total.addrset_shrinks += s.addrset_shrinks;
     total.ocses_committed += s.ocses_committed;
     total.fast_path_commits += s.fast_path_commits;
     total.published_commits += s.published_commits;
@@ -213,8 +206,6 @@ AtlasRuntimeStats AtlasRuntime::GetStats() {
         table->dead_owner_rollbacks.load(std::memory_order_relaxed);
     total.slots_harvested =
         table->slots_harvested.load(std::memory_order_relaxed);
-    total.nested_release_hazards =
-        table->nested_release_hazards.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -388,19 +379,10 @@ bool AtlasRuntime::MaybeHarvestSlot(std::uint32_t t) {
                    << " failed: " << harvest.status.ToString();
     return false;
   }
-  if (harvest.nested_release_hazard) {
-    TSP_LOG(WARNING)
-        << "dead slot " << t << " died inside an OCS that had released a "
-        << "nested lock; a dependent peer OCS may be stranded (slot-local "
-        << "rollback cannot cascade across live processes)";
-  }
   if (RobustTableHeader* table = robust_table()) {
     table->slots_harvested.fetch_add(1, std::memory_order_relaxed);
     if (harvest.rolled_back) {
       table->dead_owner_rollbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (harvest.nested_release_hazard) {
-      table->nested_release_hazards.fetch_add(1, std::memory_order_relaxed);
     }
   }
   TSP_COUNTER_INC("atlas.slots_harvested_local");
@@ -467,20 +449,21 @@ void AtlasThread::ArmCounterSlot(CounterSlot& cs, std::uint64_t word_offset) {
 }
 
 void AtlasThread::StageWord(std::uint64_t word_offset) {
-  // FliT-style logged counter: one predictable-branch probe before the
-  // AddressSet. A slot armed for this word in the current OCS means the
-  // old value is already captured (the common repeat-store); a slot
-  // whose occupant OCS is stable can never be rolled back, so it is
-  // free to be re-armed for this word — one L1-resident line write
-  // instead of a 32-byte ring append. Unstable occupants fall through
-  // to the ring path (their old value may still be needed).
+  // FliT-style logged counter: one predictable-branch probe. A slot
+  // armed for this word in the current OCS means the old value is
+  // already captured (the common repeat-store); a slot whose occupant
+  // OCS is stable can never be rolled back, so it is free to be
+  // re-armed for this word — one L1-resident line write instead of a
+  // 32-byte ring append. Unstable occupants fall through to the ring
+  // path (their old value may still be needed), which records every
+  // capture: a repeat of a word already in the ring appends again, and
+  // recovery's reverse-stamp replay lets the oldest record win.
   if (counter_slot_mask_ != 0) {
     CounterSlot& cs =
         counter_slots_[((word_offset >> 3) * 0x9e3779b97f4a7c15ULL >> 32) &
                        counter_slot_mask_];
     if (cs.addr_offset == word_offset && cs.ocs_id == current_ocs_) {
       ++stats_.flit_repeat_hits;
-      ++stats_.dedup_hits;
       return;
     }
     if (cs.ocs_id <=
@@ -488,10 +471,6 @@ void AtlasThread::StageWord(std::uint64_t word_offset) {
       ArmCounterSlot(cs, word_offset);
       return;
     }
-  }
-  if (!logged_addresses_.CoverWord(word_offset)) {
-    ++stats_.dedup_hits;
-    return;
   }
   std::uint64_t old_value;
   std::memcpy(&old_value,
@@ -501,13 +480,12 @@ void AtlasThread::StageWord(std::uint64_t word_offset) {
 }
 
 bool AtlasThread::StageOldValue(const void* addr, std::size_t size) {
-  // Undo coverage is tracked at aligned-word granularity (the AddressSet
-  // line masks and the counter slots both assert "this whole word is
-  // captured"), so every store decomposes into full 8-byte words — a
-  // sub-word capture under word-granular tracking would elide bytes
-  // that were never saved. Restoring the extra bytes is safe: they hold
-  // the word's value at first-capture time, and reverse-stamp replay
-  // makes the oldest capture win.
+  // Undo coverage is tracked at aligned-word granularity (a counter
+  // slot asserts "this whole word is captured"), so every store
+  // decomposes into full 8-byte words — a sub-word capture under
+  // word-granular tracking would elide bytes that were never saved.
+  // Restoring the extra bytes is safe: they hold the word's value at
+  // capture time, and reverse-stamp replay makes the oldest capture win.
   const std::uint64_t offset = runtime_->heap()->region()->ToOffset(addr);
   const std::uint64_t first = offset & ~7ULL;
   const std::uint64_t end = (offset + size + 7) & ~7ULL;
@@ -524,8 +502,8 @@ void AtlasThread::LogOldValue(const void* addr, std::size_t size) {
 }
 
 void AtlasThread::StoreBytes(void* dst, const void* src, std::size_t n) {
-  // Stage undo coverage for the whole word-aligned span, one record per
-  // uncovered word, then publish as one batch: a single tail advance
+  // Stage undo coverage for the whole word-aligned span, one capture
+  // per word, then publish as one batch: a single tail advance
   // and, in sync-flush mode, one contiguous write-back plus one fence —
   // the whole batch is durable before any of the guarded stores
   // execute (§4.2).
@@ -559,9 +537,6 @@ void AtlasThread::BeginOcs(std::uint32_t lock_id) {
   const std::uint64_t next = slot_->next_ocs.load(std::memory_order_relaxed);
   slot_->next_ocs.store(next + 1, std::memory_order_relaxed);
   current_ocs_ = next;
-  const std::uint64_t shrinks_before = logged_addresses_.shrinks();
-  logged_addresses_.NewEpoch();
-  stats_.addrset_shrinks += logged_addresses_.shrinks() - shrinks_before;
   fresh_spans_.clear();
   current_deps_.clear();
   current_ocs_begin_tail_ = slot_->tail.load(std::memory_order_relaxed);
@@ -807,7 +782,7 @@ LogEntry* AtlasThread::StageEntry(EntryKind kind, std::uint8_t size,
 
 void AtlasThread::PublishStaged(bool ordered) {
   const std::uint32_t count = staged_;
-  if (count == 0) return;  // everything dedup'd away; nothing new to order
+  if (count == 0) return;  // every word hit a counter slot; nothing to order
   staged_ = 0;
   const std::uint64_t first = slot_->tail.load(std::memory_order_relaxed);
   stats_.log_entries_appended += count;

@@ -5,8 +5,8 @@
 // Model: shared persistent data may only be modified inside critical
 // sections; each *outermost* critical section (OCS) finds and leaves the
 // heap consistent, so an OCS is a failure-atomic bundle of changes. The
-// runtime undo-logs the first store to each location per OCS; recovery
-// (recovery.h) rolls back OCSes interrupted by a crash, plus any
+// runtime undo-logs the old value of every location an OCS stores to;
+// recovery (recovery.h) rolls back OCSes interrupted by a crash, plus any
 // completed OCSes that transitively observed their data. A background
 // pruner (stability.h) trims logs of OCSes that can never be rolled
 // back, mirroring Atlas's asynchronous log pruning.
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "analysis/race_hooks.h"
-#include "atlas/address_set.h"
 #include "atlas/log_layout.h"
 #include "atlas/stability.h"
 #include "common/logging.h"
@@ -58,18 +57,14 @@ class AtlasRuntime;
 struct AtlasRuntimeStats {
   std::uint64_t log_entries_appended = 0;
   std::uint64_t undo_records = 0;
-  std::uint64_t dedup_hits = 0;  // stores filtered by first-store-per-OCS
   /// Stores elided because their target was allocated inside the
   /// current OCS (rollback unreaches fresh objects; GC reclaims them).
   std::uint64_t elided_fresh = 0;
   /// FliT counter-slot fast path: repeat stores absorbed by a slot
-  /// already armed for the same word in the current OCS (no AddressSet
-  /// probe, no record), and slots (re-)armed in place of a ring append.
+  /// already armed for the same word in the current OCS (no record),
+  /// and slots (re-)armed in place of a ring append.
   std::uint64_t flit_repeat_hits = 0;
   std::uint64_t flit_rearms = 0;
-  /// AddressSet tables retired back to their initial capacity after a
-  /// run of quiet epochs (the unbounded-growth fix).
-  std::uint64_t addrset_shrinks = 0;
   std::uint64_t ocses_committed = 0;
   std::uint64_t fast_path_commits = 0;  // ring rewound at commit
   std::uint64_t published_commits = 0;  // handed to the pruner
@@ -92,7 +87,6 @@ struct AtlasRuntimeStats {
   std::uint64_t robust_steals = 0;
   std::uint64_t dead_owner_rollbacks = 0;
   std::uint64_t slots_harvested = 0;
-  std::uint64_t nested_release_hazards = 0;
 };
 
 // PLockWord and kLastReleaseStable moved to log_layout.h: robust locks
@@ -113,9 +107,11 @@ class alignas(64) AtlasThread {
   AtlasThread& operator=(const AtlasThread&) = delete;
 
   /// Logged store of a trivially copyable value of at most 8 bytes.
-  /// Inside an OCS the old value is undo-logged (first store per
-  /// location per OCS); outside, it is a plain store (Atlas treats
-  /// stores outside critical sections as immediately consistent).
+  /// Inside an OCS the old value is captured first, in a counter slot
+  /// or a ring record (a repeat store to a word whose slot this OCS
+  /// armed captures nothing); outside, it is a plain store (Atlas
+  /// treats stores outside critical sections as immediately
+  /// consistent).
   template <typename T>
   void Store(T* addr, T value) {
     static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8,
@@ -129,11 +125,11 @@ class alignas(64) AtlasThread {
   }
 
   /// Logged equivalent of memcpy into the persistent heap. Each
-  /// uncovered aligned word of the span costs one undo record, exactly
-  /// as Store does, but all records of the store are published as one
-  /// batch: a single tail advance and, in sync-flush mode, one
-  /// contiguous write-back plus one fence for the whole range (instead
-  /// of a flush + fence per entry).
+  /// aligned word of the span is captured exactly as Store does, but
+  /// all records of the store are published as one batch: a single
+  /// tail advance and, in sync-flush mode, one contiguous write-back
+  /// plus one fence for the whole range (instead of a flush + fence per
+  /// entry).
   void StoreBytes(void* dst, const void* src, std::size_t n);
 
   /// Mutex hooks (called by PMutex with its mutex held).
@@ -192,7 +188,7 @@ class alignas(64) AtlasThread {
   /// stay unpublished).
   bool StageOldValue(const void* addr, std::size_t size);
   /// Stages coverage for one aligned 8-byte word: FliT counter-slot
-  /// probe first, then line-granular dedup + ring record.
+  /// probe first, else one ring record.
   void StageWord(std::uint64_t word_offset);
   /// Claims or re-arms a counter slot for `word_offset` (occupant known
   /// stable): captures the old word and stamps the slot, with no ring
@@ -248,7 +244,6 @@ class alignas(64) AtlasThread {
   /// commit rewinds the ring to, and, when the ring head catches up to
   /// it while full, proof that the OCS alone overflows the ring.
   std::uint64_t current_ocs_begin_tail_ = 0;
-  AddressSet logged_addresses_;
   /// Persistent FliT counter-slot array of this thread (null when the
   /// area was formatted without slots) and its power-of-two index mask.
   CounterSlot* counter_slots_ = nullptr;
@@ -299,8 +294,8 @@ class AtlasRuntime {
     /// ablation); 0 is clamped to 1.
     std::uint32_t seq_block_size = 64;
     /// FliT-style logged counter slots: when false, threads skip the
-    /// per-object counter-slot probe and every first store per OCS goes
-    /// to the ring (the pre-slot behavior). Ablation knob for measuring
+    /// per-object counter-slot probe and every captured store appends
+    /// one ring record (the pre-slot behavior). Ablation knob for measuring
     /// the slot win, and for tests that assert on raw ring contents.
     bool use_counter_slots = true;
   };

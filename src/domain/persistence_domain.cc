@@ -14,8 +14,7 @@ StatusOr<bool> StoreExists(pheap::RegionBackend* backend,
                            const std::string& path) {
   unsigned char first_byte = 0;
   std::uint64_t store_size = 0;
-  const Status peeked = backend->PeekHeader(backend->ResolvePath(path),
-                                            &first_byte, 1, &store_size);
+  const Status peeked = backend->PeekHeader(path, &first_byte, 1, &store_size);
   if (peeked.code() == StatusCode::kNotFound) return false;
   TSP_RETURN_IF_ERROR(peeked);
   return true;

@@ -310,8 +310,6 @@ std::string MultiProcessCrashReport::ToString() const {
   out += "\n  dead-owner rollbacks:     " +
          std::to_string(dead_owner_rollbacks);
   out += "\n  slots harvested:          " + std::to_string(slots_harvested);
-  out += "\n  nested-release hazards:   " +
-         std::to_string(nested_release_hazards);
   out += "\n  wedged locks (final):     " + std::to_string(wedged_locks);
   out += "\n  completed iterations:     " +
          std::to_string(final_completed_iterations);
@@ -444,8 +442,6 @@ MultiProcessCrashReport RunMultiProcessCrashCycles(
           table->dead_owner_rollbacks.load(std::memory_order_relaxed);
       report.slots_harvested +=
           table->slots_harvested.load(std::memory_order_relaxed);
-      report.nested_release_hazards +=
-          table->nested_release_hazards.load(std::memory_order_relaxed);
     }
   }
 

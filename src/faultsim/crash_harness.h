@@ -128,7 +128,6 @@ struct MultiProcessCrashReport {
   std::uint64_t robust_steals = 0;
   std::uint64_t dead_owner_rollbacks = 0;
   std::uint64_t slots_harvested = 0;
-  std::uint64_t nested_release_hazards = 0;
   /// Wedged robust locks found by the final CheckHeap (must be 0).
   std::uint64_t wedged_locks = 0;
   /// Σ c2 over the final verified map.

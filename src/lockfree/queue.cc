@@ -27,8 +27,6 @@ QueueRoot* LockFreeQueue::CreateRoot(pheap::PersistentHeap* heap) {
                                                 "lockfree-queue");
   root->head.store(dummy, std::memory_order_relaxed);
   root->tail.store(dummy, std::memory_order_relaxed);
-  root->enqueued.store(0, std::memory_order_relaxed);
-  root->dequeued.store(0, std::memory_order_relaxed);
   return root;
 }
 
@@ -92,7 +90,6 @@ void LockFreeQueue::Enqueue(std::uint64_t value) {
       root_->tail.compare_exchange_strong(tail, node,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire);
-      root_->enqueued.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
@@ -117,19 +114,12 @@ std::optional<std::uint64_t> LockFreeQueue::Dequeue() {
     if (root_->head.compare_exchange_weak(head, next,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-      root_->dequeued.fetch_add(1, std::memory_order_relaxed);
       // The old dummy is unreachable from the root now; epochs protect
       // in-flight readers, the recovery GC reclaims it after a crash.
       epoch_->Retire(head);
       return value;
     }
   }
-}
-
-std::uint64_t LockFreeQueue::size() const {
-  const std::uint64_t enq = root_->enqueued.load(std::memory_order_acquire);
-  const std::uint64_t deq = root_->dequeued.load(std::memory_order_acquire);
-  return enq >= deq ? enq - deq : 0;
 }
 
 std::uint64_t LockFreeQueue::Validate() const {

@@ -33,13 +33,12 @@ struct QueueNode {
   std::atomic<QueueNode*> next;
 };
 
-/// Persistent root of a queue.
+/// Persistent root of a queue. It holds no counters: an operation
+/// writes the queue only through its CASes on the root and the nodes.
 struct QueueRoot {
   static constexpr std::uint32_t kPersistentTypeId = 0x51524F54;  // "QROT"
   std::atomic<QueueNode*> head;  // points at the current dummy
   std::atomic<QueueNode*> tail;  // at or one behind the last node
-  std::atomic<std::uint64_t> enqueued;  // monotone op counters
-  std::atomic<std::uint64_t> dequeued;
 };
 
 /// Volatile facade over a persistent QueueRoot. Lock-free; worker
@@ -63,19 +62,9 @@ class LockFreeQueue {
   /// Removes and returns the oldest value, or nullopt when empty.
   std::optional<std::uint64_t> Dequeue();
 
-  /// Exact when quiescent, approximate under concurrency.
-  std::uint64_t size() const;
-
-  std::uint64_t total_enqueued() const {
-    return root_->enqueued.load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_dequeued() const {
-    return root_->dequeued.load(std::memory_order_relaxed);
-  }
-
   /// Walks the queue (quiescent callers), checking structure: head
-  /// reachable to tail, tail at or one behind the last node, counters
-  /// consistent with the walk. Fatal on violation; returns the length.
+  /// reachable to tail, tail at or one behind the last node. Fatal on
+  /// violation; returns the length.
   std::uint64_t Validate() const;
 
   EpochManager* epoch() { return epoch_.get(); }

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 
-#include <chrono>
 #include <sstream>
 
 #include "common/findings.h"
@@ -141,25 +140,6 @@ void MetricsRegistry::ResetOwned() {
 MetricsRegistry& DefaultRegistry() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-ScopedPhaseTimer::ScopedPhaseTimer(const char* histogram_name)
-    : name_(histogram_name),
-      start_ns_(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count())) {}
-
-std::uint64_t ScopedPhaseTimer::ElapsedUs() const {
-  const std::uint64_t now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return (now_ns - start_ns_) / 1000;
-}
-
-ScopedPhaseTimer::~ScopedPhaseTimer() {
-  DefaultRegistry().GetHistogram(name_).Observe(ElapsedUs());
 }
 
 }  // namespace obs

@@ -150,24 +150,6 @@ class MetricsRegistry {
 /// The process-wide registry every subsystem and tool uses.
 MetricsRegistry& DefaultRegistry();
 
-/// Observes elapsed wall time in microseconds into a default-registry
-/// histogram on destruction; used for recovery/GC phase timing.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(const char* histogram_name);
-  ~ScopedPhaseTimer();
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
-  /// Elapsed so far, µs (for callers that also want the value).
-  std::uint64_t ElapsedUs() const;
-
- private:
-  const char* name_;
-  std::uint64_t start_ns_;
-};
-
 }  // namespace obs
 }  // namespace tsp
 
@@ -194,7 +176,6 @@ class ScopedPhaseTimer {
         ::tsp::obs::DefaultRegistry().GetHistogram(name);           \
     _tsp_histogram.Observe(v);                                      \
   } while (false)
-#define TSP_SCOPED_PHASE_US(var, name) ::tsp::obs::ScopedPhaseTimer var(name)
 
 /// Emits a trace event iff `writer_ptr` (an obs::TraceWriter*) is non-null.
 /// Call sites must see the full TraceWriter definition (obs/recorder.h).
@@ -223,9 +204,6 @@ class ScopedPhaseTimer {
   do {                         \
   } while (false)
 #define TSP_HISTOGRAM_OBSERVE(name, v) \
-  do {                                 \
-  } while (false)
-#define TSP_SCOPED_PHASE_US(var, name) \
   do {                                 \
   } while (false)
 #define TSP_TRACE_EVENT(writer_ptr, ...) \

@@ -191,13 +191,6 @@ Status PosixFileBackend::Remove(const std::string& path) {
   return Status::OK();
 }
 
-// --- DevShmBackend ---
-
-std::string DevShmBackend::ResolvePath(const std::string& path) const {
-  if (!path.empty() && path[0] == '/') return path;
-  return "/dev/shm/" + path;
-}
-
 // --- AnonTestBackend ---
 
 StatusOr<void*> AnonTestBackend::CreateAndMap(const std::string& path,

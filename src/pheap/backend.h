@@ -10,11 +10,9 @@
 //
 //   PosixFileBackend    any filesystem file; the paper's TSP substrate
 //                       (kernel keeps every issued store after a
-//                       process crash).
-//   DevShmBackend       PosixFileBackend with relative paths resolved
-//                       under /dev/shm: kernel-persistent across
-//                       process crashes, gone on reboot — the honest
-//                       statement of what TSP alone guarantees.
+//                       process crash). A file under /dev/shm survives
+//                       the process, not the machine — exactly what TSP
+//                       alone guarantees.
 //   AnonTestBackend     anonymous memory with an in-process image kept
 //                       across unmap/remap, so unit tests exercise
 //                       crash/reopen cycles with no filesystem at all.
@@ -53,18 +51,8 @@ class RegionBackend {
  public:
   virtual ~RegionBackend() = default;
 
-  /// Short stable identifier ("posix-file", "dev-shm", ...).
+  /// Short stable identifier ("posix-file", "anon-test", ...).
   virtual const char* name() const = 0;
-
-  /// True when stores to the mapping survive a process crash (the TSP
-  /// property). False for process-lifetime test memory.
-  virtual bool durable_across_processes() const { return true; }
-
-  /// Maps a user-supplied path to the backend's storage key (e.g.
-  /// DevShm prefixes relative paths). Applied once by MappedRegion.
-  virtual std::string ResolvePath(const std::string& path) const {
-    return path;
-  }
 
   /// Creates the backing store at `path` sized `size` (kAlreadyExists
   /// if present) and maps it read-write at exactly `addr`.
@@ -112,15 +100,6 @@ class PosixFileBackend : public RegionBackend {
   Status Remove(const std::string& path) override;
 };
 
-/// PosixFileBackend rooted in /dev/shm: relative paths resolve to tmpfs
-/// files, which is exactly the persistence TSP guarantees by itself —
-/// stores survive the process, not the machine.
-class DevShmBackend : public PosixFileBackend {
- public:
-  const char* name() const override { return "dev-shm"; }
-  std::string ResolvePath(const std::string& path) const override;
-};
-
 /// Anonymous memory with an in-process image saved on Unmap and
 /// restored on MapExisting, so one process can run create / crash
 /// (destroy without clean shutdown) / reopen / recover cycles against
@@ -129,7 +108,6 @@ class DevShmBackend : public PosixFileBackend {
 class AnonTestBackend : public RegionBackend {
  public:
   const char* name() const override { return "anon-test"; }
-  bool durable_across_processes() const override { return false; }
   StatusOr<void*> CreateAndMap(const std::string& path, std::size_t size,
                                std::uintptr_t addr) override;
   Status PeekHeader(const std::string& path, void* out, std::size_t n,

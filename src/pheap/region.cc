@@ -103,9 +103,8 @@ MappedRegion::~MappedRegion() {
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Create(
-    const std::string& user_path, const RegionOptions& options) {
+    const std::string& path, const RegionOptions& options) {
   std::shared_ptr<RegionBackend> backend = Resolve(options.backend);
-  const std::string path = backend->ResolvePath(user_path);
   const std::size_t size = RoundUpToPage(options.size);
   const std::size_t runtime_size = RoundUpToPage(options.runtime_area_size);
   if (size < kHeaderSize + runtime_size + (1u << 20)) {
@@ -172,10 +171,8 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Create(
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenWritable(
-    const std::string& user_path, std::shared_ptr<RegionBackend> backend,
+    const std::string& path, std::shared_ptr<RegionBackend> backend,
     bool attach) {
-  const std::string path = backend->ResolvePath(user_path);
-
   PeekedHeader peeked;
   TSP_RETURN_IF_ERROR(ReadHeader(backend.get(), path, &peeked));
   AddressSlotAllocator& slots = AddressSlotAllocator::Instance();
@@ -208,14 +205,14 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenWritable(
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Open(
-    const std::string& user_path, std::shared_ptr<RegionBackend> backend_in) {
-  return OpenWritable(user_path, Resolve(std::move(backend_in)),
+    const std::string& path, std::shared_ptr<RegionBackend> backend_in) {
+  return OpenWritable(path, Resolve(std::move(backend_in)),
                       /*attach=*/false);
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::Attach(
-    const std::string& user_path, std::shared_ptr<RegionBackend> backend_in) {
-  return OpenWritable(user_path, Resolve(std::move(backend_in)),
+    const std::string& path, std::shared_ptr<RegionBackend> backend_in) {
+  return OpenWritable(path, Resolve(std::move(backend_in)),
                       /*attach=*/true);
 }
 
@@ -229,10 +226,8 @@ StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenOrCreate(
 }
 
 StatusOr<std::unique_ptr<MappedRegion>> MappedRegion::OpenReadOnly(
-    const std::string& user_path, std::shared_ptr<RegionBackend> backend_in) {
+    const std::string& path, std::shared_ptr<RegionBackend> backend_in) {
   std::shared_ptr<RegionBackend> backend = Resolve(std::move(backend_in));
-  const std::string path = backend->ResolvePath(user_path);
-
   PeekedHeader peeked;
   TSP_RETURN_IF_ERROR(ReadHeader(backend.get(), path, &peeked));
   // Diagnostics never reserve the slot: the mapping is private and

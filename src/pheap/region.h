@@ -139,7 +139,7 @@ class MappedRegion {
 
  private:
   static StatusOr<std::unique_ptr<MappedRegion>> OpenWritable(
-      const std::string& user_path, std::shared_ptr<RegionBackend> backend,
+      const std::string& path, std::shared_ptr<RegionBackend> backend,
       bool attach);
 
   /// Takes over the mapping, and the slot unless `read_only`.

@@ -282,6 +282,34 @@ TEST_F(RobustLockTest, PidReuseWithWrongBirthIsDead) {
 }
 
 // Liveness itself, for completeness: the three verdicts.
+// A robust lock is always outermost: acquired inside an open OCS it is
+// refused before its mutex is taken, because released early it could
+// give a live peer process a dependency on an OCS that a slot-local
+// harvest later rolls back. An unbound lock may still nest inside a
+// robust one: it serializes threads of one process only.
+using RobustLockDeathTest = RobustLockTest;
+
+TEST_F(RobustLockDeathTest, NestedRobustAcquisitionIsFatal) {
+  PMutex robust(runtime_.get());
+  robust.BindRobust(runtime_->robust_lock(0));
+  PMutex plain(runtime_.get());
+  EXPECT_DEATH(
+      {
+        PMutexLock outer(&plain);
+        PMutexLock nested(&robust);
+      },
+      "robust PMutex \\(lock id " + std::to_string(robust.lock_id()) +
+          "\\) acquired inside an open OCS");
+
+  {
+    PMutexLock outer(&robust);
+    PMutexLock nested(&plain);
+    EXPECT_EQ(robust.robust_word()->owner.load(),
+              runtime_->CurrentThread()->thread_id() + 1u);
+  }
+  EXPECT_EQ(robust.robust_word()->owner.load(), 0u);
+}
+
 TEST(ProcessLivenessTest, Verdicts) {
   const ProcessIdentity self = CurrentProcess();
   EXPECT_EQ(CheckLiveness(self), Liveness::kAlive);

@@ -134,14 +134,13 @@ TEST_F(AtlasRuntimeTest, FirstStorePerLocationPerOcs) {
     for (std::uint64_t i = 0; i < 100; ++i) thread->Store(value, i);
     // Only the first store to a location per OCS captures an old value;
     // with the FliT path on, that capture arms a counter slot and the 99
-    // repeats hit the slot without touching the ring or the AddressSet.
+    // repeats hit the slot without touching the ring.
     EXPECT_EQ(CountKind(RingKinds(*runtime_, thread->thread_id()),
                         EntryKind::kStore),
               0u);
   }
   EXPECT_EQ(thread->local_stats().flit_rearms, 1u);
   EXPECT_EQ(thread->local_stats().flit_repeat_hits, 99u);
-  EXPECT_EQ(thread->local_stats().dedup_hits, 99u);
 
   // A new OCS captures the location again: the prior occupant is
   // stable (fast-path commit), so the slot is simply re-armed.
@@ -587,6 +586,35 @@ TEST_F(AtlasRuntimeTest, ConcurrentWorkloadMaintainsValues) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(counters[t], kIterations);
   }
+}
+
+// With counter slots off every capture appends a ring record, repeats
+// of one word included, so the ring bounds how many stores one OCS can
+// make. Past it the runtime stops with a FATAL naming the capacity,
+// never wrapping over the OCS's own undo records.
+using AtlasRuntimeDeathTest = AtlasRuntimeTest;
+
+TEST_F(AtlasRuntimeDeathTest, OneOcsRepeatingAStorePastTheRingIsFatal) {
+  runtime_.reset();
+  AtlasRuntime::Options options;
+  options.prune_interval_us = 0;  // no pruner thread in the forked child
+  options.use_counter_slots = false;
+  runtime_ = std::make_unique<AtlasRuntime>(
+      heap_.get(), PersistencePolicy::TspLogOnly(), options);
+  ASSERT_TRUE(runtime_->Initialize().ok());
+  const std::uint64_t capacity = runtime_->area().ring_mask() + 1;
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  PMutex mutex(runtime_.get());
+  EXPECT_DEATH(
+      {
+        AtlasThread* thread = runtime_->CurrentThread();
+        PMutexLock lock(&mutex);
+        for (std::uint64_t i = 0; i <= capacity; ++i) {
+          thread->Store(value, i);
+        }
+      },
+      "Atlas log ring overflow: one OCS wrote more than " +
+          std::to_string(capacity) + " log entries");
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST_F(AtlasStatsTest, CountsOcsActivity) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     PMutexLock lock(&mutex);
     thread->Store(value, i);
-    thread->Store(value, i + 1);  // dedup'd
+    thread->Store(value, i + 1);  // hits the armed slot
   }
   const AtlasRuntimeStats stats = runtime_->GetStats();
   EXPECT_EQ(stats.ocses_committed, 10u);
@@ -49,7 +49,6 @@ TEST_F(AtlasStatsTest, CountsOcsActivity) {
   EXPECT_EQ(stats.undo_records, 0u);
   EXPECT_EQ(stats.flit_rearms, 10u);
   EXPECT_EQ(stats.flit_repeat_hits, 10u);
-  EXPECT_EQ(stats.dedup_hits, 10u);
   // 1 ring entry per OCS: the kAcquire bracket, published when the
   // first store arms its slot. Fast-path commits elide the kRelease.
   EXPECT_EQ(stats.log_entries_appended, 10u);
@@ -62,10 +61,10 @@ TEST_F(AtlasStatsTest, CountsOcsActivity) {
 }
 
 TEST_F(AtlasStatsTest, CountsLineDedupHits) {
-  // A repeated multi-word store over an already-captured span is
-  // filtered by the AddressSet's cache-line entries: one word record
-  // per word, then dedup hits — no second capture. Counter slots off,
-  // so the words reach the AddressSet instead of the slots.
+  // With counter slots off, every capture takes the ring path, and the
+  // ring path records each capture: a repeated multi-word store over an
+  // already-captured span appends one record per word again. Recovery
+  // replays them newest first, so the oldest value wins.
   runtime_.reset();
   AtlasRuntime::Options runtime_options;
   runtime_options.prune_interval_us = 0;
@@ -86,8 +85,8 @@ TEST_F(AtlasStatsTest, CountsLineDedupHits) {
     thread->StoreBytes(blob + 8, data, 24);        // sub-span, same lines
   }
   const AtlasRuntimeStats stats = runtime_->GetStats();
-  EXPECT_EQ(stats.undo_records, 5u) << "only the first store captures";
-  EXPECT_EQ(stats.dedup_hits, 5u + 3u);
+  EXPECT_EQ(stats.undo_records, 5u + 5u + 3u) << "one record per word";
+  EXPECT_EQ(stats.flit_repeat_hits, 0u);
   runtime_->UnregisterCurrentThread();
 }
 

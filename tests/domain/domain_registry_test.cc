@@ -1,11 +1,8 @@
 // Copyright 2026 The TSP Authors.
-// DomainRegistry + multi-domain persistence: one process hosting many
-// named domains at once — on distinct address slots and distinct
-// backends (posix file, /dev/shm, anonymous test memory, simnvm
-// shadow) — plus sharded domains with per-shard parallel crash
-// recovery.
-
-#include "domain/domain_registry.h"
+// Multi-domain persistence: one process holding many domains open at
+// once — on distinct address slots and distinct backends (posix file,
+// anonymous test memory, simnvm shadow) — plus sharded domains and the
+// refusals that keep a shard set and its address slots consistent.
 
 #include <unistd.h>
 
@@ -16,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "atlas/pmutex.h"
-#include "maps/mutex_hashmap.h"
+#include "domain/persistence_domain.h"
 #include "pheap/backend.h"
 #include "pheap/test_util.h"
 
@@ -52,30 +48,24 @@ PersistenceDomain::Options BaseOptions(
   return options;
 }
 
-// The tentpole acceptance scenario: >= 4 domains open concurrently in
-// one process, each on its own backend and its own address slot(s).
+// Four domains open concurrently in one process, each in its own
+// address slot; a /dev/shm heap is a plain path on the default
+// PosixFileBackend, used as given.
 TEST(DomainRegistryTest, FourConcurrentDomainsOnDistinctBackends) {
   const pheap::TypeRegistry registry = MakeRegistry();
-  DomainRegistry domains;
-
   ScopedRegionFile posix_file("reg_posix");
+  ScopedRegionFile shm_file("reg_shm");
   ScopedRegionFile shadow_file("reg_shadow");
-  const std::string shm_name =
-      "tsp_reg_shm_" + std::to_string(getpid()) + ".heap";
-  ::unlink(("/dev/shm/" + shm_name).c_str());
+  ASSERT_EQ(shm_file.path().rfind("/dev/shm/", 0), 0u);
 
-  auto posix = domains.Open("posix", BaseOptions(posix_file.path()),
-                            &registry);
-  auto shm = domains.Open(
-      "shm",
-      BaseOptions(shm_name, std::make_shared<pheap::DevShmBackend>()),
-      &registry);
-  auto anon = domains.Open(
-      "anon",
+  auto posix = PersistenceDomain::Open(BaseOptions(posix_file.path()),
+                                       &registry);
+  auto shm = PersistenceDomain::Open(BaseOptions(shm_file.path()),
+                                     &registry);
+  auto anon = PersistenceDomain::Open(
       BaseOptions("anon:reg", std::make_shared<pheap::AnonTestBackend>()),
       &registry);
-  auto shadow = domains.Open(
-      "shadow",
+  auto shadow = PersistenceDomain::Open(
       BaseOptions(shadow_file.path(),
                   std::make_shared<pheap::SimNvmShadowBackend>()),
       &registry);
@@ -84,65 +74,31 @@ TEST(DomainRegistryTest, FourConcurrentDomainsOnDistinctBackends) {
   ASSERT_TRUE(shm.ok()) << shm.status().ToString();
   ASSERT_TRUE(anon.ok()) << anon.status().ToString();
   ASSERT_TRUE(shadow.ok()) << shadow.status().ToString();
-  EXPECT_EQ(domains.size(), 4u);
+  const std::vector<PersistenceDomain*> domains = {
+      posix->get(), shm->get(), anon->get(), shadow->get()};
 
-  // Every domain sits on its own backend...
+  // Three backends among them, each domain in its own address slot.
   std::set<std::string> backends;
   std::set<std::uint32_t> slots;
   std::set<void*> bases;
-  for (PersistenceDomain* domain : {*posix, *shm, *anon, *shadow}) {
+  for (PersistenceDomain* domain : domains) {
     backends.insert(domain->heap()->region()->backend()->name());
     slots.insert(domain->heap()->region()->address_slot());
     bases.insert(domain->heap()->region()->base());
   }
-  EXPECT_EQ(backends.size(), 4u);
-  // ...and in its own address slot.
+  EXPECT_EQ(backends, (std::set<std::string>{"posix-file", "anon-test",
+                                             "simnvm-shadow"}));
   EXPECT_EQ(slots.size(), 4u);
   EXPECT_EQ(bases.size(), 4u);
+  EXPECT_EQ((*shm)->heap()->region()->path(), shm_file.path());
 
   // All four are simultaneously writable.
-  for (PersistenceDomain* domain : {*posix, *shm, *anon, *shadow}) {
+  for (PersistenceDomain* domain : domains) {
     auto* counter = domain->heap()->New<Counter>();
     ASSERT_NE(counter, nullptr);
     domain->heap()->set_root(counter);
   }
-
-  EXPECT_EQ(domains.names().size(), 4u);
-  EXPECT_NE(domains.Find("anon"), nullptr);
-  EXPECT_EQ(domains.Find("missing"), nullptr);
-
-  domains.CloseAllClean();
-  EXPECT_EQ(domains.size(), 0u);
-  ::unlink(("/dev/shm/" + shm_name).c_str());
-}
-
-TEST(DomainRegistryTest, DuplicateNameIsRefused) {
-  const pheap::TypeRegistry registry = MakeRegistry();
-  DomainRegistry domains;
-  ScopedRegionFile file("reg_dup");
-  auto first = domains.Open("d", BaseOptions(file.path()), &registry);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ScopedRegionFile other("reg_dup2");
-  auto second = domains.Open("d", BaseOptions(other.path()), &registry);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists);
-  domains.CloseAllClean();
-}
-
-TEST(DomainRegistryTest, CloseDropsTheDomain) {
-  const pheap::TypeRegistry registry = MakeRegistry();
-  DomainRegistry domains;
-  ScopedRegionFile file("reg_close");
-  ASSERT_TRUE(
-      domains.Open("d", BaseOptions(file.path()), &registry).ok());
-  EXPECT_TRUE(domains.Close("d").ok());
-  EXPECT_EQ(domains.Find("d"), nullptr);
-  EXPECT_EQ(domains.Close("d").code(), StatusCode::kNotFound);
-  // The name is reusable after close.
-  ScopedRegionFile file2("reg_close2");
-  EXPECT_TRUE(
-      domains.Open("d", BaseOptions(file2.path()), &registry).ok());
-  domains.CloseAllClean();
+  for (PersistenceDomain* domain : domains) domain->CloseClean();
 }
 
 // A sharded domain: N heaps, each with its own runtime, all recovered
@@ -202,8 +158,8 @@ TEST(DomainRegistryTest, ShardedDomainRecoversAllShards) {
 }
 
 // Nothing persistent records a bare domain's shard count, so the files
-// on disk are the record: a reopen at another count is refused before
-// any file is created, through Open and through the registry alike.
+// on disk are the record: a reopen at more or fewer shards is refused
+// before any file is created.
 TEST(DomainRegistryTest, ReopenAtAnotherShardCountIsRefused) {
   const pheap::TypeRegistry registry = MakeRegistry();
   const std::string path = UniqueRegionPath("reg_reshard");
@@ -225,11 +181,9 @@ TEST(DomainRegistryTest, ReopenAtAnotherShardCountIsRefused) {
 
   auto one = two;
   one.shards = 1;
-  DomainRegistry domains;
-  auto fewer = domains.Open("fewer", one, &registry);
+  auto fewer = PersistenceDomain::Open(one, &registry);
   ASSERT_FALSE(fewer.ok());
   EXPECT_EQ(fewer.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(domains.size(), 0u);
 
   // The matching count still opens, and the set is unchanged.
   auto same = PersistenceDomain::Open(two, &registry);
@@ -250,31 +204,31 @@ TEST(DomainRegistryTest, ReopenAtAnotherShardCountIsRefused) {
 // the second holds the slot is refused, and succeeds once it closes.
 TEST(DomainRegistryTest, DomainsCreatedApartCannotBeOpenTogether) {
   const pheap::TypeRegistry registry = MakeRegistry();
-  DomainRegistry domains;
   ScopedRegionFile first_file("reg_apart1");
   ScopedRegionFile second_file("reg_apart2");
-  auto first = domains.Open("first", BaseOptions(first_file.path()),
-                            &registry);
+  auto first = PersistenceDomain::Open(BaseOptions(first_file.path()),
+                                       &registry);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const std::uint32_t slot = (*first)->heap()->region()->address_slot();
-  ASSERT_TRUE(domains.Close("first").ok());
+  (*first)->CloseClean();
+  first->reset();
 
-  auto second = domains.Open("second", BaseOptions(second_file.path()),
-                             &registry);
+  auto second = PersistenceDomain::Open(BaseOptions(second_file.path()),
+                                        &registry);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ((*second)->heap()->region()->address_slot(), slot);
 
-  auto again = domains.Open("first", BaseOptions(first_file.path()),
-                            &registry);
+  auto again = PersistenceDomain::Open(BaseOptions(first_file.path()),
+                                       &registry);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(domains.size(), 1u);
 
-  ASSERT_TRUE(domains.Close("second").ok());
-  again = domains.Open("first", BaseOptions(first_file.path()), &registry);
+  (*second)->CloseClean();
+  second->reset();
+  again = PersistenceDomain::Open(BaseOptions(first_file.path()), &registry);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ((*again)->heap()->region()->address_slot(), slot);
-  domains.CloseAllClean();
+  (*again)->CloseClean();
 }
 
 }  // namespace

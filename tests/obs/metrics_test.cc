@@ -134,16 +134,5 @@ TEST(MetricsTest, ConcurrentIncrementsAreExact) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsTest, ScopedPhaseTimerObservesIntoDefaultRegistry) {
-  const std::string name = "test.phase_timer_us";
-  const std::uint64_t before =
-      DefaultRegistry().Snapshot().histograms.count(name) > 0
-          ? DefaultRegistry().Snapshot().histograms.at(name).count
-          : 0;
-  { ScopedPhaseTimer timer(name.c_str()); }
-  const MetricsSnapshot snapshot = DefaultRegistry().Snapshot();
-  EXPECT_EQ(snapshot.histograms.at(name).count, before + 1);
-}
-
 }  // namespace
 }  // namespace tsp::obs

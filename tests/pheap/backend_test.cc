@@ -1,8 +1,8 @@
 // Copyright 2026 The TSP Authors.
-// RegionBackend implementations: path resolution, the anonymous
-// crash/reopen cycle, the simnvm shadow, mapping-conflict diagnostics,
-// and the no-silent-clobber / retry-at-next-slot behavior of region
-// open/create on top of them.
+// RegionBackend implementations: the anonymous crash/reopen cycle, the
+// simnvm shadow, mapping-conflict diagnostics, and the
+// no-silent-clobber / retry-at-next-slot behavior of region open/create
+// on top of them.
 
 #include "pheap/backend.h"
 
@@ -30,19 +30,10 @@ RegionOptions SmallRegion(std::shared_ptr<RegionBackend> backend = nullptr) {
   return options;
 }
 
-TEST(BackendTest, DevShmResolvesRelativePathsOnly) {
-  DevShmBackend backend;
-  EXPECT_EQ(backend.ResolvePath("x.heap"), "/dev/shm/x.heap");
-  EXPECT_EQ(backend.ResolvePath("/tmp/x.heap"), "/tmp/x.heap");
-  EXPECT_TRUE(backend.durable_across_processes());
-}
-
 TEST(BackendTest, BackendNamesAreStable) {
   EXPECT_STREQ(PosixFileBackend().name(), "posix-file");
-  EXPECT_STREQ(DevShmBackend().name(), "dev-shm");
   EXPECT_STREQ(AnonTestBackend().name(), "anon-test");
   EXPECT_STREQ(SimNvmShadowBackend().name(), "simnvm-shadow");
-  EXPECT_FALSE(AnonTestBackend().durable_across_processes());
 }
 
 // The AnonTestBackend's whole purpose: crash/reopen cycles with no

@@ -265,6 +265,19 @@ TEST(TspInspectTest, StatsAndMetricsSumTheShardSet) {
   EXPECT_GT(total_allocs[1], 0u);
   EXPECT_GT(total_allocs[2], 0u);
   EXPECT_EQ(total_allocs[0], total_allocs[1] + total_allocs[2]);
+  // Arena use, per shard and summed: carved bytes within each arena.
+  const std::vector<std::uint64_t> arena_used =
+      IntegerFields(stats.output, "arena_used_bytes");
+  const std::vector<std::uint64_t> arena_bytes =
+      IntegerFields(stats.output, "arena_bytes");
+  ASSERT_EQ(arena_used.size(), 3u) << stats.output;
+  ASSERT_EQ(arena_bytes.size(), 3u) << stats.output;
+  for (int shard = 1; shard <= 2; ++shard) {
+    EXPECT_GT(arena_used[shard], 0u);
+    EXPECT_LT(arena_used[shard], arena_bytes[shard]);
+  }
+  EXPECT_EQ(arena_used[0], arena_used[1] + arena_used[2]);
+  EXPECT_EQ(arena_bytes[0], arena_bytes[1] + arena_bytes[2]);
   const std::vector<std::uint64_t> shared_allocs =
       IntegerFields(stats.output, "shared_allocs");
   ASSERT_EQ(shared_allocs.size(), 3u) << stats.output;

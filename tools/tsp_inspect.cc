@@ -8,7 +8,8 @@
 //                                           # on a MapSession heap, its
 //                                           # variant, shard count and
 //                                           # whether it can be attached)
-//   $ tsp_inspect alloc a.heap              # allocator accounting
+//   $ tsp_inspect stats a.heap [--json]     # allocator totals, arena use,
+//                                           # magazines, free lists
 //   $ tsp_inspect check a.heap              # full integrity check
 //   $ tsp_inspect check a.heap b.heap --json  # shard set, per-shard JSON
 //   $ tsp_inspect log a.heap                # Atlas undo-log summary
@@ -172,27 +173,23 @@ int ShowHeader(const PersistentHeap& heap) {
   return 0;
 }
 
-int ShowAlloc(const PersistentHeap& heap) {
-  const tsp::pheap::AllocatorStats stats = heap.GetAllocatorStats();
-  const RegionHeader* h = heap.region()->header();
-  const std::uint64_t used = stats.bump_offset - h->arena_offset;
-  std::printf("allocator:\n");
-  std::printf("  total allocs:  %" PRIu64 "\n", stats.total_allocs);
-  std::printf("  total frees:   %" PRIu64 "\n", stats.total_frees);
-  std::printf("  bump offset:   %" PRIu64 " (%.1f%% of arena)\n",
-              stats.bump_offset,
-              100.0 * static_cast<double>(used) /
-                  static_cast<double>(h->arena_size));
-  return 0;
-}
-
 using FreeLists = std::vector<tsp::pheap::Allocator::FreeListLength>;
+
+/// Arena bytes carved so far (below the bump pointer) and the arena's
+/// size; summed over shards for the aggregate.
+struct ArenaUse {
+  std::uint64_t used = 0;
+  std::uint64_t size = 0;
+};
 
 /// Shared body of the per-shard and aggregate `stats` records.
 void PrintStatsJsonFields(const tsp::pheap::AllocatorStats& stats,
-                          const FreeLists& lists) {
+                          const ArenaUse& arena, const FreeLists& lists) {
   std::printf("\"total_allocs\":%" PRIu64 ",\"total_frees\":%" PRIu64 ",",
               stats.total_allocs, stats.total_frees);
+  std::printf("\"arena_used_bytes\":%" PRIu64 ",\"arena_bytes\":%" PRIu64
+              ",",
+              arena.used, arena.size);
   std::printf("\"magazine_allocs\":%" PRIu64 ",\"magazine_frees\":%" PRIu64
               ",",
               stats.magazine_allocs, stats.magazine_frees);
@@ -219,9 +216,14 @@ void PrintStatsJsonFields(const tsp::pheap::AllocatorStats& stats,
 }
 
 void PrintStatsText(const tsp::pheap::AllocatorStats& stats,
-                    const FreeLists& lists) {
+                    const ArenaUse& arena, const FreeLists& lists) {
   std::printf("  total allocs:       %" PRIu64 "\n", stats.total_allocs);
   std::printf("  total frees:        %" PRIu64 "\n", stats.total_frees);
+  std::printf("  arena used:         %" PRIu64 " of %" PRIu64
+              " bytes (%.1f%%)\n",
+              arena.used, arena.size,
+              100.0 * static_cast<double>(arena.used) /
+                  static_cast<double>(arena.size));
   std::printf("  magazine allocs:    %" PRIu64 "\n", stats.magazine_allocs);
   std::printf("  magazine frees:     %" PRIu64 "\n", stats.magazine_frees);
   std::printf("  shared allocs:      %" PRIu64 "\n", stats.shared_allocs);
@@ -263,21 +265,24 @@ void AccumulateStats(const tsp::pheap::AllocatorStats& shard,
   total->batch_pop_retries += shard.batch_pop_retries;
 }
 
-/// Allocator telemetry: magazine/shared operation split, batch-transfer
-/// counters, and per-class shared free-list lengths, aggregated over the
-/// shard set and attributed per shard. On a file opened read-only the
-/// magazine counters are whatever the writing process flushed (magazines
-/// are DRAM state of the live process, not the file); the free-list walk
-/// reads the persistent lists directly.
+/// Allocator telemetry: operation totals, arena use, magazine/shared
+/// operation split, batch-transfer counters, and per-class shared
+/// free-list lengths, aggregated over the shard set and attributed per
+/// shard. On a file opened read-only the magazine counters are whatever
+/// the writing process flushed (magazines are DRAM state of the live
+/// process, not the file); the free-list walk reads the persistent lists
+/// directly.
 int RunStats(const std::vector<std::string>& paths, bool json) {
   struct Shard {
     std::string path;
     std::string error;  // non-empty: the open failed
     tsp::pheap::AllocatorStats stats;
+    ArenaUse arena;
     FreeLists lists;
   };
   std::vector<Shard> shards;
   tsp::pheap::AllocatorStats aggregate;
+  ArenaUse aggregate_arena;
   std::map<std::size_t, std::uint64_t> aggregate_lists;
   int exit_code = 0;
   for (const std::string& path : paths) {
@@ -289,8 +294,13 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
       exit_code = 1;
     } else {
       shard.stats = (*heap)->GetAllocatorStats();
+      const RegionHeader* header = (*heap)->region()->header();
+      shard.arena = {shard.stats.bump_offset - header->arena_offset,
+                     header->arena_size};
       shard.lists = (*heap)->allocator()->FreeListLengths();
       AccumulateStats(shard.stats, &aggregate);
+      aggregate_arena.used += shard.arena.used;
+      aggregate_arena.size += shard.arena.size;
       for (const auto& list : shard.lists) {
         aggregate_lists[list.block_size] += list.blocks;
       }
@@ -304,7 +314,7 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
 
   if (json) {
     std::printf("{\"aggregate\":{\"shards\":%zu,", shards.size());
-    PrintStatsJsonFields(aggregate, merged_lists);
+    PrintStatsJsonFields(aggregate, aggregate_arena, merged_lists);
     std::printf("},\"shards\":[");
     bool first = true;
     for (const Shard& shard : shards) {
@@ -315,7 +325,7 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
                     tsp::report::JsonEscape(shard.error).c_str());
       } else {
         std::printf("\"ok\":true,");
-        PrintStatsJsonFields(shard.stats, shard.lists);
+        PrintStatsJsonFields(shard.stats, shard.arena, shard.lists);
         std::printf("}");
       }
       first = false;
@@ -332,12 +342,12 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
       continue;
     }
     std::printf("allocator stats:\n");
-    PrintStatsText(shard.stats, shard.lists);
+    PrintStatsText(shard.stats, shard.arena, shard.lists);
   }
   if (paths.size() > 1) {
     std::printf("=== aggregate over %zu shards ===\nallocator stats:\n",
                 paths.size());
-    PrintStatsText(aggregate, merged_lists);
+    PrintStatsText(aggregate, aggregate_arena, merged_lists);
   }
   return exit_code;
 }
@@ -732,13 +742,10 @@ int ShowRobustLocks(const PersistentHeap& heap, bool json) {
                 area.robust_lock_count(), wedged);
     std::printf("\"counters\":{\"robust_steals\":%" PRIu64
                 ",\"dead_owner_rollbacks\":%" PRIu64
-                ",\"slots_harvested\":%" PRIu64
-                ",\"nested_release_hazards\":%" PRIu64 "},",
+                ",\"slots_harvested\":%" PRIu64 "},",
                 table->robust_steals.load(std::memory_order_relaxed),
                 table->dead_owner_rollbacks.load(std::memory_order_relaxed),
-                table->slots_harvested.load(std::memory_order_relaxed),
-                table->nested_release_hazards.load(
-                    std::memory_order_relaxed));
+                table->slots_harvested.load(std::memory_order_relaxed));
     std::printf("\"slots\":[");
     bool comma = false;
     for (const Claim& claim : claims) {
@@ -775,12 +782,10 @@ int ShowRobustLocks(const PersistentHeap& heap, bool json) {
               " wedged\n",
               area.robust_lock_count(), held.size(), wedged);
   std::printf("  counters: steals=%" PRIu64 " dead_owner_rollbacks=%"
-              PRIu64 " slots_harvested=%" PRIu64
-              " nested_release_hazards=%" PRIu64 "\n",
+              PRIu64 " slots_harvested=%" PRIu64 "\n",
               table->robust_steals.load(std::memory_order_relaxed),
               table->dead_owner_rollbacks.load(std::memory_order_relaxed),
-              table->slots_harvested.load(std::memory_order_relaxed),
-              table->nested_release_hazards.load(std::memory_order_relaxed));
+              table->slots_harvested.load(std::memory_order_relaxed));
   for (const Claim& claim : claims) {
     std::printf("  slot %2u [%s]: pid=%u tid=%u birth=%" PRIu64 " (%s)\n",
                 claim.slot,
@@ -944,14 +949,14 @@ int RunLocks(const std::vector<std::string>& paths, bool json) {
 }
 
 bool IsCommand(const std::string& word) {
-  return word == "header" || word == "alloc" || word == "check" ||
-         word == "log" || word == "stats" || word == "trace" ||
-         word == "metrics" || word == "locks";
+  return word == "header" || word == "check" || word == "log" ||
+         word == "stats" || word == "trace" || word == "metrics" ||
+         word == "locks";
 }
 
 int Usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s {header | alloc | stats [--json] | check "
+               "usage: %s {header | stats [--json] | check "
                "[--json] | log [-v] | trace [--json] [-v] | metrics | "
                "locks [--json]} <heap-file> [<heap-file>...]\n"
                "       (locks takes heap files — robust-lock owners, "
@@ -1024,7 +1029,6 @@ int main(int argc, char** argv) {
     first = false;
     int rc = 2;
     if (command == "header") rc = ShowHeader(**heap);
-    if (command == "alloc") rc = ShowAlloc(**heap);
     if (command == "check") rc = ShowCheck(**heap, json);
     if (command == "log") rc = ShowLog(**heap, verbose);
     if (command == "trace") rc = ShowTrace(**heap, json, verbose);
