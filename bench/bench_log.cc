@@ -154,19 +154,20 @@ BENCHMARK(BM_StoreBytesBatch<true>)
     ->Arg(64)
     ->Arg(256);
 
-// Commit paths: dependency-free OCSes trim inline; OCSes with a
-// cross-thread dependency go through the pruner queue. Every row counts
-// one OCS per iteration, and the publishing rows report how many of
-// their OCSes published.
+// Commit paths: dependency-free OCSes trim inline; an OCS with a
+// cross-thread dependency publishes its record, and its release runs a
+// stability pass. Every row counts one OCS per iteration, and the
+// publishing rows report how many of their OCSes published.
 
 /// Starts the dependency chain the publishing rows run on: `first`
 /// releases `word` inside a still-open OCS, so the OCS `second` then
-/// runs on `word` depends on an uncommitted one and publishes. From then
-/// on each holder's acquire finds the other's last release unstable
-/// (the pruner stabilizes in passes 200 us apart), records a dependency
-/// and publishes too. Without the seed both holders commit inline: a
-/// fast commit marks its release stable, so the next acquirer records
-/// no dependency.
+/// runs on `word` depends on an uncommitted one, publishes, and stays
+/// unstable through the pass its release runs. The next acquire finds
+/// that release unstable, records a dependency and publishes too; but
+/// by then `first` has committed, so that publish's pass stabilizes
+/// both, and the acquire after it records nothing. Without the seed
+/// both holders commit inline: a fast commit marks its release stable,
+/// so the next acquirer records no dependency.
 void SeedUnstableChain(AtlasThread& first, AtlasThread& second,
                        PLockWord& word) {
   PLockWord outer;
@@ -184,9 +185,9 @@ std::uint64_t Published(const AtlasThread& a, const AtlasThread& b) {
 }
 
 /// Runs `iteration` (one OCS on each holder) in batches of two OCSes.
-/// When the benchmark thread stalls between a release and the next
-/// acquire, a pruner pass can stabilize that release first; the acquire
-/// then records no dependency and the chain ends, so it is seeded again.
+/// When a pass stabilizes a release before the next acquire, that
+/// acquire records no dependency and the chain ends, so it is seeded
+/// again; the seed's OCSes are not counted.
 template <typename Iteration>
 void RunPublishingPairs(benchmark::State& state, AtlasThread& alice,
                         AtlasThread& bob, PLockWord& word,
@@ -222,8 +223,8 @@ void BM_CommitPublishPath(benchmark::State& state) {
   AtlasThread bob(env.runtime.get(), 41);
   PLockWord word;
   RunPublishingPairs(state, alice, bob, word, [&] {
-    // Alternate holders so every acquire sees a foreign, not-yet-stable
-    // releaser → records a dep → publishes to the pruner.
+    // Alternate holders so an acquire sees a foreign, not-yet-stable
+    // releaser → records a dep → publishes.
     alice.OnAcquire(&word, 1);
     alice.OnRelease(&word, 1);
     bob.OnAcquire(&word, 1);
@@ -238,8 +239,7 @@ BENCHMARK(BM_CommitPublishPath);
 // stable at release: it commits inline and frees the block on the spot,
 // into the thread's magazine, where the next Alloc finds it. One with a
 // cross-thread dependency (the seeded chain, as above) publishes its
-// free to the pruner, which applies it once a pass proves the OCS
-// stable.
+// free, and the pass that proves the OCS stable applies it.
 void RemoveShapedOcs(Env& env, AtlasThread& thread, PLockWord& word,
                      std::uint64_t* link, std::uint64_t value) {
   void* block = env.heap->Alloc(24);

@@ -9,12 +9,14 @@
 //
 //   $ bank_ledger /dev/shm/bank.heap init 64 1000   # 64 accounts x $1000
 //   $ bank_ledger /dev/shm/bank.heap run 200000     # random transfers
+//                                                   # per thread (4)
 //   $ bank_ledger /dev/shm/bank.heap crash          # SIGKILL mid-run
 //   $ bank_ledger /dev/shm/bank.heap audit          # recovers + verifies
 
 #include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -26,6 +28,7 @@
 #include "atlas/recovery.h"
 #include "atlas/runtime.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "pheap/heap.h"
 
 namespace {
@@ -208,7 +211,29 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "run `init` first\n");
       return 1;
     }
-    RunTransfers(&app, std::strtoull(argv[3], nullptr, 0), 4, -1);
+    constexpr int kThreads = 4;
+    const std::uint64_t per_thread = std::strtoull(argv[3], nullptr, 0);
+    const auto start = std::chrono::steady_clock::now();
+    RunTransfers(&app, per_thread, kThreads, -1);
+    const std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    // What the run cost and which Atlas commit paths it took, from the
+    // metrics registry (zeros when built with -DTSP_OBS=OFF).
+    const tsp::obs::MetricsSnapshot metrics =
+        tsp::obs::DefaultRegistry().Snapshot();
+    const auto counter = [&metrics](const char* name) {
+      return static_cast<unsigned long long>(metrics.counter(name));
+    };
+    std::printf("transfers=%llu us_per_transfer=%.3f ocses_committed=%llu "
+                "fast_path_commits=%llu published_commits=%llu "
+                "deps_recorded=%llu undo_records=%llu\n",
+                static_cast<unsigned long long>(per_thread * kThreads),
+                elapsed.count() / static_cast<double>(per_thread * kThreads),
+                counter("atlas.ocses_committed"),
+                counter("atlas.fast_path_commits"),
+                counter("atlas.published_commits"),
+                counter("atlas.deps_recorded"),
+                counter("atlas.undo_records"));
     Audit(app, true);
   } else if (command == "crash" && argc == 3) {
     if (app.ledger == nullptr) {

@@ -111,7 +111,7 @@ struct alignas(64) ThreadLogHeader {
   /// attach-time recovery find them. Full recovery resets every slot.
   std::atomic<std::uint32_t> in_use;
   std::uint32_t thread_id;
-  /// Oldest retained entry (advanced by the pruner past OCSes whose
+  /// Oldest retained entry (advanced by a stability pass past OCSes whose
   /// logs can never be needed again, and set to the rewound tail by a
   /// fast-path commit). Never passes tail.
   std::atomic<std::uint64_t> head;

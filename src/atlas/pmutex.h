@@ -108,17 +108,25 @@ class alignas(64) PMutex {
   void UnlockWith(AtlasThread* thread) {
     analysis::HookLockReleased(this);
     if (thread != nullptr) {
+      bool hands_over_unstable = false;
       if (robust_ != nullptr) {
         // Commit (and publish the dependency frontier) strictly before
         // the owner clear hands the word to another process: a stealer
         // must only ever observe this OCS as fully committed.
         thread->OnReleaseBegin(&robust_->dependency, lock_id_);
+        hands_over_unstable =
+            (robust_->dependency.last_release.load(
+                 std::memory_order_relaxed) &
+             kLastReleaseStable) == 0;
         robust_->owner.store(0, std::memory_order_release);
       } else {
         thread->OnReleaseBegin(&lock_word_, lock_id_);
       }
       mutex_.unlock();
       thread->OnReleaseFinish();
+      // The next owner may be a thread of another process that depends
+      // on this unstable OCS; only our passes can stabilize it.
+      if (hands_over_unstable) runtime_->StartPassThread();
     } else {
       mutex_.unlock();
     }

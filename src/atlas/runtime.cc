@@ -43,8 +43,11 @@ AtlasRuntime::~AtlasRuntime() {
     obs::DefaultRegistry().UnregisterSource(metrics_source_id_);
   }
 #endif
-  pruner_stop_.store(true, std::memory_order_release);
-  if (pruner_.joinable()) pruner_.join();
+  // No last pass: destroying a runtime leaves its logs as a crash
+  // would. A clean shutdown runs that pass first
+  // (PersistenceDomain::CloseClean).
+  pass_thread_stop_.store(true, std::memory_order_release);
+  if (pass_thread_.joinable()) pass_thread_.join();
   // Stale TLS bindings stay behind; they are keyed by instance id and
   // will never match a future runtime.
 }
@@ -162,18 +165,17 @@ void AtlasRuntime::FinishSetup() {
         builder->AddCounter("atlas.slots_harvested", stats.slots_harvested);
       });
 #endif
-  if (policy_.logging_enabled() && options_.prune_interval_us > 0) {
-    pruner_ = std::thread([this] { PrunerMain(); });
-  }
 }
 
-void AtlasRuntime::PrunerMain() {
-  while (!pruner_stop_.load(std::memory_order_acquire)) {
-    stability_->RunPass();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.prune_interval_us));
-  }
-  stability_->RunPass();  // final sweep
+void AtlasRuntime::StartPassThread() {
+  std::call_once(pass_thread_once_, [this] {
+    pass_thread_ = std::thread([this] {
+      while (!pass_thread_stop_.load(std::memory_order_acquire)) {
+        stability_->RunPass();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  });
 }
 
 AtlasRuntimeStats AtlasRuntime::GetStats() {
@@ -236,10 +238,10 @@ AtlasThread* AtlasRuntime::CurrentThread() {
       slot->owner_birth.store(self.birth, std::memory_order_relaxed);
       slot->owner_pid.store(self.pid, std::memory_order_release);
       // In attach mode a cleanly freed slot can carry an orphan backlog
-      // (committed OCSes a dead owner's pruner never stabilized). They
+      // (committed OCSes a dead owner's passes never stabilized). They
       // can never be rolled back (committed, and every dependency
       // target of a committed OCS is itself committed), so adopt them
-      // as stable — our own pruner never saw them and could not drain
+      // as stable — our own passes never saw them and could not drain
       // them otherwise, which would wedge peers' dependency recording
       // and, eventually, this ring.
       const std::uint64_t committed =
@@ -276,10 +278,10 @@ void AtlasRuntime::UnregisterCurrentThread() {
         << "unregistering a thread inside a critical section";
     ThreadLogHeader* slot = area_.slot(thread->thread_id());
     // Drain this slot's unstable backlog before handing it back. The
-    // next claimant may live in another process whose pruner never saw
-    // these OCSes; worse, leaving them pending lets *our* pruner store
+    // next claimant may live in another process whose passes never saw
+    // these OCSes; worse, leaving them pending lets *our* passes store
     // an older stable_ocs over the next claimant's fresher one (the
-    // stale-pruner regression race). Bounded: stability converges once
+    // stale-pass regression race). Bounded: stability converges once
     // peers commit, and a peer stuck in a critical section for two
     // seconds is already pathological — we free the slot regardless
     // and a future claimant adopts the remainder as stable.
@@ -629,14 +631,14 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
   // rolls the OCS back — the mutex is still held here, so no thread has
   // observed its writes. Deferred frees do not disqualify: stability is
   // exactly when they are due, so OnReleaseFinish applies them.
-  // The acquire pairs with the pruner's release of stable_ocs: its head
+  // The acquire pairs with a pass's release of stable_ocs: its head
   // stores for earlier OCSes happen before our rewind's head store.
   fast_commit_ = depth_ == 1 && current_deps_.empty() &&
                  slot_->stable_ocs.load(std::memory_order_acquire) ==
                      current_ocs_ - 1;
   if (!fast_commit_) {
     // Also publishes any still-staged bracket entries: an OCS that
-    // stays in the ring for the pruner needs its full bracket there.
+    // stays in the ring until a pass needs its full bracket there.
     AppendEntry(EntryKind::kRelease, 0, lock_id, current_ocs_, current_ocs_);
   }
   if (--depth_ == 0) {
@@ -652,9 +654,9 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
       // back whole (its counter slots too, being above stable_ocs);
       // after it the OCS is out of the window, and a slot whose OCS is
       // absent from the window is never applied. Staged entries are
-      // dropped. The pruner cannot race: our pending queue is empty,
-      // and a late head store from its last pass writes the end of the
-      // last published OCS, which is this OCS's begin position.
+      // dropped. No pass can race: our pending queue is empty, and a
+      // late head store from the last pass writes the end of the last
+      // published OCS, which is this OCS's begin position.
       staged_ = 0;
       slot_->tail.store(current_ocs_begin_tail_, std::memory_order_release);
       slot_->stable_ocs.store(current_ocs_, std::memory_order_release);
@@ -700,7 +702,10 @@ void AtlasThread::OnReleaseFinish() {
     }
     current_deferred_frees_.clear();
   } else {
-    // Not stable at release: the pruner frees once it proves stability.
+    // Not stable at release: publish, then run a pass here and now. It
+    // stabilizes this OCS (and applies its frees, on this thread) when
+    // every dependency already is; otherwise the pass of a later
+    // publish, a full ring or StabilizeNow will.
     ++stats_.published_commits;
     runtime_->stability()->Publish(
         thread_id_,
@@ -710,6 +715,7 @@ void AtlasThread::OnReleaseFinish() {
                      std::move(current_deferred_frees_)});
     current_deps_.clear();
     current_deferred_frees_.clear();
+    runtime_->StabilizeNow();
   }
   fresh_spans_.clear();
   current_ocs_ = 0;

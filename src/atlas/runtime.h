@@ -7,9 +7,11 @@
 // heap consistent, so an OCS is a failure-atomic bundle of changes. The
 // runtime undo-logs the old value of every location an OCS stores to;
 // recovery (recovery.h) rolls back OCSes interrupted by a crash, plus any
-// completed OCSes that transitively observed their data. A background
-// pruner (stability.h) trims logs of OCSes that can never be rolled
-// back, mirroring Atlas's asynchronous log pruning.
+// completed OCSes that transitively observed their data. A stability
+// pass (stability.h) trims logs of OCSes that can never be rolled back,
+// as Atlas's log pruner does; the thread that publishes an unstable
+// commit runs it, so the runtime starts no thread of its own unless a
+// peer process may depend on it (StartPassThread).
 //
 // The TSP knob is the PersistencePolicy:
 //   * PersistencePolicy::TspLogOnly() — log entries are NOT flushed;
@@ -67,9 +69,9 @@ struct AtlasRuntimeStats {
   std::uint64_t flit_rearms = 0;
   std::uint64_t ocses_committed = 0;
   std::uint64_t fast_path_commits = 0;  // ring rewound at commit
-  std::uint64_t published_commits = 0;  // handed to the pruner
+  std::uint64_t published_commits = 0;  // unstable at release
   std::uint64_t deps_recorded = 0;
-  std::uint64_t pending_unstable = 0;  // current pruner backlog
+  std::uint64_t pending_unstable = 0;  // published, not yet stable
   /// Sequence-lease counters: blocks of stamps taken from the shared
   /// global_sequence counter (one contended fetch_add each), and leases
   /// discarded at acquire time because the previous releaser's stamp
@@ -145,7 +147,8 @@ class alignas(64) AtlasThread {
   /// lock (Lamport resync + dependency edge). Symmetrically,
   /// OnReleaseBegin is the in-lock half of OnRelease and
   /// OnReleaseFinish runs the commit bookkeeping (stats, a stable OCS's
-  /// deferred frees, pruner publication) after the mutex is dropped.
+  /// deferred frees, an unstable one's publication and stability pass)
+  /// after the mutex is dropped.
   /// OnAcquire/OnRelease remain self-sufficient for callers that do not
   /// split.
   void OnAcquirePrep(std::uint32_t lock_id);
@@ -165,8 +168,9 @@ class alignas(64) AtlasThread {
   /// corrupt the heap if the OCS were later rolled back and the freed
   /// data resurrected. An OCS that takes the fast commit is stable at
   /// its release, so its frees run on this thread right after the mutex
-  /// drop (OnReleaseFinish); only an OCS still unstable at release hands
-  /// them to the pruner. Outside an OCS, frees immediately.
+  /// drop (OnReleaseFinish); an OCS still unstable at release publishes
+  /// them, and the stability pass that proves it stable applies them.
+  /// Outside an OCS, frees immediately.
   void DeferFree(void* payload);
 
   bool in_ocs() const { return depth_ > 0; }
@@ -284,9 +288,6 @@ class alignas(64) AtlasThread {
 class AtlasRuntime {
  public:
   struct Options {
-    /// Interval between background log-pruning passes. 0 disables the
-    /// pruner thread (threads then prune inline only when a ring fills).
-    std::uint32_t prune_interval_us = 200;
     /// Stamps leased per block from the shared persistent
     /// global_sequence counter: one contended fetch_add per
     /// seq_block_size undo records instead of one per record. 1
@@ -332,10 +333,10 @@ class AtlasRuntime {
   AtlasThread* CurrentThread();
 
   /// Releases the calling thread's slot (requires no open OCS). Safe to
-  /// call from threads that never registered. In attach mode the slot's
-  /// remaining committed OCSes are stabilized (bounded wait) first, so
-  /// the next claimant — possibly in another process — never inherits
-  /// an orphan backlog its own pruner cannot drain.
+  /// call from threads that never registered. The slot's remaining
+  /// committed OCSes are stabilized (bounded wait) first, so the next
+  /// claimant — possibly in another process — never inherits an orphan
+  /// backlog that its own passes cannot drain.
   void UnregisterCurrentThread();
 
   /// Scans every slot header for claimants whose (pid, birth) is no
@@ -366,9 +367,19 @@ class AtlasRuntime {
     return area_.robust_lock(index);
   }
 
-  /// Runs one synchronous log-pruning pass (also done periodically by
-  /// the background pruner). Returns OCSes stabilized.
+  /// Runs one stability pass now. Every release that publishes an
+  /// unstable commit runs one too, as do a thread whose ring is full,
+  /// UnregisterCurrentThread and a clean shutdown. Returns OCSes
+  /// stabilized.
   std::size_t StabilizeNow() { return stability_->RunPass(); }
+
+  /// Starts, once, a thread that runs a stability pass every 200 us
+  /// until the runtime is destroyed. PMutex::UnlockWith calls it when a
+  /// robust lock is released by an OCS that is not stable yet: a thread
+  /// of another process that takes the lock next depends on that OCS,
+  /// and only this process's passes can prove it stable, at a moment no
+  /// event in this process marks (DESIGN.md §12).
+  void StartPassThread();
 
   /// Sums all threads' counters (approximate under concurrency).
   AtlasRuntimeStats GetStats();
@@ -407,9 +418,8 @@ class AtlasRuntime {
   std::uint64_t instance_id() const { return instance_id_; }
 
  private:
-  void PrunerMain();
-  /// Shared tail of Initialize/Attach: stability manager, metrics
-  /// source, pruner thread.
+  /// Shared tail of Initialize/Attach: stability manager and metrics
+  /// source.
   void FinishSetup();
   /// Harvests slot `t` if its claimant is dead. The kSlotHarvesting CAS
   /// plus a post-CAS identity recheck make this safe against the slot
@@ -426,8 +436,9 @@ class AtlasRuntime {
   std::atomic<std::uint32_t> next_lock_id_{1};
 
   std::unique_ptr<StabilityManager> stability_;
-  std::atomic<bool> pruner_stop_{false};
-  std::thread pruner_;
+  std::once_flag pass_thread_once_;
+  std::atomic<bool> pass_thread_stop_{false};
+  std::thread pass_thread_;
   /// Metrics pull-source registration with obs::DefaultRegistry (0 when
   /// not registered); folds GetStats into snapshots on demand.
   std::uint64_t metrics_source_id_ = 0;

@@ -179,6 +179,9 @@ Status PersistenceDomain::Commit() {
 void PersistenceDomain::CloseClean() {
   TSP_CHECK(!attached_)
       << "CloseClean on an attached domain; use CloseDetach";
+  // One last pass per shard applies every deferred free that is due.
+  // Destroying a runtime runs none, as a crash would not.
+  for (const auto& runtime : runtimes_) runtime->StabilizeNow();
   runtimes_.clear();
   for (const auto& heap : heaps_) {
     if (heap != nullptr) heap->CloseClean();
@@ -186,6 +189,9 @@ void PersistenceDomain::CloseClean() {
 }
 
 void PersistenceDomain::CloseDetach() {
+  if (attached_) {
+    for (const auto& runtime : runtimes_) runtime->StabilizeNow();
+  }
   runtimes_.clear();
   heaps_.clear();
 }

@@ -121,13 +121,15 @@ class PersistenceDomain {
   /// inside the runtime).
   Status Commit();
 
-  /// Marks an orderly shutdown on every shard. Fatal on attached
-  /// domains (the clean flag belongs to the opening session).
+  /// Runs a last stability pass on every shard (applying the deferred
+  /// frees it proves due), then marks an orderly shutdown. Fatal on
+  /// attached domains (the clean flag belongs to the opening session).
   void CloseClean();
 
-  /// Orderly leave of an attached domain: tears down the runtimes and
-  /// unmaps without touching the clean-shutdown flags. Also safe on
-  /// owned domains (simulates a crash).
+  /// Orderly leave of an attached domain: runs a last stability pass,
+  /// tears down the runtimes and unmaps without touching the
+  /// clean-shutdown flags. Also safe on owned domains, where it runs no
+  /// pass and simulates a crash.
   void CloseDetach();
 
   /// True for domains produced by Attach.

@@ -937,13 +937,16 @@ std::vector<Allocator::FreeListLength> Allocator::FreeListLengths() const {
   return lengths;
 }
 
-void Allocator::ResetMetadata(std::uint64_t bump_offset) {
+void Allocator::ResetMetadata(std::uint64_t bump_offset,
+                              std::uint64_t live_objects) {
   TSP_CHECK_GE(bump_offset, header_->arena_offset);
   TSP_CHECK_LE(bump_offset, header_->arena_offset + header_->arena_size);
   for (std::size_t c = 0; c < kMaxSizeClasses; ++c) {
     header_->free_lists[c].head.store(0, std::memory_order_relaxed);
   }
   header_->bump_offset.store(bump_offset, std::memory_order_relaxed);
+  header_->total_allocs.store(live_objects, std::memory_order_relaxed);
+  header_->total_frees.store(0, std::memory_order_relaxed);
   // Remote-free inboxes hold offsets from the discarded metadata world;
   // forget them (the GC owns every non-live byte now). Slot claims are
   // kept — the registered caches stay valid, they just start empty.

@@ -189,9 +189,11 @@ class Allocator {
   /// pointer, and invalidates every thread cache (their parked offsets
   /// now alias rebuilt free space; each cache notices the epoch bump
   /// on its next operation and discards itself — discard, not drain:
-  /// the GC already owns those bytes). The GC calls this before
-  /// re-populating free lists from swept gaps.
-  void ResetMetadata(std::uint64_t bump_offset);
+  /// the GC already owns those bytes). Restarts the persistent totals
+  /// at `live_objects` allocations and no frees: a killed session's
+  /// magazine counts were never folded into them. The GC calls this
+  /// before re-populating free lists from swept gaps.
+  void ResetMetadata(std::uint64_t bump_offset, std::uint64_t live_objects);
 
   /// Formats [offset, offset + block_size) as a free block of an exact
   /// class size and pushes it. Requires SizeClassOf(block_size) >= 0.

@@ -145,11 +145,11 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
 
   // Discards every advisory structure at once: free lists, bump pointer,
   // remote-free inboxes, and (via the epoch bump) all per-thread
-  // magazines. Recovery itself needs nothing beyond this — magazines are
+  // magazines; the allocation totals restart at the live count. Recovery itself needs nothing beyond this — magazines are
   // DRAM-only and were never authoritative, so a crash with parked
   // blocks just makes those bytes unreachable, and the sweep below
   // re-carves them.
-  allocator->ResetMetadata(new_bump);
+  allocator->ResetMetadata(new_bump, stats.live_objects);
 
   auto carve_gap = [&](std::uint64_t start, std::uint64_t end) {
     std::uint64_t at = start;

@@ -174,9 +174,9 @@ void MapSession::CloseClean() {
 void MapSession::CloseDetach() {
   DisarmRaceDetector();
   map_.reset();
-  // Runtime teardown frees this process's Atlas slots (identity cleared
-  // first) and stops the pruners; the heaps then unmap without touching
-  // the clean-shutdown flag, which belongs to the domain owner.
+  // An attached domain runs a last stability pass; either way the
+  // runtimes go down and the heaps unmap without touching the
+  // clean-shutdown flag, which belongs to the domain owner.
   domain_->CloseDetach();
 }
 

@@ -75,10 +75,8 @@ class RaceDetectorTest : public ::testing::Test {
     auto heap = pheap::PersistentHeap::Create(file_->path(), SmallOptions());
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
-    AtlasRuntime::Options options;
-    options.prune_interval_us = 0;
     runtime_ = std::make_unique<AtlasRuntime>(
-        heap_.get(), PersistencePolicy::TspLogOnly(), options);
+        heap_.get(), PersistencePolicy::TspLogOnly());
     ASSERT_TRUE(runtime_->Initialize().ok());
   }
 
@@ -275,10 +273,7 @@ TEST_F(RaceDetectorTest, CrossShardLockOrderCycleIsReported) {
   auto heap2_or = pheap::PersistentHeap::Create(file2.path(), SmallOptions());
   ASSERT_TRUE(heap2_or.ok()) << heap2_or.status().ToString();
   std::unique_ptr<pheap::PersistentHeap> heap2 = std::move(*heap2_or);
-  AtlasRuntime::Options rt_options;
-  rt_options.prune_interval_us = 0;
-  AtlasRuntime runtime2(heap2.get(), PersistencePolicy::TspLogOnly(),
-                        rt_options);
+  AtlasRuntime runtime2(heap2.get(), PersistencePolicy::TspLogOnly());
   ASSERT_TRUE(runtime2.Initialize().ok());
 
   PMutex mutex_a(runtime_.get());

@@ -61,7 +61,6 @@ class Session {
 
   void StartRuntime(PersistencePolicy policy, bool use_counter_slots = true) {
     AtlasRuntime::Options options;
-    options.prune_interval_us = 0;
     options.use_counter_slots = use_counter_slots;
     runtime_ =
         std::make_unique<AtlasRuntime>(heap_.get(), policy, options);
@@ -98,15 +97,14 @@ class AtlasRecoveryTest : public ::testing::Test {
   std::unique_ptr<ScopedRegionFile> file_;
 };
 
-/// Makes `thread`'s next OCS publish instead of committing inline: the
-/// manual context `peer` opens an OCS and releases a nested lock that
-/// `thread` then takes, so `thread` records a dependency on an open OCS;
-/// `peer` commits right after. Until a pruner pass, every later OCS of
-/// `thread` publishes too (its predecessor is not stable), so its ring
-/// advances instead of rewinding. The chain's first OCS stores `value`
-/// to `*word`.
-void StartPublishChain(AtlasThread* peer, AtlasThread* thread,
-                       std::uint64_t* word, std::uint64_t value) {
+/// Runs `body` as one OCS of `thread` that publishes instead of
+/// committing inline, so the ring keeps its entries: the manual context
+/// `peer` opens an OCS and releases a nested lock that `thread` then
+/// takes, so `thread` records a dependency on an open OCS; `peer`
+/// commits right after. The pass at `thread`'s release leaves the OCS
+/// pending, and the pass of `thread`'s next publish stabilizes it.
+template <typename Body>
+void RunPublishedOcs(AtlasThread* peer, AtlasThread* thread, Body body) {
   PLockWord outer;
   PLockWord shared;
   peer->OnAcquire(&outer, 91);
@@ -114,7 +112,7 @@ void StartPublishChain(AtlasThread* peer, AtlasThread* thread,
   peer->OnRelease(&shared, 92);  // nested: releases while still open
   const std::uint64_t published = thread->local_stats().published_commits;
   thread->OnAcquire(&shared, 92);
-  thread->Store(word, value);
+  body();
   thread->OnRelease(&shared, 92);
   peer->OnRelease(&outer, 91);
   ASSERT_EQ(thread->local_stats().published_commits, published + 1);
@@ -297,6 +295,52 @@ TEST_F(AtlasRecoveryTest, CascadeIsTransitive) {
   EXPECT_EQ(session.root()->values[2], 0u);
 }
 
+// A stability pass follows program order: B's second OCS records no
+// dependency of its own, but recovery rolls it back with B's first OCS,
+// which depends on A's open OCS. So C's OCS, which read B's second OCS's
+// data, must stay unstable, or it would survive a crash that undoes
+// what it read.
+TEST_F(AtlasRecoveryTest, PassTaintsEveryLaterOcsOfATaintedThread) {
+  {
+    Session session(file_->path(), /*create=*/true);
+    session.StartRuntime(PersistencePolicy::TspLogOnly());
+    TestRoot* root = session.root();
+
+    AtlasThread a(session.runtime(), 20);
+    AtlasThread b(session.runtime(), 21);
+    AtlasThread c(session.runtime(), 22);
+    PLockWord outer, l1, l2;
+
+    a.OnAcquire(&outer, 1);
+    a.OnAcquire(&l1, 2);
+    a.OnRelease(&l1, 2);  // A stays open
+
+    b.OnAcquire(&l1, 2);  // b1 ← A
+    b.Store(&root->values[1], std::uint64_t{11});
+    b.OnRelease(&l1, 2);
+    b.OnAcquire(&l2, 3);  // b2: no recorded dependency
+    b.Store(&root->values[2], std::uint64_t{22});
+    b.OnRelease(&l2, 3);
+
+    c.OnAcquire(&l2, 3);  // C ← b2
+    const std::uint64_t c_ocs = c.current_ocs();
+    c.Store(&root->values[3], std::uint64_t{33});
+    c.OnRelease(&l2, 3);
+
+    session.runtime()->StabilizeNow();
+    EXPECT_GT(c_ocs, session.runtime()->StableOcsOf(22))
+        << "C read b2, which rolls back with b1";
+    session.Crash();  // A never committed
+  }
+  Session session(file_->path(), /*create=*/false);
+  const RecoveryStats stats = session.Recover();
+  EXPECT_EQ(stats.ocses_incomplete, 1u);
+  EXPECT_EQ(session.root()->values[1], 0u);
+  EXPECT_EQ(session.root()->values[2], 0u);
+  EXPECT_EQ(session.root()->values[3], 0u)
+      << "C survived a crash that rolled back the data it read";
+}
+
 TEST_F(AtlasRecoveryTest, UndoAppliesInReverseGlobalOrder) {
   {
     Session session(file_->path(), /*create=*/true);
@@ -381,13 +425,14 @@ TEST_F(AtlasRecoveryTest, RecoveryResetsLogsForNextSession) {
 
 TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
   // Drive enough published OCSes through a small ring that it wraps
-  // several times (each chain runs until the full ring's inline pass
-  // stabilizes it), then crash mid-OCS: recovery must roll back exactly
-  // the open OCS even though the ring indices are far past the capacity.
+  // several times (each publish's pass trims its predecessor), then
+  // crash mid-OCS: recovery must roll back exactly the open OCS, and
+  // keep the last published one, even though the ring indices are far
+  // past the capacity.
+  std::uint64_t last = 0;
   {
     Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly());
-    PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
     AtlasThread peer(session.runtime(), 40);
     TestRoot* root = session.root();
@@ -395,19 +440,15 @@ TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
         session.runtime()->area().entries_per_thread();
     const ThreadLogHeader* slot =
         session.runtime()->area().slot(thread->thread_id());
-    // A published OCS keeps its kAcquire, its record and its kRelease
-    // (3 entries), so one chain of `capacity` OCSes fills the ring once;
-    // the OCS that finds it full stabilizes the chain inline, and the
-    // rest commit inline and rewind. Three chains wrap it ~3x.
-    std::uint64_t i = 0;
+    // A published OCS keeps its kAcquire, its capture (a ring record,
+    // or a counter slot and no ring entry) and its kRelease.
     while (slot->tail.load() < 3 * capacity) {
-      StartPublishChain(&peer, thread, &root->values[6], ++i);
-      for (std::uint64_t n = 0; n < capacity; ++n) {
-        PMutexLock lock(&mutex);
-        thread->Store(&root->values[5], ++i);
-      }
+      RunPublishedOcs(&peer, thread,
+                      [&] { thread->Store(&root->values[5], ++last); });
     }
     ASSERT_GT(slot->tail.load(), capacity) << "ring must have wrapped";
+    ASSERT_LT(slot->head.load(), slot->tail.load())
+        << "the last published OCS must still be in the ring";
 
     PLockWord word;
     thread->OnAcquire(&word, 3);
@@ -416,11 +457,12 @@ TEST_F(AtlasRecoveryTest, RecoveryAfterRingWrapRollsBackOnlyOpenOcs) {
   }
   Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
+  EXPECT_EQ(stats.ocses_seen, 2u) << "the last published OCS and the open one";
   EXPECT_EQ(stats.ocses_incomplete, 1u);
+  EXPECT_EQ(stats.ocses_cascaded, 0u);
   EXPECT_EQ(stats.stores_undone, 1u);
-  // Rolled back to the last committed round.
-  EXPECT_NE(session.root()->values[5], 0xBADu);
-  EXPECT_GT(session.root()->values[5], 0u);
+  // Rolled back to the last committed round, which recovery kept.
+  EXPECT_EQ(session.root()->values[5], last);
 }
 
 TEST_F(AtlasRecoveryTest, RangeRecordRecoversOldBytes) {
@@ -473,7 +515,6 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     Session session(file_->path(), /*create=*/true);
     session.StartRuntime(PersistencePolicy::TspLogOnly(),
                          /*use_counter_slots=*/false);
-    PMutex mutex(session.runtime());
     AtlasThread* thread = session.runtime()->CurrentThread();
     AtlasThread peer(session.runtime(), 40);
     TestRoot* root = session.root();
@@ -486,27 +527,29 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
     thread->StoreBytes(root->values, before, sizeof(before));
     thread->OnRelease(&word, 1);
 
-    // Committed filler OCSes of one publish chain keep their kAcquire,
-    // one record per word and their kRelease: 3 entries for a one-word
-    // store, 4 for a two-word one. Walk the tail to capacity - 2, taking
-    // 4-entry steps until the rest is a multiple of 3.
+    // Published filler OCSes keep their kAcquire, one record per word
+    // and their kRelease: 3 entries for a one-word store, 4 for a
+    // two-word one. Walk the tail to capacity - 2, taking 4-entry steps
+    // until the rest is a multiple of 3.
     const ThreadLogHeader* slot =
         session.runtime()->area().slot(thread->thread_id());
-    StartPublishChain(&peer, thread, &root->values[7], 1);
-    for (std::uint64_t i = 2; slot->tail.load() < capacity - 2; ++i) {
-      PMutexLock lock(&mutex);
-      if ((capacity - 2 - slot->tail.load()) % 3 != 0) {
-        const std::uint64_t pair[2] = {i, i};
-        thread->StoreBytes(&root->values[6], pair, sizeof(pair));
-      } else {
-        thread->Store(&root->values[7], i);
-      }
+    for (std::uint64_t i = 1; slot->tail.load() < capacity - 2; ++i) {
+      const bool pair = (capacity - 2 - slot->tail.load()) % 3 != 0;
+      RunPublishedOcs(&peer, thread, [&] {
+        if (pair) {
+          const std::uint64_t words[2] = {i, i};
+          thread->StoreBytes(&root->values[6], words, sizeof(words));
+        } else {
+          thread->Store(&root->values[7], i);
+        }
+      });
     }
     ASSERT_EQ(slot->tail.load(), capacity - 2);
+    ASSERT_LT(slot->head.load(), capacity - 2)
+        << "the last filler must still be in the ring";
 
     // Open OCS: kAcquire at capacity-2, the first word record at
-    // capacity-1, the other four wrapped to physical indices 0..3 (the
-    // full ring's inline pass stabilizes the fillers to make room).
+    // capacity-1, the other four wrapped to physical indices 0..3.
     thread->OnAcquire(&word, 3);
     thread->StoreBytes(root->values, after, sizeof(after));
     ASSERT_EQ(slot->tail.load(), capacity + 4) << "batch must straddle";
@@ -514,7 +557,9 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
   }
   Session session(file_->path(), /*create=*/false);
   const RecoveryStats stats = session.Recover();
+  EXPECT_EQ(stats.ocses_seen, 2u) << "the last filler and the open OCS";
   EXPECT_EQ(stats.ocses_incomplete, 1u);
+  EXPECT_EQ(stats.ocses_cascaded, 0u);
   EXPECT_EQ(stats.stores_undone, 5u);
   EXPECT_EQ(std::memcmp(session.root()->values, before, sizeof(before)), 0)
       << "wrapped word records must replay correctly";
@@ -523,7 +568,7 @@ TEST_F(AtlasRecoveryTest, RangeRecordStraddlingRingWrapRecovers) {
 
 // A fast-path commit rewinds the ring to its OCS's begin position, so
 // back-to-back inline commits rewrite the same entries; a published OCS
-// still advances the tail; the pruner's head store for it names the
+// still advances the tail; a pass's head store for it names the
 // position the next inline commit rewinds to (so that store cannot pass
 // the tail even when it lands after the rewind); and a crash inside the
 // next OCS rolls back exactly that OCS, whether its capture armed a
@@ -555,13 +600,15 @@ TEST_F(AtlasRecoveryTest, InlineCommitsRewindAndTheNextOcsStillRollsBack) {
       EXPECT_EQ(slot->tail.load(), begin);
       EXPECT_EQ(slot->head.load(), begin);
 
-      StartPublishChain(&peer, thread, &root->values[6], 66);
+      RunPublishedOcs(&peer, thread, [&] {
+        thread->Store(&root->values[6], std::uint64_t{66});
+      });
       const std::uint64_t published_end = slot->tail.load();
       EXPECT_GT(published_end, begin) << "a published OCS keeps its entries";
       EXPECT_EQ(slot->head.load(), begin);
 
-      // The pruner's pass stores stable_ocs, then head = the published
-      // OCS's end; an inline commit may run between the two stores.
+      // A pass stores stable_ocs, then head = the published OCS's end;
+      // an inline commit of this thread may run between the two stores.
       ASSERT_EQ(session.runtime()->StabilizeNow(), 1u);
       EXPECT_EQ(slot->head.load(), published_end);
       {
@@ -728,10 +775,7 @@ void CrashThenCorruptHeader(const std::string& path,
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     auto* root = (*heap)->New<TestRoot>();
     (*heap)->set_root(root);
-    AtlasRuntime::Options runtime_options;
-    runtime_options.prune_interval_us = 0;
-    AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
-                         runtime_options);
+    AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly());
     ASSERT_TRUE(runtime.Initialize().ok());
     AtlasThread* thread = runtime.CurrentThread();
     PLockWord word;
@@ -809,10 +853,7 @@ TEST_F(AtlasRecoveryTest, PreviousFormatVersionIsRefusedThenReformatted) {
   EXPECT_EQ(attach.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(attach.message().find(previous), std::string::npos)
       << attach.ToString();
-  AtlasRuntime::Options options;
-  options.prune_interval_us = 0;
-  AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
-                       options);
+  AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly());
   ASSERT_TRUE(runtime.Initialize().ok());
   EXPECT_EQ(runtime.area().header()->version, kAtlasFormatVersion);
 }

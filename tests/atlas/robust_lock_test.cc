@@ -13,6 +13,8 @@
 // (tests/faultsim/mproc_crash_test.cc) is statistical: the child stops
 // at a known point in the OCS lifecycle, so each test pins down one
 // branch of the harvest protocol (rollback / no-capture / pid-reuse).
+// The PeerProcess tests fork live peers instead: a process's stability
+// passes must reach the records that another process depends on.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -52,10 +54,8 @@ class RobustLockTest : public ::testing::Test {
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
-    AtlasRuntime::Options rt_options;
-    rt_options.prune_interval_us = 0;  // no pruner thread: fork-safe
     runtime_ = std::make_unique<AtlasRuntime>(
-        heap_.get(), PersistencePolicy::TspLogOnly(), rt_options);
+        heap_.get(), PersistencePolicy::TspLogOnly());
     ASSERT_TRUE(runtime_->Initialize().ok());
     ASSERT_GT(runtime_->robust_lock_count(), 0u)
         << "runtime area too small for a robust lock table";
@@ -279,6 +279,192 @@ TEST_F(RobustLockTest, PidReuseWithWrongBirthIsDead) {
   EXPECT_EQ(slot->owner_pid.load(), 0u);
   mutex.unlock();
   EXPECT_EQ(word->owner.load(), 0u);
+}
+
+// Passes across processes (DESIGN.md §12). In this process, A's OCS
+// releases a plain nested lock while open; B's OCS b1 takes it, and B's
+// next OCS b2, under robust lock R, publishes behind b1. In a forked
+// child, C takes R and records a dependency on b2. A then commits on
+// the fast path, which runs no pass, and this process idles. Only our
+// passes can prove b2 stable, so C can run more OCSes than its ring
+// holds only if b2's unstable hand-over of R started them.
+TEST_F(RobustLockTest, PeerProcessDependentStabilizesWhileWeIdle) {
+  auto* blob = heap_->New<Blob>();
+  ASSERT_NE(blob, nullptr);
+  PMutex robust(runtime_.get());
+  robust.BindRobust(runtime_->robust_lock(0));
+  const std::uint64_t capacity = runtime_->area().entries_per_thread();
+  int to_child[2];
+  int to_parent[2];
+  ASSERT_EQ(pipe(to_child), 0);
+  ASSERT_EQ(pipe(to_parent), 0);
+  // Fork while this process still runs one thread.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    close(to_child[1]);
+    close(to_parent[0]);
+    char go = 0;
+    if (read(to_child[0], &go, 1) != 1) _exit(10);
+    AtlasThread* c = runtime_->CurrentThread();
+    robust.LockWith(c);  // C <- b2
+    c->Store(&blob->w[2], std::uint64_t{3});
+    robust.UnlockWith(c);
+    if (c->local_stats().deps_recorded != 1) _exit(11);
+    if (write(to_parent[1], &go, 1) != 1) _exit(12);
+    if (read(to_child[0], &go, 1) != 1) _exit(13);
+    PMutex plain(runtime_.get());
+    for (std::uint64_t i = 0; i <= capacity; ++i) {
+      plain.LockWith(c);
+      c->Store(&blob->w[3], i);
+      plain.UnlockWith(c);
+    }
+    runtime_->StabilizeNow();
+    const ThreadLogHeader* slot = runtime_->area().slot(c->thread_id());
+    _exit(slot->stable_ocs.load() == slot->committed_ocs.load() ? 0 : 14);
+  }
+  close(to_child[0]);
+  close(to_parent[1]);
+
+  AtlasThread a(runtime_.get(), 20);
+  AtlasThread b(runtime_.get(), 21);
+  PLockWord outer;
+  PLockWord l1;
+  a.OnAcquire(&outer, 1);
+  a.OnAcquire(&l1, 2);
+  a.Store(&blob->w[0], std::uint64_t{1});
+  a.OnRelease(&l1, 2);  // A stays open
+  b.OnAcquire(&l1, 2);  // b1 <- A
+  b.Store(&blob->w[1], std::uint64_t{1});
+  b.OnRelease(&l1, 2);
+  robust.LockWith(&b);
+  const std::uint64_t b2 = b.current_ocs();
+  b.Store(&blob->w[2], std::uint64_t{2});
+  robust.UnlockWith(&b);
+  ASSERT_EQ(b.local_stats().published_commits, 2u);
+  ASSERT_LT(runtime_->StableOcsOf(21), b2);
+
+  char go = 'g';
+  ASSERT_EQ(write(to_child[1], &go, 1), 1);
+  ASSERT_EQ(read(to_parent[0], &go, 1), 1) << "child failed to take R";
+  a.OnRelease(&outer, 1);
+  ASSERT_EQ(a.local_stats().fast_path_commits, 1u);
+  ASSERT_EQ(write(to_child[1], &go, 1), 1);
+  close(to_child[1]);
+  close(to_parent[0]);
+
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << (WIFEXITED(status)
+              ? "child exited with status " +
+                    std::to_string(WEXITSTATUS(status))
+              : "child died of signal " + std::to_string(WTERMSIG(status)));
+  EXPECT_GE(runtime_->StableOcsOf(21), b2);
+}
+
+// The same over two hops (DESIGN.md §12). In this process, A's OCS
+// takes robust lock R0, then a plain lock, and releases R0 while still
+// open. In child P1, B's OCS b1 takes R0, so it depends on A, and B's
+// next OCS b2, under robust lock R1, publishes behind b1; then P1
+// idles. In child P2, C takes R1 and depends on b2. A commits on the
+// fast path. Our passes cannot see P1's records, so only P1's own,
+// started when b1 handed R0 over unstable, can free C's ring.
+TEST_F(RobustLockTest, PeerProcessDependentStabilizesAcrossTwoHops) {
+  auto* blob = heap_->New<Blob>();
+  ASSERT_NE(blob, nullptr);
+  PMutex r0(runtime_.get());
+  r0.BindRobust(runtime_->robust_lock(0));
+  PMutex r1(runtime_.get());
+  r1.BindRobust(runtime_->robust_lock(1));
+  const std::uint64_t capacity = runtime_->area().entries_per_thread();
+  // One pipe into each child, one shared pipe back.
+  int to_p1[2];
+  int to_p2[2];
+  int to_parent[2];
+  ASSERT_EQ(pipe(to_p1), 0);
+  ASSERT_EQ(pipe(to_p2), 0);
+  ASSERT_EQ(pipe(to_parent), 0);
+  char token = 'g';
+  // A child keeps no write end of a pipe it reads, so it sees EOF and
+  // exits if this process dies.
+  const auto close_child_ends = [&] {
+    close(to_p1[1]);
+    close(to_p2[1]);
+    close(to_parent[0]);
+  };
+  // Fork both while this process still runs one thread.
+  const pid_t p1 = fork();
+  ASSERT_GE(p1, 0) << "fork failed";
+  if (p1 == 0) {
+    close_child_ends();
+    if (read(to_p1[0], &token, 1) != 1) _exit(10);
+    AtlasThread* b = runtime_->CurrentThread();
+    r0.LockWith(b);  // b1 <- A
+    b->Store(&blob->w[1], std::uint64_t{1});
+    r0.UnlockWith(b);
+    r1.LockWith(b);  // b2, behind b1
+    b->Store(&blob->w[2], std::uint64_t{2});
+    r1.UnlockWith(b);
+    if (b->local_stats().published_commits != 2) _exit(11);
+    if (write(to_parent[1], &token, 1) != 1) _exit(12);
+    if (read(to_p1[0], &token, 1) != 1) _exit(13);  // idle until told
+    _exit(0);
+  }
+  const pid_t p2 = fork();
+  ASSERT_GE(p2, 0) << "fork failed";
+  if (p2 == 0) {
+    close_child_ends();
+    if (read(to_p2[0], &token, 1) != 1) _exit(10);
+    AtlasThread* c = runtime_->CurrentThread();
+    r1.LockWith(c);  // C <- b2
+    c->Store(&blob->w[3], std::uint64_t{3});
+    r1.UnlockWith(c);
+    if (c->local_stats().deps_recorded != 1) _exit(11);
+    if (write(to_parent[1], &token, 1) != 1) _exit(12);
+    if (read(to_p2[0], &token, 1) != 1) _exit(13);
+    PMutex plain(runtime_.get());
+    for (std::uint64_t i = 0; i <= capacity; ++i) {
+      plain.LockWith(c);
+      c->Store(&blob->w[4], i);
+      plain.UnlockWith(c);
+    }
+    runtime_->StabilizeNow();
+    const ThreadLogHeader* slot = runtime_->area().slot(c->thread_id());
+    _exit(slot->stable_ocs.load() == slot->committed_ocs.load() ? 0 : 14);
+  }
+
+  AtlasThread a(runtime_.get(), 20);
+  PLockWord plain;
+  r0.LockWith(&a);
+  a.OnAcquire(&plain, 2);
+  a.Store(&blob->w[0], std::uint64_t{1});
+  r0.UnlockWith(&a);  // A stays open
+  ASSERT_EQ(write(to_p1[1], &token, 1), 1);
+  ASSERT_EQ(read(to_parent[0], &token, 1), 1) << "P1 failed to publish";
+  ASSERT_EQ(write(to_p2[1], &token, 1), 1);
+  ASSERT_EQ(read(to_parent[0], &token, 1), 1) << "P2 failed to take R1";
+  a.OnRelease(&plain, 2);
+  ASSERT_EQ(a.local_stats().fast_path_commits, 1u);
+  ASSERT_EQ(write(to_p2[1], &token, 1), 1);
+
+  const auto describe = [](int status) {
+    return WIFEXITED(status)
+               ? "exited with status " + std::to_string(WEXITSTATUS(status))
+               : "died of signal " + std::to_string(WTERMSIG(status));
+  };
+  int status = 0;
+  ASSERT_EQ(waitpid(p2, &status, 0), p2);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "P2 " << describe(status);
+  ASSERT_EQ(write(to_p1[1], &token, 1), 1);
+  ASSERT_EQ(waitpid(p1, &status, 0), p1);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "P1 " << describe(status);
+  for (int fd : {to_p1[0], to_p1[1], to_p2[0], to_p2[1], to_parent[0],
+                 to_parent[1]}) {
+    close(fd);
+  }
 }
 
 // Liveness itself, for completeness: the three verdicts.

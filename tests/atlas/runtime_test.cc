@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -72,9 +74,7 @@ class AtlasRuntimeTest : public ::testing::Test {
         file_->path(), SmallOptions(runtime_kb));
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
-    AtlasRuntime::Options options;
-    options.prune_interval_us = 0;  // deterministic tests prune manually
-    runtime_ = std::make_unique<AtlasRuntime>(heap_.get(), policy, options);
+    runtime_ = std::make_unique<AtlasRuntime>(heap_.get(), policy);
     ASSERT_TRUE(runtime_->Initialize().ok());
   }
 
@@ -211,7 +211,6 @@ TEST_F(AtlasRuntimeTest, StoreBytesSplitsLargeRanges) {
   // Counter slots off, so every captured word lands in the ring.
   runtime_.reset();
   AtlasRuntime::Options options;
-  options.prune_interval_us = 0;
   options.use_counter_slots = false;
   runtime_ = std::make_unique<AtlasRuntime>(
       heap_.get(), PersistencePolicy::TspLogOnly(), options);
@@ -252,7 +251,7 @@ TEST_F(AtlasRuntimeTest, StoreBytesSplitsLargeRanges) {
 TEST_F(AtlasRuntimeTest, IndependentOcsesTrimAtCommit) {
   // A single-threaded sequence of dependency-free OCSes takes the
   // commit fast path: each OCS is immediately stable and the ring never
-  // accumulates (no pruner involvement at all).
+  // accumulates (no stability pass involved at all).
   auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
   PMutex mutex(runtime_.get());
   AtlasThread* thread = runtime_->CurrentThread();
@@ -331,50 +330,78 @@ TEST_F(AtlasRuntimeTest, RingWrapsUnderPruning) {
   const std::uint64_t capacity = runtime_->area().entries_per_thread();
   ASSERT_LT(capacity, 1000u) << "test needs a small ring";
   auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
-  PMutex mutex(runtime_.get());
   AtlasThread* thread = runtime_->CurrentThread();
+  const ThreadLogHeader* slot = runtime_->area().slot(thread->thread_id());
   AtlasThread peer(runtime_.get(), 40);
-  // Inline commits rewind the ring, so make the OCSes publish: every
-  // 8th takes a lock the peer released mid-OCS (a dependency on an open
-  // OCS), and its successors publish until a pass stabilizes them. Far
-  // more entries than the ring holds (3 per published OCS); inline
-  // pruning on a full ring must keep us going.
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    if (i % 8 != 0) {
-      PMutexLock lock(&mutex);
-      thread->Store(value, i);
-      continue;
-    }
-    PLockWord outer;
+  // Our OCS takes a lock the peer released mid-OCS, so it depends on an
+  // open OCS and publishes instead of rewinding the ring. Fresh lock
+  // words keep the peer free of dependencies on us, so its commit is
+  // inline and runs no pass.
+  const auto take_from_open_peer = [&](PLockWord* outer, std::uint64_t v) {
     PLockWord shared;
-    peer.OnAcquire(&outer, 91);
+    peer.OnAcquire(outer, 91);
     peer.OnAcquire(&shared, 92);
     peer.OnRelease(&shared, 92);
     thread->OnAcquire(&shared, 92);
-    thread->Store(value, i);
+    thread->Store(value, v);
     thread->OnRelease(&shared, 92);
+  };
+
+  // First move the window to the middle of the ring: each publish's
+  // pass trims its predecessor, whose peer has committed by then.
+  std::uint64_t i = 0;
+  while (slot->tail.load() < capacity / 2) {
+    PLockWord outer;
+    take_from_open_peer(&outer, i++);
     peer.OnRelease(&outer, 91);
   }
-  EXPECT_EQ(*value, capacity - 1);
-  EXPECT_GT(runtime_->area().slot(thread->thread_id())->tail.load(),
-            2 * capacity)
-      << "published OCSes must wrap the ring";
+
+  // Then a chain no publish's pass can trim: the peer stays open, so
+  // our next OCS is tainted through it and every later one through
+  // program order, each keeping 2-3 entries. The committer commits the
+  // peer once the ring is full and we have stopped in it; only the full
+  // ring's own pass can then free room.
+  PLockWord outer;
+  take_from_open_peer(&outer, i++);
+  std::atomic<bool> saw_full{false};
+  std::atomic<std::uint64_t> head_when_full{0};
+  std::thread committer([&] {
+    std::uint64_t last_tail = 0;
+    for (int still = 0; still < 20;) {
+      const std::uint64_t head = slot->head.load();
+      const std::uint64_t tail = slot->tail.load();
+      still = tail - head + 3 >= capacity && tail == last_tail ? still + 1 : 0;
+      last_tail = tail;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    head_when_full.store(slot->head.load());
+    saw_full.store(true);
+    peer.OnRelease(&outer, 91);
+  });
+  PMutex mutex(runtime_.get());
+  const std::uint64_t last = i + 2 * capacity;
+  for (; i <= last; ++i) {
+    PMutexLock lock(&mutex);
+    thread->Store(value, i);
+  }
+  committer.join();
+  EXPECT_TRUE(saw_full.load()) << "the chain never filled the ring";
+  EXPECT_EQ(peer.local_stats().published_commits, 0u);
+  EXPECT_EQ(*value, last);
+  EXPECT_GT(slot->head.load(), head_when_full.load())
+      << "the full ring's pass must move head";
+  EXPECT_GT(slot->tail.load(), capacity) << "the chain must wrap the ring";
   runtime_->UnregisterCurrentThread();
 }
 
 // Head never passes tail while the OCSes of several threads publish
 // (nested locks: a thread taking a lock another released mid-OCS
-// records a dependency), commit inline and are pruned concurrently. The
-// pruner's head store for a published OCS names the position the next
-// inline commit of that thread rewinds to, and head only moves forward,
-// so a sampler that reads head before tail must never see it ahead.
+// records a dependency), commit inline and are pruned concurrently by
+// the passes the publishing threads run. A pass's head store for a
+// published OCS names the position the next inline commit of that
+// thread rewinds to, and head only moves forward, so a sampler that
+// reads head before tail must never see it ahead.
 TEST_F(AtlasRuntimeTest, HeadNeverPassesTailUnderThePruner) {
-  runtime_.reset();
-  AtlasRuntime::Options options;
-  options.prune_interval_us = 10;
-  runtime_ = std::make_unique<AtlasRuntime>(
-      heap_.get(), PersistencePolicy::TspLogOnly(), options);
-  ASSERT_TRUE(runtime_->Initialize().ok());
   constexpr int kThreads = 3;
   constexpr std::uint64_t kLocks = 4;
   constexpr int kOcses = 5000;
@@ -522,6 +549,25 @@ TEST_F(AtlasRuntimeTest, CommitWatermarkClosesTheOpenSpan) {
 #endif  // TSP_OBS_DISABLED
 }
 
+// Stability passes run on the threads that publish, so a logging
+// runtime adds no thread to the process.
+TEST_F(AtlasRuntimeTest, InitializeStartsNoThread) {
+  const auto task_count = [] {
+    std::size_t tasks = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++tasks;
+    }
+    return tasks;
+  };
+  runtime_.reset();
+  const std::size_t before = task_count();
+  runtime_ = std::make_unique<AtlasRuntime>(heap_.get(),
+                                            PersistencePolicy::TspLogOnly());
+  ASSERT_TRUE(runtime_->Initialize().ok());
+  EXPECT_EQ(task_count(), before);
+}
+
 TEST_F(AtlasRuntimeTest, InitializeFailsOnUncleanHeap) {
   // Simulate: heap closed without CloseClean, then reopened.
   const std::string path = file_->path();
@@ -597,7 +643,6 @@ using AtlasRuntimeDeathTest = AtlasRuntimeTest;
 TEST_F(AtlasRuntimeDeathTest, OneOcsRepeatingAStorePastTheRingIsFatal) {
   runtime_.reset();
   AtlasRuntime::Options options;
-  options.prune_interval_us = 0;  // no pruner thread in the forked child
   options.use_counter_slots = false;
   runtime_ = std::make_unique<AtlasRuntime>(
       heap_.get(), PersistencePolicy::TspLogOnly(), options);

@@ -35,7 +35,6 @@ class SeqLeaseTest : public ::testing::Test {
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_ = std::move(*heap);
     AtlasRuntime::Options runtime_options;
-    runtime_options.prune_interval_us = 0;
     runtime_options.seq_block_size = seq_block_size;
     // These tests assert on raw ring kStore entries; counter slots
     // would absorb first stores into out-of-ring slots. The stamp

@@ -21,10 +21,8 @@ class AtlasStatsTest : public ::testing::Test {
     auto heap = pheap::PersistentHeap::Create(file_->path(), options);
     ASSERT_TRUE(heap.ok());
     heap_ = std::move(*heap);
-    AtlasRuntime::Options runtime_options;
-    runtime_options.prune_interval_us = 0;
     runtime_ = std::make_unique<AtlasRuntime>(
-        heap_.get(), PersistencePolicy::TspLogOnly(), runtime_options);
+        heap_.get(), PersistencePolicy::TspLogOnly());
     ASSERT_TRUE(runtime_->Initialize().ok());
   }
 
@@ -67,7 +65,6 @@ TEST_F(AtlasStatsTest, CountsLineDedupHits) {
   // replays them newest first, so the oldest value wins.
   runtime_.reset();
   AtlasRuntime::Options runtime_options;
-  runtime_options.prune_interval_us = 0;
   runtime_options.use_counter_slots = false;
   runtime_ = std::make_unique<AtlasRuntime>(
       heap_.get(), PersistencePolicy::TspLogOnly(), runtime_options);
@@ -120,7 +117,7 @@ TEST_F(AtlasStatsTest, CrossThreadDepsPublish) {
   EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
 }
 
-// An OCS that frees but is not stable at release keeps the pruner path:
+// An OCS that frees but is not stable at release publishes its frees:
 // Bob depends on Alice's open OCS, so the block he frees stays allocated
 // until a pass after Alice commits proves him stable.
 TEST_F(AtlasStatsTest, UnstableOcsFreesThroughThePruner) {
@@ -153,6 +150,38 @@ TEST_F(AtlasStatsTest, UnstableOcsFreesThroughThePruner) {
   runtime_->StabilizeNow();
   EXPECT_FALSE(allocated()) << "the pass that proves bob stable frees";
   EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+}
+
+// Bob records a dependency on Alice's open OCS, so he publishes; but
+// Alice commits before Bob releases, so the pass Bob's release runs
+// finds every dependency stable. Bob is stable when his release returns,
+// and his frees ran on this thread, into its magazine, so this thread's
+// next allocation of the size gets the block back.
+TEST_F(AtlasStatsTest, PublishedOcsWithACommittedDependencyIsStableAtRelease) {
+  AtlasThread alice(runtime_.get(), 20);
+  AtlasThread bob(runtime_.get(), 21);
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  void* doomed = heap_->Alloc(24);
+  PLockWord outer, shared;
+
+  alice.OnAcquire(&outer, 1);
+  alice.OnAcquire(&shared, 2);
+  alice.Store(value, std::uint64_t{1});
+  alice.OnRelease(&shared, 2);
+  bob.OnAcquire(&shared, 2);  // depends on alice's open OCS
+  const std::uint64_t bob_ocs = bob.current_ocs();
+  alice.OnRelease(&outer, 1);  // alice commits
+  bob.Store(value, std::uint64_t{2});
+  bob.DeferFree(doomed);
+  bob.OnRelease(&shared, 2);
+
+  EXPECT_EQ(bob.local_stats().published_commits, 1u);
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+  EXPECT_EQ(runtime_->StableOcsOf(21), bob_ocs);
+  EXPECT_NE(pheap::Allocator::HeaderOf(doomed)->magic,
+            pheap::BlockHeader::kAllocatedMagic);
+  EXPECT_EQ(heap_->Alloc(24), doomed)
+      << "the pass freed into this thread's magazine";
 }
 
 }  // namespace

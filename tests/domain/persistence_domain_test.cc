@@ -132,6 +132,45 @@ TEST(PersistenceDomainTest, FullCrashRecoveryCycle) {
   }
 }
 
+// An orderly close runs one last stability pass: it stabilizes an OCS
+// still pending (and applies its deferred free), which destroying the
+// runtime would leave as a crash does.
+TEST(PersistenceDomainTest, CloseCleanStabilizesPendingOcses) {
+  ScopedRegionFile file("dom_close");
+  const pheap::TypeRegistry registry = MakeRegistry();
+  auto options = BaseOptions(file.path());
+  options.requirements.tolerated =
+      FailureSet::Of(FailureClass::kProcessCrash);
+  options.requirements.needs_rollback = true;
+  auto domain = PersistenceDomain::Open(options, &registry);
+  ASSERT_TRUE(domain.ok()) << domain.status().ToString();
+  atlas::AtlasRuntime* runtime = (*domain)->runtime();
+  auto* counter = (*domain)->heap()->New<Counter>();
+
+  // The thread's OCS takes a lock a peer released mid-OCS, so it
+  // publishes with a dependency on an open OCS; the peer then commits
+  // inline, which runs no pass, and the OCS stays pending.
+  atlas::AtlasThread* thread = runtime->CurrentThread();
+  atlas::AtlasThread peer(runtime, 40);
+  atlas::PLockWord outer;
+  atlas::PLockWord shared;
+  peer.OnAcquire(&outer, 1);
+  peer.OnAcquire(&shared, 2);
+  peer.OnRelease(&shared, 2);
+  thread->OnAcquire(&shared, 2);
+  thread->Store(&counter->value, std::uint64_t{1});
+  thread->DeferFree(counter);
+  thread->OnRelease(&shared, 2);
+  peer.OnRelease(&outer, 1);
+  ASSERT_EQ(runtime->stability()->PendingCount(), 1u);
+  const atlas::ThreadLogHeader* slot =
+      runtime->area().slot(thread->thread_id());
+  ASSERT_LT(slot->stable_ocs.load(), slot->committed_ocs.load());
+
+  (*domain)->CloseClean();  // the heap stays mapped until destruction
+  EXPECT_EQ(slot->stable_ocs.load(), slot->committed_ocs.load());
+}
+
 TEST(PersistenceDomainTest, NullRegistryRejected) {
   ScopedRegionFile file("dom_null");
   auto options = BaseOptions(file.path());

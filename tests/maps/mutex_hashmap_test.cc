@@ -277,20 +277,9 @@ const HashEntry* EntryOf(const HashMapRoot* root, std::uint64_t key) {
 // A Remove on one thread has no dependency and a stable predecessor, so
 // its OCS is stable at release: it takes the fast commit and frees the
 // unlinked entry right there, into the thread's own magazine, and the
-// next Put on the thread gets that very block. The pruner is off, so
-// nothing else could have freed it.
+// next Put on the thread gets that very block. The runtime runs no
+// thread of its own, so nothing else could have freed it.
 TEST_P(MutexHashMapTest, RemoveFreesItsEntryAtCommit) {
-  if (runtime_ != nullptr) {
-    map_.reset();
-    runtime_.reset();
-    atlas::AtlasRuntime::Options runtime_options;
-    runtime_options.prune_interval_us = 0;
-    runtime_ = std::make_unique<atlas::AtlasRuntime>(heap_.get(), Policy(),
-                                                     runtime_options);
-    ASSERT_TRUE(runtime_->Initialize().ok());
-    map_ = std::make_unique<MutexHashMap>(heap_.get(), root_, runtime_.get(),
-                                          options_);
-  }
   map_->Put(9, 90);
   const HashEntry* removed = EntryOf(root_, 9);
   ASSERT_NE(removed, nullptr);

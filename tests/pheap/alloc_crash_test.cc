@@ -210,6 +210,9 @@ TEST(AllocCrashTest, MagazinesRecoverCleanAfterRepeatedSigkill) {
     EXPECT_EQ(report.unaccounted_bytes, gc.sliver_bytes)
         << "cycle " << cycle << ": blocks leaked by the crash survived GC";
     EXPECT_EQ(report.reachable_objects, gc.live_objects);
+    const AllocatorStats totals = heap->GetAllocatorStats();
+    EXPECT_EQ(totals.total_allocs - totals.total_frees, gc.live_objects)
+        << "cycle " << cycle << ": the killed session's magazine counts";
 
     // The recovered heap allocates normally again (and the fresh
     // session's magazines start empty).

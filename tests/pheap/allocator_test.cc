@@ -136,7 +136,7 @@ TEST_F(AllocatorTest, ResetMetadataClearsFreeLists) {
   void* p = allocator_->Alloc(100, 0);
   allocator_->Free(p);
   const std::uint64_t arena_offset = region_->header()->arena_offset;
-  allocator_->ResetMetadata(arena_offset);
+  allocator_->ResetMetadata(arena_offset, /*live_objects=*/0);
   // After reset the free list is empty, so a fresh alloc bumps from the
   // arena start again.
   void* q = allocator_->Alloc(100, 0);
@@ -145,7 +145,7 @@ TEST_F(AllocatorTest, ResetMetadataClearsFreeLists) {
 
 TEST_F(AllocatorTest, PushFreeBlockFeedsAllocation) {
   const std::uint64_t arena_offset = region_->header()->arena_offset;
-  allocator_->ResetMetadata(arena_offset + 4096);
+  allocator_->ResetMetadata(arena_offset + 4096, /*live_objects=*/0);
   allocator_->PushFreeBlock(arena_offset, 256);
   void* p = allocator_->Alloc(200, 0);
   EXPECT_EQ(region_->ToOffset(Allocator::HeaderOf(p)), arena_offset);

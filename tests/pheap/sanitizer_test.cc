@@ -152,10 +152,7 @@ TEST_F(TspSanitizerTest, LoggedStoresPassThroughTheAtlasRuntime) {
     *value = 0;  // baseline init before the sanitized OCS below
   }
 
-  atlas::AtlasRuntime::Options options;
-  options.prune_interval_us = 0;
-  atlas::AtlasRuntime runtime(heap_.get(),
-                              PersistencePolicy::TspLogOnly(), options);
+  atlas::AtlasRuntime runtime(heap_.get(), PersistencePolicy::TspLogOnly());
   ASSERT_TRUE(runtime.Initialize().ok());
   ASSERT_TRUE(Enable().ok());
 

@@ -96,10 +96,7 @@ TEST(TspInspectTest, ReadsCrashedHeapAndFailsOnCorruptRing) {
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     auto* root = static_cast<std::uint64_t*>((*heap)->Alloc(16));
     (*heap)->set_root(root);
-    atlas::AtlasRuntime::Options runtime_options;
-    runtime_options.prune_interval_us = 0;
-    atlas::AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly(),
-                                runtime_options);
+    atlas::AtlasRuntime runtime(heap->get(), PersistencePolicy::TspLogOnly());
     ASSERT_TRUE(runtime.Initialize().ok());
     atlas::AtlasThread* thread = runtime.CurrentThread();
     atlas::PMutex mutex(&runtime);
