@@ -1,18 +1,19 @@
-// Allocation-path microbenchmark for the magazine layer (tentpole of
-// the per-thread magazine PR): alloc/free throughput of 64-byte
-// persistent blocks at 1..8 threads, shared-CAS baseline vs per-thread
-// magazines, for two access patterns:
+// Allocation-path microbenchmark for the magazine layer: alloc/free
+// throughput of 64-byte persistent blocks at 1..8 threads, shared-CAS
+// baseline vs per-thread magazines, for two access patterns:
 //
 //   churn     — each thread allocates and frees its own blocks through
 //               a sliding window (the magazine hit path);
 //   xthread   — each thread allocates and hands blocks to its neighbor,
-//               which frees them (the remote-free inbox path; in the
-//               baseline every such free is a contended shared-list CAS).
+//               which frees them into its own magazine; drains and
+//               refills carry them back through the shared lists (in
+//               the baseline every such free is a contended CAS).
 //
 // The shared baseline is the same allocator with magazines disabled via
-// Allocator::set_magazines_enabled(false) — exactly what the
-// TSP_ALLOC_MAGAZINES=0 escape hatch selects — so the comparison
-// isolates the magazine layer, not an unrelated code path.
+// Allocator::set_magazines_enabled(false), so the comparison isolates
+// the magazine layer, not an unrelated code path. After every run the
+// heap must pass CheckHeap with every block back on a free list; a
+// finding prints the report and exits 1.
 //
 // Flags: --iters N       operations per thread      (default 200000)
 //        --window N      live blocks per thread     (default 64)
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "pheap/check.h"
 #include "pheap/heap.h"
 
 namespace {
@@ -50,7 +52,8 @@ struct BenchConfig {
 
 struct RunResult {
   double mops = 0.0;          // millions of alloc+free pairs per second
-  std::uint64_t remote_frees = 0;
+  std::uint64_t refill_batches = 0;  // batch pops from a shared list
+  std::uint64_t drain_batches = 0;   // chains pushed to a shared list
   std::uint64_t magazine_allocs = 0;
   std::uint64_t shared_allocs = 0;
 };
@@ -108,8 +111,8 @@ void ChurnWorker(PersistentHeap* heap, const BenchConfig& config,
 }
 
 /// Cross-thread handoff: thread i pushes the blocks it allocates into
-/// ring (i+1)%T and frees whatever lands in ring i. Every free of a
-/// handed-off block is a remote free.
+/// ring (i+1)%T and frees whatever lands in ring i, so every handed-off
+/// block is freed by a thread that did not allocate it.
 struct HandoffRing {
   static constexpr std::size_t kCapacity = 256;
   alignas(64) std::atomic<void*> slots[kCapacity];
@@ -140,15 +143,40 @@ void XThreadWorker(PersistentHeap* heap, const BenchConfig& config,
         in.slots[in_pos % HandoffRing::kCapacity].exchange(
             nullptr, std::memory_order_acq_rel);
     if (handed != nullptr) {
-      heap->Free(handed);  // remote: allocated by the neighbor
+      heap->Free(handed);  // allocated by the neighbor
       ++in_pos;
     }
   }
-  // Drain whatever the neighbor left for us.
-  for (auto& slot : in.slots) {
-    void* handed = slot.exchange(nullptr, std::memory_order_acq_rel);
-    if (handed != nullptr) heap->Free(handed);
+}
+
+/// Frees what the workers left in the rings (the main thread runs this
+/// after they joined) and returns its parked blocks, so every block is
+/// back on a free list for the heap check.
+void FreeLeftovers(PersistentHeap* heap, std::vector<HandoffRing>* rings) {
+  for (HandoffRing& ring : *rings) {
+    for (auto& slot : ring.slots) {
+      void* handed = slot.exchange(nullptr, std::memory_order_acq_rel);
+      if (handed != nullptr) heap->Free(handed);
+    }
   }
+  heap->allocator()->FlushCurrentThreadCache();
+}
+
+/// Exits 1 unless the quiesced heap passes CheckHeap with no block
+/// parked or leaked.
+void CheckOrDie(const PersistentHeap& heap, const std::string& pattern,
+                bool magazines, int threads) {
+  const tsp::pheap::CheckReport report =
+      tsp::pheap::CheckHeap(heap, tsp::pheap::TypeRegistry());
+  if (report.ok && report.unaccounted_bytes == 0) return;
+  std::fprintf(stderr,
+               "heap check failed after %s, %s, %d threads "
+               "(%llu bytes unaccounted):\n%s\n",
+               pattern.c_str(), magazines ? "magazines" : "shared",
+               threads,
+               static_cast<unsigned long long>(report.unaccounted_bytes),
+               report.ToString().c_str());
+  std::exit(1);
 }
 
 RunResult RunOne(const std::string& pattern, bool magazines, int threads,
@@ -178,12 +206,15 @@ RunResult RunOne(const std::string& pattern, bool magazines, int threads,
                            std::chrono::steady_clock::now() - start)
                            .count();
 
+  FreeLeftovers(heap.get(), &rings);
+  CheckOrDie(*heap, pattern, magazines, threads);
   const auto stats = heap->allocator()->GetStats();
   RunResult result;
   result.mops = static_cast<double>(threads) *
                 static_cast<double>(config.iters_per_thread) / elapsed /
                 1e6;
-  result.remote_frees = stats.remote_frees;
+  result.refill_batches = stats.refill_batches;
+  result.drain_batches = stats.drain_batches;
   result.magazine_allocs = stats.magazine_allocs;
   result.shared_allocs = stats.shared_allocs;
   heap->CloseClean();
@@ -236,11 +267,12 @@ std::string JsonLine(const std::string& pattern, int threads,
       buffer, sizeof(buffer),
       "{\"pattern\": \"%s\", \"threads\": %d, \"shared_mops\": %.3f, "
       "\"magazine_mops\": %.3f, \"speedup\": %.2f, "
-      "\"remote_frees\": %llu, \"magazine_allocs\": %llu, "
-      "\"shared_path_allocs\": %llu}",
+      "\"refill_batches\": %llu, \"drain_batches\": %llu, "
+      "\"magazine_allocs\": %llu, \"shared_path_allocs\": %llu}",
       pattern.c_str(), threads, shared.mops, magazine.mops,
       magazine.mops / shared.mops,
-      static_cast<unsigned long long>(magazine.remote_frees),
+      static_cast<unsigned long long>(magazine.refill_batches),
+      static_cast<unsigned long long>(magazine.drain_batches),
       static_cast<unsigned long long>(magazine.magazine_allocs),
       static_cast<unsigned long long>(magazine.shared_allocs));
   return buffer;
@@ -272,14 +304,17 @@ int main(int argc, char** argv) {
               kPayload);
   std::vector<std::string> json_lines;
   for (const std::string pattern : {"churn", "xthread"}) {
-    std::printf("  pattern %-8s %8s %12s %12s %9s %14s\n", pattern.c_str(),
-                "threads", "shared", "magazines", "speedup", "remote frees");
+    std::printf("  pattern %-8s %8s %12s %12s %9s %9s %9s\n", pattern.c_str(),
+                "threads", "shared", "magazines", "speedup", "refills",
+                "drains");
     for (const int threads : kThreadCounts) {
       const RunResult shared = RunOne(pattern, false, threads, config);
       const RunResult magazine = RunOne(pattern, true, threads, config);
-      std::printf("  %16s %8d %9.3f M %9.3f M %8.2fx %14llu\n", "", threads,
-                  shared.mops, magazine.mops, magazine.mops / shared.mops,
-                  static_cast<unsigned long long>(magazine.remote_frees));
+      std::printf("  %16s %8d %9.3f M %9.3f M %8.2fx %9llu %9llu\n", "",
+                  threads, shared.mops, magazine.mops,
+                  magazine.mops / shared.mops,
+                  static_cast<unsigned long long>(magazine.refill_batches),
+                  static_cast<unsigned long long>(magazine.drain_batches));
       json_lines.push_back(JsonLine(pattern, threads, shared, magazine));
     }
     std::printf("\n");

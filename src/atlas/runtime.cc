@@ -735,7 +735,7 @@ void AtlasThread::NoteAlloc(const void* payload, std::uint32_t type_id) {
   // that would have published the object is undone with it, and the
   // recovery GC reclaims the unreachable span.
   const std::uint64_t payload_bytes =
-      pheap::Allocator::HeaderOf(payload)->size() -
+      pheap::Allocator::HeaderOf(payload)->block_size -
       sizeof(pheap::BlockHeader);
   fresh_spans_.emplace_back(offset, offset + payload_bytes);
   // TSPRace mirrors the fresh-span exemption: init-phase stores into an

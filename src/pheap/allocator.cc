@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -86,11 +85,8 @@ Allocator* FindLiveLocked(LiveRegistry& registry, std::uint64_t id) {
 /// blocks as unreachable space.
 class ThreadCache {
  public:
-  ThreadCache(Allocator* allocator, std::uint32_t slot)
-      : allocator_(allocator),
-        slot_(slot),
-        owner_tag_(static_cast<std::uint16_t>(slot + 1)),
-        epoch_(allocator->cache_epoch()) {}
+  explicit ThreadCache(Allocator* allocator)
+      : allocator_(allocator), epoch_(allocator->cache_epoch()) {}
 
   ThreadCache(const ThreadCache&) = delete;
   ThreadCache& operator=(const ThreadCache&) = delete;
@@ -103,8 +99,7 @@ class ThreadCache {
       if (magazine.count == 0) {
         // Arena exhausted (or everything parked elsewhere): last-resort
         // single-block attempt against the shared structures.
-        return allocator_->AllocShared(size_class, block_size, type_id,
-                                       owner_tag_);
+        return allocator_->AllocShared(size_class, block_size, type_id);
       }
     }
     const std::uint64_t offset = magazine.slots[--magazine.count];
@@ -115,7 +110,7 @@ class ThreadCache {
     ScopedWriteWindow window(block, sizeof(BlockHeader));
     block->magic = BlockHeader::kAllocatedMagic;
     block->type_id = type_id;
-    block->block_size = BlockHeader::PackSize(block_size, owner_tag_);
+    block->block_size = block_size;
     Bump(magazine_allocs_);
     return block + 1;
   }
@@ -124,17 +119,10 @@ class ThreadCache {
   /// below cannot call the private Allocator::RetireCache itself).
   void Retire() { allocator_->RetireCache(this); }
 
-  void Free(int size_class, std::uint64_t offset, std::uint16_t owner_tag) {
+  void Free(int size_class, std::uint64_t offset) {
     CheckEpoch();
-    if (owner_tag != 0 && owner_tag != owner_tag_ &&
-        allocator_->RemoteFreeTo(static_cast<std::uint32_t>(owner_tag - 1),
-                                 offset)) {
-      Bump(remote_frees_);
-      return;
-    }
     Magazine& magazine = mags_[size_class];
-    while (TSP_PREDICT_FALSE(magazine.count >=
-                             allocator_->magazine_capacity_)) {
+    if (TSP_PREDICT_FALSE(magazine.count == Allocator::kMagazineCapacity)) {
       DrainHalf(size_class);
     }
     magazine.slots[magazine.count++] = offset;
@@ -165,103 +153,52 @@ class ThreadCache {
     Bump(discards_);
   }
 
-  /// Refill order: own remote-free inbox first (free, uncontended),
-  /// then a batch pop from the shared list (one CAS), then a batch
-  /// carve off the bump pointer (one fetch_add).
+  /// Refills half a magazine: a batch pop from the shared list (one
+  /// CAS), else a batch carve off the bump pointer (one fetch_add).
   void Refill(int size_class, std::size_t block_size) {
-    ReclaimInbox();
     Magazine& magazine = mags_[size_class];
-    if (magazine.count > 0) return;
-    const std::size_t want =
-        std::max<std::size_t>(1, allocator_->magazine_capacity_ / 2);
-    std::size_t got =
-        allocator_->BatchPopFromList(size_class, want, magazine.slots);
+    constexpr std::size_t kWant = Allocator::kMagazineCapacity / 2;
+    std::uint64_t retries = 0;
+    std::size_t got = allocator_->BatchPopFromList(size_class, kWant,
+                                                   magazine.slots, &retries);
+    if (retries > 0) Bump(batch_pop_retries_, retries);
     if (got > 0) {
-      magazine.count = static_cast<std::uint32_t>(got);
       Bump(refill_batches_);
-      TSP_TRACE_EVENT(trace_, obs::EventCode::kMagazineRefill,
-                      static_cast<std::uint64_t>(size_class), got);
-      return;
-    }
-    got = allocator_->BatchCarve(block_size, want, magazine.slots);
-    if (got > 0) {
-      magazine.count = static_cast<std::uint32_t>(got);
+    } else {
+      got = allocator_->BatchCarve(block_size, kWant, magazine.slots);
+      if (got == 0) return;
       Bump(carve_batches_);
-      TSP_TRACE_EVENT(trace_, obs::EventCode::kMagazineRefill,
-                      static_cast<std::uint64_t>(size_class), got);
     }
+    magazine.count = static_cast<std::uint32_t>(got);
+    TSP_TRACE_EVENT(trace_, obs::EventCode::kMagazineRefill,
+                    static_cast<std::uint64_t>(size_class), got);
   }
 
-  /// Swaps the whole inbox chain out with one exchange and parks the
-  /// blocks (they arrive mixed-class); magazines that are already full
-  /// pass the overflow straight to the shared lists in per-class
-  /// chains.
-  void ReclaimInbox() {
-    Allocator::RemoteSlot& slot = allocator_->remote_slots_[slot_];
-    TaggedOffset head = slot.head.load(std::memory_order_relaxed);
-    if (OffsetOf(head) == 0) return;
-    head = slot.head.exchange(MakeTagged(TagOf(head) + 1, 0),
-                              std::memory_order_acquire);
-    std::uint64_t cur = OffsetOf(head);
-    std::uint64_t overflow_first[Allocator::kNumMagazineClasses] = {};
-    std::uint64_t overflow_prev[Allocator::kNumMagazineClasses] = {};
-    std::uint64_t overflow_count[Allocator::kNumMagazineClasses] = {};
-    std::uint64_t reclaimed = 0;
-    while (cur != 0) {
+  /// Links `count` parked offsets starting at `first` into a chain and
+  /// pushes it onto the class's shared list (one CAS).
+  void PushChain(int size_class, const std::uint64_t* first,
+                 std::uint32_t count) {
+    for (std::uint32_t i = 0; i + 1 < count; ++i) {
       auto* payload = static_cast<FreeBlockPayload*>(
-          allocator_->region_->FromOffset(cur + sizeof(BlockHeader)));
-      const std::uint64_t next = payload->next_offset;
-      const auto* block = static_cast<const BlockHeader*>(
-          allocator_->region_->FromOffset(cur));
-      const int size_class = Allocator::SizeClassOf(block->size());
-      TSP_CHECK(size_class >= 0 &&
-                size_class < Allocator::kNumMagazineClasses)
-          << "corrupt block in remote-free inbox";
-      Magazine& magazine = mags_[size_class];
-      if (magazine.count < allocator_->magazine_capacity_) {
-        magazine.slots[magazine.count++] = cur;
-      } else {
-        // Prepend to this class's overflow chain (links are scratch
-        // bytes of free blocks; blessed writes).
-        ScopedWriteWindow window(payload, sizeof(FreeBlockPayload));
-        payload->next_offset = overflow_first[size_class];
-        if (overflow_first[size_class] == 0) overflow_prev[size_class] = cur;
-        overflow_first[size_class] = cur;
-        ++overflow_count[size_class];
-      }
-      ++reclaimed;
-      cur = next;
+          allocator_->region_->FromOffset(first[i] + sizeof(BlockHeader)));
+      ScopedWriteWindow window(payload, sizeof(FreeBlockPayload));
+      payload->next_offset = first[i + 1];
     }
-    for (int c = 0; c < Allocator::kNumMagazineClasses; ++c) {
-      if (overflow_count[c] == 0) continue;
-      allocator_->PushChainToList(c, overflow_first[c], overflow_prev[c],
-                                  overflow_count[c]);
-      Bump(drain_batches_);
-    }
-    Bump(remote_reclaims_, reclaimed);
+    allocator_->PushChainToList(size_class, first[0], first[count - 1],
+                                count);
+    Bump(drain_batches_);
   }
 
-  /// Returns the older half of the magazine to the shared list as one
-  /// pre-linked chain (one CAS).
+  /// Returns the older half of a full magazine to the shared list.
   void DrainHalf(int size_class) {
     Magazine& magazine = mags_[size_class];
-    TSP_DCHECK_GT(magazine.count, 0u);
-    const std::uint32_t n = std::max(1u, magazine.count / 2);
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      auto* payload = static_cast<FreeBlockPayload*>(
-          allocator_->region_->FromOffset(magazine.slots[i] +
-                                          sizeof(BlockHeader)));
-      ScopedWriteWindow window(payload, sizeof(FreeBlockPayload));
-      payload->next_offset = magazine.slots[i + 1];
-    }
-    allocator_->PushChainToList(size_class, magazine.slots[0],
-                                magazine.slots[n - 1], n);
-    magazine.count -= n;
-    std::memmove(magazine.slots, magazine.slots + n,
+    constexpr std::uint32_t kHalf = Allocator::kMagazineCapacity / 2;
+    PushChain(size_class, magazine.slots, kHalf);
+    magazine.count -= kHalf;
+    std::memmove(magazine.slots, magazine.slots + kHalf,
                  magazine.count * sizeof(magazine.slots[0]));
-    Bump(drain_batches_);
     TSP_TRACE_EVENT(trace_, obs::EventCode::kMagazineDrain,
-                    static_cast<std::uint64_t>(size_class), n);
+                    static_cast<std::uint64_t>(size_class), kHalf);
   }
 
   /// Orderly retirement: every parked block goes back to the shared
@@ -272,28 +209,15 @@ class ThreadCache {
       DiscardAll();
       return;
     }
-    allocator_->DrainRemoteSlot(slot_);
     for (int c = 0; c < Allocator::kNumMagazineClasses; ++c) {
       Magazine& magazine = mags_[c];
       if (magazine.count == 0) continue;
-      for (std::uint32_t i = 0; i + 1 < magazine.count; ++i) {
-        auto* payload = static_cast<FreeBlockPayload*>(
-            allocator_->region_->FromOffset(magazine.slots[i] +
-                                            sizeof(BlockHeader)));
-        ScopedWriteWindow window(payload, sizeof(FreeBlockPayload));
-        payload->next_offset = magazine.slots[i + 1];
-      }
-      allocator_->PushChainToList(c, magazine.slots[0],
-                                  magazine.slots[magazine.count - 1],
-                                  magazine.count);
+      PushChain(c, magazine.slots, magazine.count);
       magazine.count = 0;
-      Bump(drain_batches_);
     }
   }
 
   Allocator* allocator_;
-  std::uint32_t slot_;
-  std::uint16_t owner_tag_;
   std::uint64_t epoch_;
   /// Flight-recorder handle for this thread (null when tracing is off).
   /// Bound at registration; refill/drain are the only traced paths —
@@ -308,8 +232,6 @@ class ThreadCache {
   std::atomic<std::uint64_t> refill_batches_{0};
   std::atomic<std::uint64_t> carve_batches_{0};
   std::atomic<std::uint64_t> drain_batches_{0};
-  std::atomic<std::uint64_t> remote_frees_{0};
-  std::atomic<std::uint64_t> remote_reclaims_{0};
   std::atomic<std::uint64_t> discards_{0};
   std::atomic<std::uint64_t> batch_pop_retries_{0};
 };
@@ -323,7 +245,7 @@ namespace {
 struct TlsCaches {
   struct Binding {
     std::uint64_t instance_id;
-    ThreadCache* cache;  // nullptr: slots were exhausted, use shared path
+    ThreadCache* cache;
   };
   std::vector<Binding> bindings;
 
@@ -349,7 +271,6 @@ TlsCaches::~TlsCaches() {
   tls_fast_binding = {0, nullptr};
   LiveRegistry& registry = Registry();
   for (const Binding& binding : bindings) {
-    if (binding.cache == nullptr) continue;
     std::lock_guard<std::mutex> lock(registry.mutex);
     Allocator* allocator = FindLiveLocked(registry, binding.instance_id);
     if (allocator != nullptr) binding.cache->Retire();
@@ -368,21 +289,9 @@ Allocator::Allocator(MappedRegion* region)
     : region_(region),
       header_(region->header()),
       instance_id_(g_next_allocator_id.fetch_add(1)),
-      magazines_enabled_(true),
-      magazine_capacity_(kMagazineCapacity),
-      remote_slots_(new RemoteSlot[kMaxThreadCaches]) {
-  // Diagnostics attach read-only regions; magazines must never be
-  // created there (draining one would write to the mapping).
-  if (region->read_only()) magazines_enabled_ = false;
-  if (const char* env = std::getenv("TSP_ALLOC_MAGAZINES");
-      env != nullptr && std::strcmp(env, "0") == 0) {
-    magazines_enabled_ = false;
-  }
-  if (const char* env = std::getenv("TSP_ALLOC_MAGAZINE_CAP");
-      env != nullptr && env[0] != '\0') {
-    set_magazine_capacity(
-        static_cast<std::uint32_t>(std::strtoul(env, nullptr, 0)));
-  }
+      // Diagnostics attach read-only regions; magazines must never be
+      // created there (draining one would write to the mapping).
+      magazines_enabled_(!region->read_only()) {
   LiveRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.live.emplace_back(instance_id_, this);
@@ -412,11 +321,6 @@ Allocator::~Allocator() {
 
 void Allocator::set_magazines_enabled(bool enabled) {
   magazines_enabled_ = enabled;
-}
-
-void Allocator::set_magazine_capacity(std::uint32_t capacity) {
-  magazine_capacity_ = std::clamp<std::uint32_t>(
-      capacity, 2, static_cast<std::uint32_t>(kMagazineCapacity));
 }
 
 std::size_t Allocator::BlockSizeForPayload(std::size_t payload_size) {
@@ -465,17 +369,10 @@ void* Allocator::Alloc(std::size_t payload_size, std::uint32_t type_id) {
   const int size_class = SizeClassOf(block_size);
   TSP_DCHECK_GE(size_class, 0);
 
-  void* payload = nullptr;
-  if (magazines_enabled_ && size_class < kNumMagazineClasses) {
-    ThreadCache* cache = GetCache();
-    if (cache != nullptr) {
-      payload = cache->Alloc(size_class, block_size, type_id);
-    } else {
-      payload = AllocShared(size_class, block_size, type_id, /*owner_tag=*/0);
-    }
-  } else {
-    payload = AllocShared(size_class, block_size, type_id, /*owner_tag=*/0);
-  }
+  void* const payload =
+      magazines_enabled_ && size_class < kNumMagazineClasses
+          ? GetCache()->Alloc(size_class, block_size, type_id)
+          : AllocShared(size_class, block_size, type_id);
   // TSPRace: a recycled block must not inherit lockset history from its
   // previous tenant — reset its shadow cells to virgin.
   analysis::HookAlloc(payload, block_size - sizeof(BlockHeader));
@@ -483,7 +380,7 @@ void* Allocator::Alloc(std::size_t payload_size, std::uint32_t type_id) {
 }
 
 void* Allocator::AllocShared(int size_class, std::size_t block_size,
-                             std::uint32_t type_id, std::uint16_t owner_tag) {
+                             std::uint32_t type_id) {
   std::uint64_t offset = PopFromList(size_class);
   if (offset == 0) {
     // Bump allocation. A crash between fetch_add and header
@@ -508,8 +405,9 @@ void* Allocator::AllocShared(int size_class, std::size_t block_size,
   ScopedWriteWindow window(block, sizeof(BlockHeader));
   block->magic = BlockHeader::kAllocatedMagic;
   block->type_id = type_id;
-  block->block_size = BlockHeader::PackSize(block_size, owner_tag);
+  block->block_size = block_size;
   header_->total_allocs.fetch_add(1, std::memory_order_relaxed);
+  shared_allocs_.fetch_add(1, std::memory_order_relaxed);
   return block + 1;
 }
 
@@ -519,52 +417,24 @@ void Allocator::Free(void* payload) {
   BlockHeader* block = HeaderOf(payload);
   TSP_CHECK_EQ(block->magic, BlockHeader::kAllocatedMagic)
       << "Free of unallocated or corrupt block";
-  const std::uint64_t block_size = block->size();
-  const int size_class = SizeClassOf(block_size);
+  const int size_class = SizeClassOf(block->block_size);
   TSP_CHECK_GE(size_class, 0) << "corrupt block size";
-  const std::uint16_t owner_tag = block->owner_tag();
   {
     ScopedWriteWindow window(block, sizeof(BlockHeader));
     block->magic = BlockHeader::kFreeMagic;
-    // Free blocks carry the pure size (owner tags are meaningless once
-    // nothing is allocated; validators compare the raw word).
-    block->block_size = block_size;
   }
   const std::uint64_t offset = region_->ToOffset(block);
-
   if (magazines_enabled_ && size_class < kNumMagazineClasses) {
-    ThreadCache* cache = GetCache();
-    if (cache != nullptr) {
-      cache->Free(size_class, offset, owner_tag);
-      return;
-    }
+    GetCache()->Free(size_class, offset);
+  } else {
+    SharedFree(size_class, offset);
   }
-  SharedFree(size_class, offset);
 }
 
 void Allocator::SharedFree(int size_class, std::uint64_t block_offset) {
   header_->total_frees.fetch_add(1, std::memory_order_relaxed);
+  shared_frees_.fetch_add(1, std::memory_order_relaxed);
   PushToList(size_class, block_offset);
-}
-
-bool Allocator::RemoteFreeTo(std::uint32_t slot, std::uint64_t block_offset) {
-  TSP_DCHECK_LT(slot, kMaxThreadCaches);
-  RemoteSlot& remote = remote_slots_[slot];
-  if (remote.claimed.load(std::memory_order_acquire) == 0) return false;
-  auto* payload = static_cast<FreeBlockPayload*>(
-      region_->FromOffset(block_offset + sizeof(BlockHeader)));
-  ScopedWriteWindow window(payload, sizeof(FreeBlockPayload));
-  TaggedOffset old_head = remote.head.load(std::memory_order_acquire);
-  for (;;) {
-    payload->next_offset = OffsetOf(old_head);
-    const TaggedOffset new_head =
-        MakeTagged(TagOf(old_head) + 1, block_offset);
-    if (remote.head.compare_exchange_weak(old_head, new_head,
-                                          std::memory_order_release,
-                                          std::memory_order_acquire)) {
-      return true;
-    }
-  }
 }
 
 void Allocator::PushToList(int size_class, std::uint64_t block_offset) {
@@ -628,12 +498,12 @@ std::uint64_t Allocator::PopFromList(int size_class) {
 }
 
 std::size_t Allocator::BatchPopFromList(int size_class, std::size_t want,
-                                        std::uint64_t* out) {
+                                        std::uint64_t* out,
+                                        std::uint64_t* retries) {
   std::atomic<TaggedOffset>& head = header_->free_list_head(size_class);
   const std::uint64_t arena_start = header_->arena_offset;
   const std::uint64_t arena_end = arena_start + header_->arena_size;
   const std::size_t block_size = ClassBlockSize(size_class);
-  std::uint64_t retries = 0;
   TaggedOffset old_head = head.load(std::memory_order_acquire);
   std::size_t taken = 0;
   for (;;) {
@@ -658,7 +528,7 @@ std::size_t Allocator::BatchPopFromList(int size_class, std::size_t want,
                 ->next_offset;
     }
     if (torn) {
-      ++retries;
+      ++*retries;
       old_head = head.load(std::memory_order_acquire);
       continue;
     }
@@ -672,12 +542,7 @@ std::size_t Allocator::BatchPopFromList(int size_class, std::size_t want,
       taken = n;
       break;
     }
-    ++retries;
-  }
-  if (retries > 0) {
-    if (ThreadCache* cache = GetCache(); cache != nullptr) {
-      Bump(cache->batch_pop_retries_, retries);
-    }
+    ++*retries;
   }
   return taken;
 }
@@ -727,17 +592,13 @@ ThreadCache* Allocator::GetCache() {
       // resolves with a single compare even when many heaps were
       // touched over the thread's lifetime.
       if (i != 0) std::swap(bindings[0], bindings[i]);
-      if (bindings[0].cache != nullptr) {
-        tls_fast_binding = {instance_id_, bindings[0].cache};
-      }
+      tls_fast_binding = {instance_id_, bindings[0].cache};
       return bindings[0].cache;
     }
   }
   ThreadCache* cache = RegisterThreadCache();
-  // A nullptr binding (slots exhausted) is remembered too, so the
-  // thread does not retry registration on every operation.
   bindings.insert(bindings.begin(), {instance_id_, cache});
-  if (cache != nullptr) tls_fast_binding = {instance_id_, cache};
+  tls_fast_binding = {instance_id_, cache};
   return cache;
 }
 
@@ -757,23 +618,12 @@ ThreadCache* Allocator::RegisterThreadCache() {
                        }),
         bindings.end());
   }
+  auto cache = std::make_unique<ThreadCache>(this);
+  if (recorder_ != nullptr) cache->trace_ = recorder_->writer();
+  ThreadCache* raw = cache.get();
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (std::uint32_t slot = 0; slot < kMaxThreadCaches; ++slot) {
-    if (remote_slots_[slot].claimed.load(std::memory_order_relaxed) != 0) {
-      continue;
-    }
-    remote_slots_[slot].claimed.store(1, std::memory_order_release);
-    // Blocks stranded by a retire/remote-free race belong to the new
-    // claimant's class magazines via the normal reclaim path; nothing
-    // from the previous owner may linger as inbox state.
-    DrainRemoteSlot(slot);
-    auto cache = std::make_unique<ThreadCache>(this, slot);
-    if (recorder_ != nullptr) cache->trace_ = recorder_->writer();
-    ThreadCache* raw = cache.get();
-    caches_.push_back(std::move(cache));
-    return raw;
-  }
-  return nullptr;  // more live threads than inbox slots: shared path
+  caches_.push_back(std::move(cache));
+  return raw;
 }
 
 void Allocator::RetireCache(ThreadCache* cache) {
@@ -788,62 +638,31 @@ void Allocator::RetireCache(ThreadCache* cache) {
 }
 
 void Allocator::RetireCacheLocked(ThreadCache* cache) {
-  // Stop remote frees targeting this inbox before draining it (a racer
-  // that already loaded claimed=1 may still strand blocks; the next
-  // claimant's DrainRemoteSlot reclaims them).
-  remote_slots_[cache->slot_].claimed.store(0, std::memory_order_release);
   cache->DrainAll();
   // Persistent counters absorb the cache's deltas; volatile breakdowns
   // accumulate in retired_stats_ so GetStats keeps reporting them.
   const std::uint64_t allocs =
       cache->magazine_allocs_.load(std::memory_order_relaxed);
   const std::uint64_t frees =
-      cache->magazine_frees_.load(std::memory_order_relaxed) +
-      cache->remote_frees_.load(std::memory_order_relaxed);
+      cache->magazine_frees_.load(std::memory_order_relaxed);
   if (allocs > 0) {
     header_->total_allocs.fetch_add(allocs, std::memory_order_relaxed);
   }
   if (frees > 0) {
     header_->total_frees.fetch_add(frees, std::memory_order_relaxed);
   }
-  retired_stats_.magazine_allocs +=
-      cache->magazine_allocs_.load(std::memory_order_relaxed);
-  retired_stats_.magazine_frees +=
-      cache->magazine_frees_.load(std::memory_order_relaxed);
+  retired_stats_.magazine_allocs += allocs;
+  retired_stats_.magazine_frees += frees;
   retired_stats_.refill_batches +=
       cache->refill_batches_.load(std::memory_order_relaxed);
   retired_stats_.carve_batches +=
       cache->carve_batches_.load(std::memory_order_relaxed);
   retired_stats_.drain_batches +=
       cache->drain_batches_.load(std::memory_order_relaxed);
-  retired_stats_.remote_frees +=
-      cache->remote_frees_.load(std::memory_order_relaxed);
-  retired_stats_.remote_reclaims +=
-      cache->remote_reclaims_.load(std::memory_order_relaxed);
   retired_stats_.magazine_discards +=
       cache->discards_.load(std::memory_order_relaxed);
   retired_stats_.batch_pop_retries +=
       cache->batch_pop_retries_.load(std::memory_order_relaxed);
-}
-
-void Allocator::DrainRemoteSlot(std::uint32_t slot) {
-  RemoteSlot& remote = remote_slots_[slot];
-  TaggedOffset head = remote.head.load(std::memory_order_relaxed);
-  if (OffsetOf(head) == 0) return;
-  head = remote.head.exchange(MakeTagged(TagOf(head) + 1, 0),
-                              std::memory_order_acquire);
-  std::uint64_t cur = OffsetOf(head);
-  while (cur != 0) {
-    const auto* payload = static_cast<const FreeBlockPayload*>(
-        region_->FromOffset(cur + sizeof(BlockHeader)));
-    const std::uint64_t next = payload->next_offset;
-    const auto* block =
-        static_cast<const BlockHeader*>(region_->FromOffset(cur));
-    const int size_class = SizeClassOf(block->size());
-    TSP_CHECK_GE(size_class, 0) << "corrupt block in remote-free inbox";
-    PushToList(size_class, cur);
-    cur = next;
-  }
 }
 
 void Allocator::FlushCurrentThreadCache() {
@@ -855,7 +674,7 @@ void Allocator::FlushCurrentThreadCache() {
     if (it->instance_id != instance_id_) continue;
     ThreadCache* cache = it->cache;
     bindings.erase(it);
-    if (cache != nullptr) RetireCache(cache);
+    RetireCache(cache);
     return;
   }
 }
@@ -867,43 +686,32 @@ AllocatorStats Allocator::GetStats() const {
   stats.bump_offset = header_->bump_offset.load(std::memory_order_relaxed);
   stats.arena_end = header_->arena_offset + header_->arena_size;
 
+  stats.shared_allocs = shared_allocs_.load(std::memory_order_relaxed);
+  stats.shared_frees = shared_frees_.load(std::memory_order_relaxed);
+
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  // The header counters hold the shared-path operations plus the folded
-  // deltas of retired caches; the difference is the pure shared count.
   stats.magazine_allocs = retired_stats_.magazine_allocs;
   stats.magazine_frees = retired_stats_.magazine_frees;
   stats.refill_batches = retired_stats_.refill_batches;
   stats.carve_batches = retired_stats_.carve_batches;
   stats.drain_batches = retired_stats_.drain_batches;
-  stats.remote_frees = retired_stats_.remote_frees;
-  stats.remote_reclaims = retired_stats_.remote_reclaims;
   stats.magazine_discards = retired_stats_.magazine_discards;
   stats.batch_pop_retries = retired_stats_.batch_pop_retries;
-  stats.shared_allocs =
-      stats.total_allocs - retired_stats_.magazine_allocs;
-  stats.shared_frees = stats.total_frees -
-                       (retired_stats_.magazine_frees +
-                        retired_stats_.remote_frees);
   for (const auto& cache : caches_) {
     const std::uint64_t allocs =
         cache->magazine_allocs_.load(std::memory_order_relaxed);
-    const std::uint64_t magazine_frees =
+    const std::uint64_t frees =
         cache->magazine_frees_.load(std::memory_order_relaxed);
-    const std::uint64_t remote_frees =
-        cache->remote_frees_.load(std::memory_order_relaxed);
     stats.total_allocs += allocs;
-    stats.total_frees += magazine_frees + remote_frees;
+    stats.total_frees += frees;
     stats.magazine_allocs += allocs;
-    stats.magazine_frees += magazine_frees;
-    stats.remote_frees += remote_frees;
+    stats.magazine_frees += frees;
     stats.refill_batches +=
         cache->refill_batches_.load(std::memory_order_relaxed);
     stats.carve_batches +=
         cache->carve_batches_.load(std::memory_order_relaxed);
     stats.drain_batches +=
         cache->drain_batches_.load(std::memory_order_relaxed);
-    stats.remote_reclaims +=
-        cache->remote_reclaims_.load(std::memory_order_relaxed);
     stats.magazine_discards +=
         cache->discards_.load(std::memory_order_relaxed);
     stats.batch_pop_retries +=
@@ -947,12 +755,6 @@ void Allocator::ResetMetadata(std::uint64_t bump_offset,
   header_->bump_offset.store(bump_offset, std::memory_order_relaxed);
   header_->total_allocs.store(live_objects, std::memory_order_relaxed);
   header_->total_frees.store(0, std::memory_order_relaxed);
-  // Remote-free inboxes hold offsets from the discarded metadata world;
-  // forget them (the GC owns every non-live byte now). Slot claims are
-  // kept — the registered caches stay valid, they just start empty.
-  for (std::size_t slot = 0; slot < kMaxThreadCaches; ++slot) {
-    remote_slots_[slot].head.store(0, std::memory_order_relaxed);
-  }
   // Invalidate every magazine: each cache notices the new epoch on its
   // next operation and discards (never drains) its parked offsets.
   cache_epoch_.fetch_add(1, std::memory_order_relaxed);

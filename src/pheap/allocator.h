@@ -18,12 +18,11 @@
 // size class, refilled by popping a batch from the shared free list
 // (one CAS for the whole batch) or carving a batch from the bump
 // pointer (one fetch_add), and drained back in batch when overfull or
-// at thread exit. A free of another thread's block goes to that
-// owner's remote-free inbox — a Treiber stack on an otherwise
-// uncontended line — which the owner reclaims lazily on refill. The
-// shared CAS lines are therefore touched once per ~batch operations
-// instead of once per Alloc/Free (the per-thread-cache structure of
-// Hoard and Makalu's NVM allocator).
+// at thread exit. A small block enters the magazine of the thread that
+// frees it, whichever thread allocated it; the batched drain and refill
+// move blocks between threads. The shared CAS lines are therefore
+// touched once per ~batch operations instead of once per Alloc/Free
+// (the per-thread-cache structure of Hoard and Makalu's NVM allocator).
 //
 // Thread safety: Alloc and Free are lock-free (magazines are
 // thread-private; the shared structures are tagged-pointer Treiber
@@ -64,18 +63,15 @@ struct AllocatorStats {
   /// Operations served from a thread-local magazine (no shared line).
   std::uint64_t magazine_allocs = 0;
   std::uint64_t magazine_frees = 0;
-  /// Operations that fell through to the shared lists / bump pointer
-  /// (magazines disabled, oversized class, or unregistered thread).
+  /// Operations this process ran on the shared lists / bump pointer
+  /// (magazines disabled, oversized class, or an empty magazine whose
+  /// refill found nothing), counted where they run.
   std::uint64_t shared_allocs = 0;
   std::uint64_t shared_frees = 0;
   /// Batch transfers between magazines and the shared structures.
   std::uint64_t refill_batches = 0;   // batch pops from a shared list
   std::uint64_t carve_batches = 0;    // batch carves from the bump pointer
   std::uint64_t drain_batches = 0;    // overflow drains to a shared list
-  /// Remote-free traffic: frees routed to another cache's inbox, and
-  /// blocks the owner reclaimed from its own inbox.
-  std::uint64_t remote_frees = 0;
-  std::uint64_t remote_reclaims = 0;
   /// Caches invalidated because the GC rebuilt the metadata under them.
   std::uint64_t magazine_discards = 0;
   /// Batch-pop restarts after a head CAS failure or a torn next link
@@ -94,13 +90,9 @@ class Allocator {
   /// for little CAS relief.
   static constexpr int kNumMagazineClasses = 15;
 
-  /// Hard capacity of one magazine (offsets per class per thread); the
-  /// effective capacity is magazine_capacity() and tunable below.
+  /// Capacity of one magazine (offsets per class per thread). A refill
+  /// fetches, and an overfull magazine drains, half of it.
   static constexpr std::size_t kMagazineCapacity = 32;
-
-  /// Remote-free inbox slots == maximum concurrently live caches.
-  /// Threads past the limit fall back to the shared path.
-  static constexpr std::size_t kMaxThreadCaches = 64;
 
   /// Largest supported payload (256 MiB block minus header).
   static std::size_t MaxPayloadSize();
@@ -152,16 +144,16 @@ class Allocator {
   /// Number of blocks currently on each shared free list, by walking
   /// the lists. Diagnostic: call only on a quiesced heap (tsp_inspect,
   /// tests); a torn snapshot is possible against live mutators. Blocks
-  /// parked in magazines or inboxes are intentionally NOT counted.
+  /// parked in magazines are intentionally NOT counted.
   struct FreeListLength {
     std::size_t block_size = 0;
     std::uint64_t blocks = 0;
   };
   std::vector<FreeListLength> FreeListLengths() const;
 
-  /// Drains the calling thread's magazines and remote-free inbox back
-  /// to the shared free lists, folds its stat deltas into the region
-  /// header, and retires the cache (a later Alloc re-registers). Call
+  /// Drains the calling thread's magazines back to the shared free
+  /// lists, folds its stat deltas into the region header, and retires
+  /// the cache (a later Alloc re-registers). Call
   /// before an orderly thread exit or heap shutdown; crashed threads
   /// skip it by definition — the recovery GC reclaims their parked
   /// blocks. Thread exit and allocator destruction also drain
@@ -170,26 +162,18 @@ class Allocator {
 
   /// Baseline toggle: with magazines disabled every operation uses the
   /// shared structures (the pre-magazine behavior, kept runnable for
-  /// bench_alloc A/B runs and as a fallback). Honors the
-  /// TSP_ALLOC_MAGAZINES environment variable ("0" disables) at
-  /// construction. Flip only while no other thread is allocating.
+  /// bench_alloc A/B runs). Flip only while no other thread is
+  /// allocating.
   void set_magazines_enabled(bool enabled);
   bool magazines_enabled() const { return magazines_enabled_; }
 
-  /// Effective per-class magazine capacity in [2, kMagazineCapacity].
-  /// Honors TSP_ALLOC_MAGAZINE_CAP at construction; tiny values force
-  /// constant refill/drain traffic (crash-injection tests use this the
-  /// way the seq-lease tests use seq_block_size=2).
-  void set_magazine_capacity(std::uint32_t capacity);
-  std::uint32_t magazine_capacity() const { return magazine_capacity_; }
-
   /// --- recovery interface (single-threaded contexts only) ---
 
-  /// Clears every free list and remote-free inbox, resets the bump
-  /// pointer, and invalidates every thread cache (their parked offsets
-  /// now alias rebuilt free space; each cache notices the epoch bump
-  /// on its next operation and discards itself — discard, not drain:
-  /// the GC already owns those bytes). Restarts the persistent totals
+  /// Clears every free list, resets the bump pointer, and invalidates
+  /// every thread cache (their parked offsets now alias rebuilt free
+  /// space; each cache notices the epoch bump on its next operation and
+  /// discards itself — discard, not drain: the GC already owns those
+  /// bytes). Restarts the persistent totals
   /// at `live_objects` allocations and no frees: a killed session's
   /// magazine counts were never folded into them. The GC calls this
   /// before re-populating free lists from swept gaps.
@@ -214,21 +198,10 @@ class Allocator {
  private:
   friend class ThreadCache;
 
-  /// One remote-free inbox. Its line is touched by remote freers of
-  /// this owner (rarely two at once) and by the owner's reclaim — not
-  /// by every thread, unlike a shared free-list head.
-  struct alignas(kCacheLine) RemoteSlot {
-    std::atomic<TaggedOffset> head{0};
-    /// 1 while a live cache owns the slot. A push racing with retire
-    /// can strand blocks on an unclaimed slot; they are advisory and
-    /// reclaimed on the next claim, ResetMetadata, or destruction.
-    std::atomic<std::uint32_t> claimed{0};
-  };
-
-  /// Shared-structure paths (the seed fast path; now also the fallback
-  /// and baseline). `owner_tag` is stamped into the header.
+  /// Shared-structure paths (large classes, the baseline, and the last
+  /// resort of an empty magazine).
   void* AllocShared(int size_class, std::size_t block_size,
-                    std::uint32_t type_id, std::uint16_t owner_tag);
+                    std::uint32_t type_id);
   void SharedFree(int size_class, std::uint64_t block_offset);
 
   void PushToList(int size_class, std::uint64_t block_offset);
@@ -240,36 +213,35 @@ class Allocator {
   /// Pops up to `want` blocks from one list with a single successful
   /// CAS, validating every next link against the arena bounds while
   /// walking (a torn link under ABA forces a restart, never a wild
-  /// read). Returns the number popped into `out`.
+  /// read). Returns the number popped into `out`; adds the restarts to
+  /// `*retries`.
   std::size_t BatchPopFromList(int size_class, std::size_t want,
-                               std::uint64_t* out);
+                               std::uint64_t* out, std::uint64_t* retries);
   /// Reserves `want` contiguous blocks with one fetch_add and formats
   /// them as free blocks. May return fewer near arena exhaustion.
   std::size_t BatchCarve(std::size_t block_size, std::size_t want,
                          std::uint64_t* out);
 
   /// Calling thread's cache for this allocator, registering on first
-  /// use. nullptr when magazines are off or the slots are exhausted.
+  /// use. Call only with magazines enabled.
   ThreadCache* GetCache();
   ThreadCache* RegisterThreadCache();
   /// Drains + unregisters one cache (registry mutex held inside).
   void RetireCache(ThreadCache* cache);
   /// Drain + stat-fold half of RetireCache; requires cache_mutex_.
   void RetireCacheLocked(ThreadCache* cache);
-  /// Pushes `block_offset` onto inbox `slot` if it is claimed; a false
-  /// return means the freer must keep the block on its own side.
-  bool RemoteFreeTo(std::uint32_t slot, std::uint64_t block_offset);
-  /// Empties inbox `slot` onto the shared free lists.
-  void DrainRemoteSlot(std::uint32_t slot);
 
   MappedRegion* region_;
   RegionHeader* header_;
   obs::Recorder* recorder_ = nullptr;
   const std::uint64_t instance_id_;
   bool magazines_enabled_;
-  std::uint32_t magazine_capacity_;
   std::atomic<std::uint64_t> cache_epoch_{1};
-  std::unique_ptr<RemoteSlot[]> remote_slots_;
+  /// This process's shared-path operations (DRAM, like the magazine
+  /// counters; the header totals span every session of the file). Own
+  /// lines: every magazine operation reads cache_epoch_.
+  alignas(kCacheLine) std::atomic<std::uint64_t> shared_allocs_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> shared_frees_{0};
 
   mutable std::mutex cache_mutex_;
   std::vector<std::unique_ptr<ThreadCache>> caches_;

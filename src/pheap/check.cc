@@ -251,8 +251,6 @@ CheckReport CheckHeap(const PersistentHeap& heap,
         break;
       }
       if (block->block_size != expected_size) {
-        // Raw comparison on purpose: Free clears the owner tag, so a
-        // tagged word on a free list means a torn or foreign block.
         AddProblem(&report,
                    "free block of wrong size in class " +
                        std::to_string(size_class) + ": " +
@@ -302,15 +300,15 @@ CheckReport CheckHeap(const PersistentHeap& heap,
                               std::to_string(block_offset));
       continue;
     }
-    if (Allocator::SizeClassOf(block->size()) < 0 ||
-        block_offset + block->size() > bump) {
+    if (Allocator::SizeClassOf(block->block_size) < 0 ||
+        block_offset + block->block_size > bump) {
       AddProblem(&report, "reachable block with bad size at " +
                               std::to_string(block_offset));
       continue;
     }
-    extents.push_back({block_offset, block->size()});
+    extents.push_back({block_offset, block->block_size});
     ++report.reachable_objects;
-    report.reachable_bytes += block->size();
+    report.reachable_bytes += block->block_size;
     if (block->type_id != 0) {
       const TypeInfo* info = registry.Find(block->type_id);
       if (info != nullptr && info->trace) info->trace(block + 1, visit);
@@ -335,8 +333,8 @@ CheckReport CheckHeap(const PersistentHeap& heap,
     cursor = std::max(cursor, extent.offset + extent.size);
   }
   // Not a problem by itself: besides GC slivers and crash leaks (both
-  // reclaimed by the next GC), bytes parked in live thread magazines or
-  // remote-free inboxes are intentionally on no list and unreachable.
+  // reclaimed by the next GC), bytes parked in live thread magazines
+  // are intentionally on no list and unreachable.
   const std::uint64_t used = bump - arena_start;
   report.unaccounted_bytes = used > covered ? used - covered : 0;
 

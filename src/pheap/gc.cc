@@ -30,9 +30,7 @@ std::uint64_t ValidateBlock(const MappedRegion* region, const void* payload) {
   const auto* block = static_cast<const BlockHeader*>(
       region->FromOffset(header_offset));
   if (block->magic != BlockHeader::kAllocatedMagic) return 0;
-  // Allocated headers pack an advisory magazine owner tag into the high
-  // bits; every size computation must go through size().
-  const std::uint64_t size = block->size();
+  const std::uint64_t size = block->block_size;
   if (size % kGranule != 0 || size < 2 * kGranule) {
     return 0;
   }
@@ -112,7 +110,7 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
 
     const auto* block =
         static_cast<const BlockHeader*>(region->FromOffset(header_offset));
-    const std::uint64_t size = block->size();
+    const std::uint64_t size = block->block_size;
     ++stats.live_objects;
     stats.live_bytes += size;
     new_bump = std::max(new_bump, header_offset + size);
@@ -143,12 +141,12 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
       rh->bump_offset.load(std::memory_order_relaxed), arena_end);
   stats.tail_reclaimed_bytes = old_bump > new_bump ? old_bump - new_bump : 0;
 
-  // Discards every advisory structure at once: free lists, bump pointer,
-  // remote-free inboxes, and (via the epoch bump) all per-thread
-  // magazines; the allocation totals restart at the live count. Recovery itself needs nothing beyond this — magazines are
-  // DRAM-only and were never authoritative, so a crash with parked
-  // blocks just makes those bytes unreachable, and the sweep below
-  // re-carves them.
+  // Discards every advisory structure at once: free lists, bump pointer
+  // and (via the epoch bump) all per-thread magazines; the allocation
+  // totals restart at the live count. Recovery itself needs nothing
+  // beyond this — magazines are DRAM-only and were never
+  // authoritative, so a crash with parked blocks just makes those bytes
+  // unreachable, and the sweep below re-carves them.
   allocator->ResetMetadata(new_bump, stats.live_objects);
 
   auto carve_gap = [&](std::uint64_t start, std::uint64_t end) {
@@ -190,7 +188,7 @@ GcStats RunMarkSweepGc(Allocator* allocator, const TypeRegistry& registry) {
       if (offset > cursor) carve_gap(cursor, offset);
       const auto* block =
           static_cast<const BlockHeader*>(region->FromOffset(offset));
-      cursor = std::max(cursor, offset + block->size());
+      cursor = std::max(cursor, offset + block->block_size);
     }
   }
 

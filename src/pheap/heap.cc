@@ -21,8 +21,6 @@ PersistentHeap::PersistentHeap(std::unique_ptr<MappedRegion> region)
         builder->AddCounter("alloc.refill_batches", stats.refill_batches);
         builder->AddCounter("alloc.carve_batches", stats.carve_batches);
         builder->AddCounter("alloc.drain_batches", stats.drain_batches);
-        builder->AddCounter("alloc.remote_frees", stats.remote_frees);
-        builder->AddCounter("alloc.remote_reclaims", stats.remote_reclaims);
         builder->AddCounter("alloc.magazine_discards",
                             stats.magazine_discards);
         builder->AddCounter("alloc.batch_pop_retries",

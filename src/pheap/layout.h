@@ -32,10 +32,12 @@ inline constexpr std::uint64_t kRegionMagic = 0x3150414548505354ULL;  // "TSPHEA
 /// Version 3: the allocator hot fields of the RegionHeader (bump
 /// pointer, free-list heads, stat counters) are padded onto distinct
 /// cache lines (the heads one line each), and the high 16 bits of
-/// BlockHeader::block_size now carry an advisory magazine owner tag.
+/// BlockHeader::block_size carry an advisory magazine owner tag.
+/// Version 4: BlockHeader::block_size holds only the size; the owner
+/// tag is gone with the remote-free inboxes it routed to.
 /// Offsets are pinned by static_asserts below; bump kLayoutVersion
-/// whenever any of them moves.
-inline constexpr std::uint32_t kLayoutVersion = 3;
+/// whenever any of them, or the meaning of a field, changes.
+inline constexpr std::uint32_t kLayoutVersion = 4;
 
 /// Smallest unit of arena accounting; block sizes and alignments are
 /// multiples of this.
@@ -145,7 +147,7 @@ struct RegionHeader {
   }
 };
 
-// The persistent layout contract of version 3. Any change that moves
+// The persistent layout contract since version 3. Any change that moves
 // one of these offsets must bump kLayoutVersion (old files are refused
 // at open, never reinterpreted).
 static_assert(offsetof(RegionHeader, bump_offset) == 2 * kCacheLine,
@@ -167,32 +169,12 @@ struct BlockHeader {
   static constexpr std::uint32_t kAllocatedMagic = 0xA110CA7Eu;
   static constexpr std::uint32_t kFreeMagic = 0xF4EEB10Cu;
 
-  /// block_size packs the total byte size (low 48 bits, multiple of
-  /// kGranule, header included) with an advisory magazine owner tag
-  /// (high 16 bits): 1 + the remote-free inbox slot of the thread
-  /// cache that handed the block out, or 0 when no cache owns it.
-  /// The tag is volatile information parked in persistent media purely
-  /// because the header is the only per-block word; it is written only
-  /// on allocated blocks, cleared on free, meaningless across sessions,
-  /// and every validator (GC, CheckHeap) reads through size().
-  static constexpr std::uint64_t kSizeMask = (1ULL << 48) - 1;
-
   std::uint32_t magic;
   /// Application type id, used by the GC to find the type's trace
   /// function. 0 = untyped leaf (no embedded pointers).
   std::uint32_t type_id;
-  /// Packed size + owner tag; read through size() / owner_tag().
+  /// Total block size in bytes, header included; a multiple of kGranule.
   std::uint64_t block_size;
-
-  std::uint64_t size() const { return block_size & kSizeMask; }
-  std::uint16_t owner_tag() const {
-    return static_cast<std::uint16_t>(block_size >> 48);
-  }
-  static constexpr std::uint64_t PackSize(std::uint64_t size,
-                                          std::uint16_t owner_tag) {
-    return (static_cast<std::uint64_t>(owner_tag) << 48) |
-           (size & kSizeMask);
-  }
 };
 
 static_assert(sizeof(BlockHeader) == kGranule);

@@ -60,7 +60,9 @@ Status ReadHeader(RegionBackend* backend, const std::string& path,
   }
   if (header->version != kLayoutVersion) {
     return Status::Corruption("unsupported region layout version " +
-                              std::to_string(header->version));
+                              std::to_string(header->version) +
+                              " (this build reads version " +
+                              std::to_string(kLayoutVersion) + ")");
   }
   if (header->region_size != store_size) {
     return Status::Corruption("region size mismatch with file size");

@@ -121,7 +121,7 @@ bool DescribeBlockAt(const State& state, std::uint64_t offset, char* buf,
   while (cursor + sizeof(BlockHeader) <= bump) {
     const auto* block = static_cast<const BlockHeader*>(
         state.region->FromOffset(cursor));
-    const std::uint64_t size = block->size();  // mask the owner tag
+    const std::uint64_t size = block->block_size;
     if (size == 0 || size % kGranule != 0 || cursor + size > bump ||
         Allocator::SizeClassOf(size) < 0) {
       return false;  // torn or foreign bytes; stop the walk

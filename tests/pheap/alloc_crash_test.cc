@@ -1,8 +1,8 @@
-// Crash injection for the magazine allocator (the tentpole proof of
-// ISSUE 4): SIGKILL worker processes whose threads churn allocations
-// through tiny magazines — so the kill lands mid-refill, mid-drain, or
-// with blocks parked in magazines and remote-free inboxes — then show
-// that the advisory-metadata contract holds: the recovery GC reclaims
+// Crash injection for the magazine allocator: SIGKILL worker processes
+// whose threads churn allocations through their magazines, with bursts
+// that empty and overfill a magazine so the kill lands mid-refill,
+// mid-drain, or with blocks parked in magazines — then show that the
+// advisory-metadata contract holds: the recovery GC reclaims
 // every parked/leaked block (nothing lost), hands no block out twice
 // (nothing double-live), and CheckHeap finds zero structural problems.
 // Magazines are DRAM-only, so there is nothing to roll back and nothing
@@ -64,14 +64,26 @@ unsigned char FillFor(const void* payload) {
 }
 
 /// Worker body: publish/retire blocks through the root slot array.
-/// Retiring a slot published by another thread is a remote free, so
-/// with 3 threads and capacity-2 magazines the process is essentially
-/// always mid-refill, mid-drain, or holding parked blocks — any moment
-/// is a bad moment to die, which is the point.
+/// Retiring a slot published by another thread frees a block this
+/// thread did not allocate into this thread's magazine. One operation
+/// in eight is a burst of one block more than a magazine holds,
+/// allocated and then freed: the allocations empty the magazine (a
+/// refill) and the frees overfill it (a drain), so with three threads
+/// the process is essentially always mid-refill, mid-drain, or holding
+/// parked blocks — any moment is a bad moment to die, which is the
+/// point.
 void WorkerChurn(PersistentHeap* heap, SlotArray* array, int thread_index,
                  std::atomic<std::uint64_t>* ops) {
   Random rng(0xA110C000 + static_cast<std::uint64_t>(thread_index));
+  void* burst[Allocator::kMagazineCapacity + 1];
   for (;;) {
+    if (rng.Bernoulli(0.125)) {
+      for (void*& block : burst) {
+        block = heap->Alloc(kPayload, 0);
+        if (block == nullptr) _exit(5);
+      }
+      for (void* block : burst) heap->Free(block);
+    }
     void* payload = heap->Alloc(kPayload, 0);
     if (payload == nullptr) _exit(5);  // arena exhausted: test bug
     std::memset(payload, FillFor(payload), kPayload);
@@ -103,8 +115,6 @@ void WorkerChurn(PersistentHeap* heap, SlotArray* array, int thread_index,
     heap->RunRecoveryGc(registry);
     heap->FinishRecovery();
   }
-  // Tiny magazines: refill/drain/reclaim every couple of operations.
-  heap->allocator()->set_magazine_capacity(2);
 
   auto* array = heap->root<SlotArray>();
   if (array == nullptr) {
@@ -161,7 +171,7 @@ TEST(AllocCrashTest, MagazinesRecoverCleanAfterRepeatedSigkill) {
     ASSERT_EQ(ok, 'k');
     // Let steady-state churn run a little longer, then kill without
     // warning. The delay varies so kills land in different phases
-    // (mid-refill, mid-drain, mid-remote-reclaim, mid-publish).
+    // (mid-refill, mid-drain, mid-publish).
     usleep(2000 + delay_rng.Uniform(25000));
     kill(pid, SIGKILL);
     int status = 0;
@@ -203,8 +213,8 @@ TEST(AllocCrashTest, MagazinesRecoverCleanAfterRepeatedSigkill) {
 
     // Zero leaked: after the GC, every arena byte below the bump pointer
     // is a live block, a free-list block, or an unsplittable sliver —
-    // blocks that died parked in magazines/inboxes are back on the free
-    // lists, not lost.
+    // blocks that died parked in magazines are back on the free lists,
+    // not lost.
     const CheckReport report = CheckHeap(*heap, registry);
     EXPECT_TRUE(report.ok) << "cycle " << cycle << ": " << report.ToString();
     EXPECT_EQ(report.unaccounted_bytes, gc.sliver_bytes)

@@ -67,7 +67,7 @@ TEST_F(AllocatorTest, AllocReturnsAlignedDistinctBlocks) {
     BlockHeader* h = Allocator::HeaderOf(p);
     EXPECT_EQ(h->magic, BlockHeader::kAllocatedMagic);
     EXPECT_EQ(h->type_id, 7u);
-    EXPECT_EQ(h->size(), 64u);
+    EXPECT_EQ(h->block_size, 64u);
   }
 }
 

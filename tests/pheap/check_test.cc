@@ -120,7 +120,7 @@ TEST_F(CheckTest, DetectsLiveFreeOverlap) {
   // Keep the allocated magic intact but thread it into a free list of
   // the same class — the overlap detector must complain (either about
   // the magic or the collision).
-  const int size_class = Allocator::SizeClassOf(header->size());
+  const int size_class = Allocator::SizeClassOf(header->block_size);
   region_header->free_lists[size_class].head.store(
       MakeTagged(1, offset), std::memory_order_relaxed);
   static_cast<FreeBlockPayload*>(static_cast<void*>(node))->next_offset = 0;

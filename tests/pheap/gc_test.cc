@@ -370,7 +370,7 @@ TEST_P(GcPropertyTest, SweepAccountingAddsUp) {
   std::vector<FanNode*> parents = {root};
   std::vector<std::uint64_t> next_slot = {0};
   std::uint64_t live_objects = 1;
-  std::uint64_t live_bytes = Allocator::HeaderOf(root)->size();
+  std::uint64_t live_bytes = Allocator::HeaderOf(root)->block_size;
   std::vector<FanNode*> garbage;
   for (int i = 0; i < 400; ++i) {
     FanNode* node = NewFanNode(8 + rng.Uniform(8192 - 8 + 1));
@@ -391,7 +391,7 @@ TEST_P(GcPropertyTest, SweepAccountingAddsUp) {
       next_slot.push_back(0);
     }
     ++live_objects;
-    live_bytes += Allocator::HeaderOf(node)->size();
+    live_bytes += Allocator::HeaderOf(node)->block_size;
   }
   // Some garbage is freed before the crash; the rest just leaks.
   for (std::size_t i = 0; i < garbage.size(); i += 3) heap_->Free(garbage[i]);

@@ -221,6 +221,36 @@ TEST(RegionTest, EveryOpenRefusesAPlacementOutsideThisBuildsWindow) {
   EXPECT_EQ((*region)->base(), reinterpret_cast<void*>(base));
 }
 
+// Version 4 dropped the magazine owner tag from the high bits of
+// BlockHeader::block_size. A version-3 heap's allocated blocks still
+// carry tags, which the GC and CheckHeap would now read as sizes, so
+// Open, Attach and OpenReadOnly all refuse it by its version.
+TEST(RegionTest, EveryOpenRefusesLayoutVersion3) {
+  ScopedRegionFile file("version3");
+  {
+    auto region = MappedRegion::Create(file.path(), SmallOptions());
+    ASSERT_TRUE(region.ok());
+    (*region)->MarkCleanShutdown();
+  }
+  const std::uint32_t version = 3;
+  const int fd = ::open(file.path().c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(::pwrite(fd, &version, sizeof(version),
+                     offsetof(RegionHeader, version)),
+            static_cast<ssize_t>(sizeof(version)));
+  ::close(fd);
+  const std::uint32_t held = AddressSlotAllocator::Instance().held_count();
+  for (const auto open : {&MappedRegion::Open, &MappedRegion::Attach,
+                          &MappedRegion::OpenReadOnly}) {
+    const Status status = open(file.path(), nullptr).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("layout version 3"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(AddressSlotAllocator::Instance().held_count(), held)
+      << "a refused open must not keep a slot";
+}
+
 TEST(RegionTest, OffsetConversionRoundTrips) {
   ScopedRegionFile file("offsets");
   auto region = MappedRegion::Create(file.path(), SmallOptions());

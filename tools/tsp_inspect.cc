@@ -8,14 +8,14 @@
 //                                           # on a MapSession heap, its
 //                                           # variant, shard count and
 //                                           # whether it can be attached)
-//   $ tsp_inspect stats a.heap [--json]     # allocator totals, arena use,
-//                                           # magazines, free lists
+//   $ tsp_inspect stats a.heap [--json]     # what the file holds of the
+//                                           # allocator: totals, arena
+//                                           # use, free-list lengths
 //   $ tsp_inspect check a.heap              # full integrity check
 //   $ tsp_inspect check a.heap b.heap --json  # shard set, per-shard JSON
 //   $ tsp_inspect log a.heap                # Atlas undo-log summary
 //   $ tsp_inspect log a.heap -v             # ... with per-entry dump
 //   $ tsp_inspect trace a.heap              # flight-recorder event stream
-//   $ tsp_inspect metrics a.heap b.heap     # registry snapshot (JSON)
 //   $ tsp_inspect locks run.lockgraph       # TSPRace lock-order graph
 //   $ tsp_inspect locks a.heap              # robust locks + slot claims
 //                                           # (owner pid/tid, liveness;
@@ -47,7 +47,6 @@
 #include "common/process_id.h"
 #include "lockfree/queue.h"
 #include "maps/mutex_hashmap.h"
-#include "obs/metrics.h"
 #include "obs/trace_layout.h"
 #include "obs/trace_reader.h"
 #include "pheap/check.h"
@@ -175,35 +174,41 @@ int ShowHeader(const PersistentHeap& heap) {
 
 using FreeLists = std::vector<tsp::pheap::Allocator::FreeListLength>;
 
-/// Arena bytes carved so far (below the bump pointer) and the arena's
-/// size; summed over shards for the aggregate.
-struct ArenaUse {
-  std::uint64_t used = 0;
-  std::uint64_t size = 0;
+/// What a heap file holds of its allocator: lifetime operation totals
+/// and arena use, summed over shards for the aggregate. The magazine
+/// counters are DRAM state of the process that wrote the file, so an
+/// offline report has none of them.
+struct FileStats {
+  std::uint64_t total_allocs = 0;
+  std::uint64_t total_frees = 0;
+  std::uint64_t arena_used = 0;  // carved bytes, below the bump pointer
+  std::uint64_t arena_bytes = 0;
+
+  void Add(const FileStats& shard) {
+    total_allocs += shard.total_allocs;
+    total_frees += shard.total_frees;
+    arena_used += shard.arena_used;
+    arena_bytes += shard.arena_bytes;
+  }
 };
 
+FileStats ReadFileStats(const RegionHeader& header) {
+  FileStats stats;
+  stats.total_allocs = header.total_allocs.load(std::memory_order_relaxed);
+  stats.total_frees = header.total_frees.load(std::memory_order_relaxed);
+  stats.arena_used = header.bump_offset.load(std::memory_order_relaxed) -
+                     header.arena_offset;
+  stats.arena_bytes = header.arena_size;
+  return stats;
+}
+
 /// Shared body of the per-shard and aggregate `stats` records.
-void PrintStatsJsonFields(const tsp::pheap::AllocatorStats& stats,
-                          const ArenaUse& arena, const FreeLists& lists) {
+void PrintStatsJsonFields(const FileStats& stats, const FreeLists& lists) {
   std::printf("\"total_allocs\":%" PRIu64 ",\"total_frees\":%" PRIu64 ",",
               stats.total_allocs, stats.total_frees);
   std::printf("\"arena_used_bytes\":%" PRIu64 ",\"arena_bytes\":%" PRIu64
               ",",
-              arena.used, arena.size);
-  std::printf("\"magazine_allocs\":%" PRIu64 ",\"magazine_frees\":%" PRIu64
-              ",",
-              stats.magazine_allocs, stats.magazine_frees);
-  std::printf("\"shared_allocs\":%" PRIu64 ",\"shared_frees\":%" PRIu64 ",",
-              stats.shared_allocs, stats.shared_frees);
-  std::printf("\"refill_batches\":%" PRIu64 ",\"carve_batches\":%" PRIu64
-              ",\"drain_batches\":%" PRIu64 ",",
-              stats.refill_batches, stats.carve_batches,
-              stats.drain_batches);
-  std::printf("\"remote_frees\":%" PRIu64 ",\"remote_reclaims\":%" PRIu64
-              ",\"magazine_discards\":%" PRIu64
-              ",\"batch_pop_retries\":%" PRIu64 ",",
-              stats.remote_frees, stats.remote_reclaims,
-              stats.magazine_discards, stats.batch_pop_retries);
+              stats.arena_used, stats.arena_bytes);
   std::printf("\"free_lists\":[");
   bool first = true;
   for (const auto& list : lists) {
@@ -215,28 +220,14 @@ void PrintStatsJsonFields(const tsp::pheap::AllocatorStats& stats,
   std::printf("]");
 }
 
-void PrintStatsText(const tsp::pheap::AllocatorStats& stats,
-                    const ArenaUse& arena, const FreeLists& lists) {
+void PrintStatsText(const FileStats& stats, const FreeLists& lists) {
   std::printf("  total allocs:       %" PRIu64 "\n", stats.total_allocs);
   std::printf("  total frees:        %" PRIu64 "\n", stats.total_frees);
   std::printf("  arena used:         %" PRIu64 " of %" PRIu64
               " bytes (%.1f%%)\n",
-              arena.used, arena.size,
-              100.0 * static_cast<double>(arena.used) /
-                  static_cast<double>(arena.size));
-  std::printf("  magazine allocs:    %" PRIu64 "\n", stats.magazine_allocs);
-  std::printf("  magazine frees:     %" PRIu64 "\n", stats.magazine_frees);
-  std::printf("  shared allocs:      %" PRIu64 "\n", stats.shared_allocs);
-  std::printf("  shared frees:       %" PRIu64 "\n", stats.shared_frees);
-  std::printf("  refill batches:     %" PRIu64 "\n", stats.refill_batches);
-  std::printf("  carve batches:      %" PRIu64 "\n", stats.carve_batches);
-  std::printf("  drain batches:      %" PRIu64 "\n", stats.drain_batches);
-  std::printf("  remote frees:       %" PRIu64 "\n", stats.remote_frees);
-  std::printf("  remote reclaims:    %" PRIu64 "\n", stats.remote_reclaims);
-  std::printf("  magazine discards:  %" PRIu64 "\n",
-              stats.magazine_discards);
-  std::printf("  batch-pop retries:  %" PRIu64 "\n",
-              stats.batch_pop_retries);
+              stats.arena_used, stats.arena_bytes,
+              100.0 * static_cast<double>(stats.arena_used) /
+                  static_cast<double>(stats.arena_bytes));
   std::printf("  shared free lists (non-empty classes):\n");
   bool any = false;
   for (const auto& list : lists) {
@@ -248,41 +239,19 @@ void PrintStatsText(const tsp::pheap::AllocatorStats& stats,
   if (!any) std::printf("    (all empty)\n");
 }
 
-void AccumulateStats(const tsp::pheap::AllocatorStats& shard,
-                     tsp::pheap::AllocatorStats* total) {
-  total->total_allocs += shard.total_allocs;
-  total->total_frees += shard.total_frees;
-  total->magazine_allocs += shard.magazine_allocs;
-  total->magazine_frees += shard.magazine_frees;
-  total->shared_allocs += shard.shared_allocs;
-  total->shared_frees += shard.shared_frees;
-  total->refill_batches += shard.refill_batches;
-  total->carve_batches += shard.carve_batches;
-  total->drain_batches += shard.drain_batches;
-  total->remote_frees += shard.remote_frees;
-  total->remote_reclaims += shard.remote_reclaims;
-  total->magazine_discards += shard.magazine_discards;
-  total->batch_pop_retries += shard.batch_pop_retries;
-}
-
-/// Allocator telemetry: operation totals, arena use, magazine/shared
-/// operation split, batch-transfer counters, and per-class shared
-/// free-list lengths, aggregated over the shard set and attributed per
-/// shard. On a file opened read-only the magazine counters are whatever
-/// the writing process flushed (magazines are DRAM state of the live
-/// process, not the file); the free-list walk reads the persistent lists
-/// directly.
+/// Allocator state a heap file holds: operation totals, arena use and
+/// per-class shared free-list lengths, attributed per shard and summed
+/// over the shard set. Blocks parked in a live writer's magazines are
+/// on no list; the free-list walk reads the persistent lists directly.
 int RunStats(const std::vector<std::string>& paths, bool json) {
   struct Shard {
     std::string path;
     std::string error;  // non-empty: the open failed
-    tsp::pheap::AllocatorStats stats;
-    ArenaUse arena;
+    FileStats stats;
     FreeLists lists;
   };
   std::vector<Shard> shards;
-  tsp::pheap::AllocatorStats aggregate;
-  ArenaUse aggregate_arena;
+  FileStats aggregate;
   std::map<std::size_t, std::uint64_t> aggregate_lists;
   int exit_code = 0;
   for (const std::string& path : paths) {
@@ -293,14 +262,9 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
       shard.error = heap.status().ToString();
       exit_code = 1;
     } else {
-      shard.stats = (*heap)->GetAllocatorStats();
-      const RegionHeader* header = (*heap)->region()->header();
-      shard.arena = {shard.stats.bump_offset - header->arena_offset,
-                     header->arena_size};
+      shard.stats = ReadFileStats(*(*heap)->region()->header());
       shard.lists = (*heap)->allocator()->FreeListLengths();
-      AccumulateStats(shard.stats, &aggregate);
-      aggregate_arena.used += shard.arena.used;
-      aggregate_arena.size += shard.arena.size;
+      aggregate.Add(shard.stats);
       for (const auto& list : shard.lists) {
         aggregate_lists[list.block_size] += list.blocks;
       }
@@ -314,7 +278,7 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
 
   if (json) {
     std::printf("{\"aggregate\":{\"shards\":%zu,", shards.size());
-    PrintStatsJsonFields(aggregate, aggregate_arena, merged_lists);
+    PrintStatsJsonFields(aggregate, merged_lists);
     std::printf("},\"shards\":[");
     bool first = true;
     for (const Shard& shard : shards) {
@@ -325,7 +289,7 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
                     tsp::report::JsonEscape(shard.error).c_str());
       } else {
         std::printf("\"ok\":true,");
-        PrintStatsJsonFields(shard.stats, shard.arena, shard.lists);
+        PrintStatsJsonFields(shard.stats, shard.lists);
         std::printf("}");
       }
       first = false;
@@ -342,12 +306,12 @@ int RunStats(const std::vector<std::string>& paths, bool json) {
       continue;
     }
     std::printf("allocator stats:\n");
-    PrintStatsText(shard.stats, shard.arena, shard.lists);
+    PrintStatsText(shard.stats, shard.lists);
   }
   if (paths.size() > 1) {
     std::printf("=== aggregate over %zu shards ===\nallocator stats:\n",
                 paths.size());
-    PrintStatsText(aggregate, aggregate_arena, merged_lists);
+    PrintStatsText(aggregate, merged_lists);
   }
   return exit_code;
 }
@@ -613,28 +577,6 @@ int ShowTrace(const PersistentHeap& heap, bool json, bool verbose) {
                 e.arg0, e.arg1, e.aux);
   }
   return 0;
-}
-
-/// Opens every shard read-only — each open registers the heap's metrics
-/// pull source with the process-wide registry — then prints one snapshot:
-/// the unified-registry JSON with same-named counters summed across the
-/// shard set.
-int RunMetrics(const std::vector<std::string>& paths) {
-  std::vector<std::unique_ptr<PersistentHeap>> heaps;
-  int exit_code = 0;
-  for (const std::string& path : paths) {
-    auto heap = PersistentHeap::OpenReadOnly(path);
-    if (!heap.ok()) {
-      std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
-                   heap.status().ToString().c_str());
-      exit_code = 1;
-      continue;
-    }
-    heaps.push_back(std::move(*heap));
-  }
-  std::printf("%s\n",
-              tsp::obs::DefaultRegistry().Snapshot().ToJson().c_str());
-  return exit_code;
 }
 
 /// Robust-lock and slot-claim state of one heap (DESIGN.md §12): every
@@ -950,14 +892,13 @@ int RunLocks(const std::vector<std::string>& paths, bool json) {
 
 bool IsCommand(const std::string& word) {
   return word == "header" || word == "check" || word == "log" ||
-         word == "stats" || word == "trace" || word == "metrics" ||
-         word == "locks";
+         word == "stats" || word == "trace" || word == "locks";
 }
 
 int Usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s {header | stats [--json] | check "
-               "[--json] | log [-v] | trace [--json] [-v] | metrics | "
+               "[--json] | log [-v] | trace [--json] [-v] | "
                "locks [--json]} <heap-file> [<heap-file>...]\n"
                "       (locks takes heap files — robust-lock owners, "
                "slot claims, liveness verdicts, exit 1 on wedged locks — "
@@ -995,7 +936,6 @@ int main(int argc, char** argv) {
 
   // These aggregate over the whole shard set rather than iterating.
   if (command == "stats") return RunStats(paths, json);
-  if (command == "metrics") return RunMetrics(paths);
   // `locks` reads lockgraph sidecars, not heap files.
   if (command == "locks") return RunLocks(paths, json);
 
