@@ -159,49 +159,32 @@ BENCHMARK(BM_StoreBytesBatch<true>)
 // stability pass. Every row counts one OCS per iteration, and the
 // publishing rows report how many of their OCSes published.
 
-/// Starts the dependency chain the publishing rows run on: `first`
-/// releases `word` inside a still-open OCS, so the OCS `second` then
-/// runs on `word` depends on an uncommitted one, publishes, and stays
-/// unstable through the pass its release runs. The next acquire finds
-/// that release unstable, records a dependency and publishes too; but
-/// by then `first` has committed, so that publish's pass stabilizes
-/// both, and the acquire after it records nothing. Without the seed
-/// both holders commit inline: a fast commit marks its release stable,
-/// so the next acquirer records no dependency.
-void SeedUnstableChain(AtlasThread& first, AtlasThread& second,
-                       PLockWord& word) {
+/// Runs `counted` as one OCS of `thread` per iteration, each depending
+/// on an OCS that `peer` still holds open (the shape of the recovery
+/// tests' RunPublishedOcs): the peer opens an OCS and releases a nested
+/// lock inside it, `thread` takes that lock and records a dependency,
+/// publishes at its release and stays pending through its own pass;
+/// then the peer commits inline, and the pass of the next iteration's
+/// publish stabilizes the OCS. Each iteration takes a fresh nested lock
+/// word, so the peer's acquire never depends on the OCS still pending.
+/// The peer's OCS is timed too: a nested bracket plus an inline commit.
+template <typename Counted>
+void RunPublishedOcses(benchmark::State& state, AtlasThread& peer,
+                       AtlasThread& thread, Counted counted) {
   PLockWord outer;
-  first.OnAcquire(&outer, 2);
-  first.OnAcquire(&word, 1);
-  first.OnRelease(&word, 1);
-  second.OnAcquire(&word, 1);
-  second.OnRelease(&word, 1);
-  first.OnRelease(&outer, 2);
-}
-
-std::uint64_t Published(const AtlasThread& a, const AtlasThread& b) {
-  return a.local_stats().published_commits +
-         b.local_stats().published_commits;
-}
-
-/// Runs `iteration` (one OCS on each holder) in batches of two OCSes.
-/// When a pass stabilizes a release before the next acquire, that
-/// acquire records no dependency and the chain ends, so it is seeded
-/// again; the seed's OCSes are not counted.
-template <typename Iteration>
-void RunPublishingPairs(benchmark::State& state, AtlasThread& alice,
-                        AtlasThread& bob, PLockWord& word,
-                        Iteration iteration) {
-  SeedUnstableChain(alice, bob, word);
-  std::uint64_t published = Published(alice, bob);
-  while (state.KeepRunningBatch(2)) {
-    iteration();
-    if (Published(alice, bob) != published + 2) {
-      SeedUnstableChain(alice, bob, word);
-    }
-    published = Published(alice, bob);
+  for (auto _ : state) {
+    PLockWord shared;
+    peer.OnAcquire(&outer, 2);
+    peer.OnAcquire(&shared, 1);
+    peer.OnRelease(&shared, 1);  // nested: the peer's OCS stays open
+    counted(shared);
+    peer.OnRelease(&outer, 2);
   }
+  const std::uint64_t published = thread.local_stats().published_commits;
   state.counters["published"] = static_cast<double>(published);
+  if (published != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a counted OCS committed inline");
+  }
 }
 
 void BM_CommitFastPath(benchmark::State& state) {
@@ -219,16 +202,11 @@ BENCHMARK(BM_CommitFastPath);
 
 void BM_CommitPublishPath(benchmark::State& state) {
   Env env(PersistencePolicy::TspLogOnly());
-  AtlasThread alice(env.runtime.get(), 40);
-  AtlasThread bob(env.runtime.get(), 41);
-  PLockWord word;
-  RunPublishingPairs(state, alice, bob, word, [&] {
-    // Alternate holders so an acquire sees a foreign, not-yet-stable
-    // releaser → records a dep → publishes.
-    alice.OnAcquire(&word, 1);
-    alice.OnRelease(&word, 1);
-    bob.OnAcquire(&word, 1);
-    bob.OnRelease(&word, 1);
+  AtlasThread peer(env.runtime.get(), 40);
+  AtlasThread thread(env.runtime.get(), 41);
+  RunPublishedOcses(state, peer, thread, [&](PLockWord& word) {
+    thread.OnAcquire(&word, 1);
+    thread.OnRelease(&word, 1);
   });
   env.runtime->StabilizeNow();
 }
@@ -237,9 +215,9 @@ BENCHMARK(BM_CommitPublishPath);
 // Remove-shaped OCSes: one unlink store plus a DeferFree of a block a
 // Put-like Alloc made just before the OCS. A dependency-free OCS is
 // stable at release: it commits inline and frees the block on the spot,
-// into the thread's magazine, where the next Alloc finds it. One with a
-// cross-thread dependency (the seeded chain, as above) publishes its
-// free, and the pass that proves the OCS stable applies it.
+// into the thread's magazine, where the next Alloc finds it. One that
+// depends on a peer's open OCS (as above) publishes its free, and the
+// pass that proves the OCS stable applies it.
 void RemoveShapedOcs(Env& env, AtlasThread& thread, PLockWord& word,
                      std::uint64_t* link, std::uint64_t value) {
   void* block = env.heap->Alloc(24);
@@ -264,14 +242,12 @@ BENCHMARK(BM_CommitRemoveInline)->Name("BM_CommitRemove/inline");
 
 void BM_CommitRemovePublished(benchmark::State& state) {
   Env env(PersistencePolicy::TspLogOnly());
-  AtlasThread alice(env.runtime.get(), 40);
-  AtlasThread bob(env.runtime.get(), 41);
+  AtlasThread peer(env.runtime.get(), 40);
+  AtlasThread thread(env.runtime.get(), 41);
   auto* link = static_cast<std::uint64_t*>(env.heap->Alloc(8));
-  PLockWord word;
   std::uint64_t i = 0;
-  RunPublishingPairs(state, alice, bob, word, [&] {
-    RemoveShapedOcs(env, alice, word, link, i++);
-    RemoveShapedOcs(env, bob, word, link, i++);
+  RunPublishedOcses(state, peer, thread, [&](PLockWord& word) {
+    RemoveShapedOcs(env, thread, word, link, i++);
   });
   env.runtime->StabilizeNow();
 }

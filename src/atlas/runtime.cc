@@ -506,9 +506,9 @@ void AtlasThread::LogOldValue(const void* addr, std::size_t size) {
 void AtlasThread::StoreBytes(void* dst, const void* src, std::size_t n) {
   // Stage undo coverage for the whole word-aligned span, one capture
   // per word, then publish as one batch: a single tail advance
-  // and, in sync-flush mode, one contiguous write-back plus one fence —
-  // the whole batch is durable before any of the guarded stores
-  // execute (§4.2).
+  // and, in sync-flush mode, one contiguous write-back plus one fence,
+  // then the tail's — the whole batch is durable before any of the
+  // guarded stores execute (§4.2).
   if (depth_ > 0 && n > 0) LogOldValue(dst, n);
   analysis::HookStore(dst, n, thread_id_, current_ocs_);
   pheap::ScopedWriteWindow window(dst, n);
@@ -661,6 +661,12 @@ void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
       slot_->tail.store(current_ocs_begin_tail_, std::memory_order_release);
       slot_->stable_ocs.store(current_ocs_, std::memory_order_release);
       slot_->head.store(current_ocs_begin_tail_, std::memory_order_release);
+      // Non-TSP mode: the rewound header (one line) is durable before
+      // the lock word below vouches for this OCS's stability, or a
+      // recovery after a power failure could roll back an OCS that a
+      // kept successor read. No-op under TSP log-only.
+      runtime_->policy().PersistLogBytes(slot_, sizeof(*slot_),
+                                         /*ordered=*/true);
       ++stats_.fast_path_commits;
     }
     if (ocs_trace_open_) {
@@ -806,12 +812,18 @@ void AtlasThread::PublishStaged(bool ordered) {
   }
   // Publish: recovery only trusts entries below tail, so every staged
   // entry is complete before any of them becomes visible.
-  slot_->tail.store(first + count, std::memory_order_release);
-  // Non-TSP mode pays for durability here; undo records must be durable
-  // before their guarded stores are allowed to proceed (§4.2). The
-  // staged range is contiguous in the ring except across the wrap, and
-  // is ordered by a single trailing fence (E7 log batching).
   const PersistencePolicy& policy = runtime_->policy();
+  if (TSP_PREDICT_TRUE(policy.mode() != PersistenceMode::kLogAndFlush)) {
+    slot_->tail.store(first + count, std::memory_order_release);
+    return;
+  }
+  // Non-TSP mode pays for durability here, as recovery after a power
+  // failure reads the window: the entries are written back and fenced
+  // before tail covers them, and tail is written back after its store.
+  // Undo records must be durable before their guarded stores are
+  // allowed to proceed (§4.2), so an ordered publish fences tail too.
+  // The staged range is contiguous in the ring except across the wrap
+  // and takes one fence however many lines it spans (E7 log batching).
   const std::uint64_t until_wrap = ring_mask_ + 1 - (first & ring_mask_);
   const std::uint64_t first_run = count < until_wrap ? count : until_wrap;
   policy.FlushLogBytes(&ring_[first & ring_mask_],
@@ -819,6 +831,9 @@ void AtlasThread::PublishStaged(bool ordered) {
   if (count > first_run) {
     policy.FlushLogBytes(ring_, (count - first_run) * sizeof(LogEntry));
   }
+  policy.OrderLogPublication();
+  slot_->tail.store(first + count, std::memory_order_release);
+  policy.FlushLogBytes(&slot_->tail, sizeof(slot_->tail));
   if (ordered) policy.OrderLogPublication();
 }
 

@@ -18,9 +18,10 @@
 //     correct whenever a TSP rescue guarantees recovery reads the most
 //     recent state of persistent memory (always true for process
 //     crashes on file-backed mappings).
-//   * PersistencePolicy::SyncFlush() — undo entries are synchronously
-//     flushed + fenced before the guarded store proceeds (batched: one
-//     write-back + fence per published entry range, not per entry);
+//   * PersistencePolicy::SyncFlush() — undo entries and the ring tail
+//     that publishes them are synchronously flushed + fenced before the
+//     guarded store proceeds (batched: one write-back + fence per
+//     published entry range, then the tail's, not one per entry);
 //     required when TSP is not available.
 //
 // Sequence stamps: undo records carry stamps from per-thread *leased
@@ -130,8 +131,8 @@ class alignas(64) AtlasThread {
   /// aligned word of the span is captured exactly as Store does, but
   /// all records of the store are published as one batch: a single
   /// tail advance and, in sync-flush mode, one contiguous write-back
-  /// plus one fence for the whole range (instead of a flush + fence per
-  /// entry).
+  /// plus one fence for the whole range and then the tail's (instead
+  /// of a flush + fence per entry).
   void StoreBytes(void* dst, const void* src, std::size_t n);
 
   /// Mutex hooks (called by PMutex with its mutex held).
@@ -206,7 +207,8 @@ class alignas(64) AtlasThread {
   LogEntry* StageEntry(EntryKind kind, std::uint8_t size, std::uint32_t aux,
                        std::uint64_t addr_offset, std::uint64_t payload);
   /// Publishes all staged entries with one tail advance; in sync-flush
-  /// mode writes back the staged range and, when `ordered`, fences once.
+  /// mode writes back and fences the staged range before the advance,
+  /// then writes back the tail and, when `ordered`, fences again.
   void PublishStaged(bool ordered);
   /// Stage + publish a single entry.
   void AppendEntry(EntryKind kind, std::uint8_t size, std::uint32_t aux,

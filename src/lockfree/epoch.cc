@@ -1,8 +1,7 @@
 #include "lockfree/epoch.h"
 
-#include <algorithm>
-
 #include "analysis/race_hooks.h"
+#include "common/logging.h"
 #include "common/owner_counter.h"
 #include "obs/metrics.h"
 
@@ -13,8 +12,7 @@ std::atomic<std::uint64_t> g_next_instance_id{1};
 
 // POD fast cache: the binding for the manager this thread touched last.
 // Trivially constructible/destructible, so access compiles to a plain
-// TLS load with no guard branch. slot == nullptr with a matching
-// instance id means "bound to the shared overflow slot".
+// TLS load with no guard branch.
 struct TlsBinding {
   std::uint64_t instance_id;
   void* slot;
@@ -38,20 +36,20 @@ EpochManager::EpochManager(std::function<void(void*)> deleter)
         builder->AddCounter("lockfree.nodes_retired", stats.nodes_retired);
         builder->AddCounter("lockfree.nodes_freed", stats.nodes_freed);
         builder->AddCounter("lockfree.limbo_peak", stats.limbo_peak);
-        builder->AddCounter("lockfree.slot_overflow", stats.overflow_threads);
       });
 }
 
 EpochManager::~EpochManager() {
   obs::DefaultRegistry().UnregisterSource(metrics_source_id_);
-  for (Slot& slot : slots_) {
-    for (auto& bucket : slot.limbo) {
+  Slot* slot = slots_.load(std::memory_order_acquire);
+  while (slot != nullptr) {
+    for (auto& bucket : slot->limbo) {
       for (void* p : bucket) deleter_(p);
-      bucket.clear();
     }
+    Slot* next = slot->next;
+    delete slot;
+    slot = next;
   }
-  for (auto& [epoch, p] : shared_limbo_) deleter_(p);
-  shared_limbo_.clear();
 }
 
 EpochManager::Slot* EpochManager::BindSlow() {
@@ -71,26 +69,27 @@ EpochManager::Slot* EpochManager::BindSlow() {
     return static_cast<Slot*>(promoted.slot);
   }
   Slot* claimed = nullptr;
-  for (Slot& slot : slots_) {
+  for (Slot* slot = slots_.load(std::memory_order_acquire); slot != nullptr;
+       slot = slot->next) {
     std::uint32_t expected = 0;
-    if (slot.claimed.compare_exchange_strong(expected, 1,
-                                             std::memory_order_acq_rel)) {
-      claimed = &slot;
+    if (slot->claimed.compare_exchange_strong(expected, 1,
+                                              std::memory_order_acq_rel)) {
+      claimed = slot;
       break;
     }
   }
   if (claimed == nullptr) {
-    // Every slot is taken: degrade to the shared overflow slot instead
-    // of aborting. Correct but serialized — worth a warning and a
-    // counter so saturation shows up in lockfree.slot_overflow.
-    overflow_threads_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shared_mutex_);
-    if (!overflow_warned_) {
-      overflow_warned_ = true;
-      TSP_LOG(WARNING) << "all " << kMaxThreads
-                       << " epoch slots are in use; falling back to the "
-                       << "shared overflow slot (serialized). Long-lived "
-                       << "workers should call UnregisterCurrentThread.";
+    claimed = new Slot;
+    claimed->claimed.store(1, std::memory_order_relaxed);
+    claimed->next = slots_.load(std::memory_order_relaxed);
+    // A TryAdvance that loaded the head before this link misses the new
+    // slot, just as it misses an announcement stored after its load.
+    // Enter's announce-and-revalidate covers both: such a scan read the
+    // epoch before this thread revalidates it, so it advances the epoch
+    // at most once past the one this thread announces.
+    while (!slots_.compare_exchange_weak(claimed->next, claimed,
+                                         std::memory_order_seq_cst,
+                                         std::memory_order_relaxed)) {
     }
   }
   if (t_fast_binding.instance_id != 0) {
@@ -102,9 +101,6 @@ EpochManager::Slot* EpochManager::BindSlow() {
 
 void EpochManager::UnregisterCurrentThread() {
   auto release = [](void* raw_slot) {
-    // Shared-slot threads (raw_slot == nullptr) claimed nothing; the
-    // overflow count is cumulative by design.
-    if (raw_slot == nullptr) return;
     auto* slot = static_cast<Slot*>(raw_slot);
     TSP_CHECK_EQ(slot->state.load(std::memory_order_relaxed), 0u)
         << "unregistering inside an epoch guard";
@@ -130,16 +126,6 @@ void EpochManager::UnregisterCurrentThread() {
   }
 }
 
-bool EpochManager::CurrentThreadOnSharedSlot() {
-  if (t_fast_binding.instance_id == instance_id_) {
-    return t_fast_binding.slot == nullptr;
-  }
-  for (const TlsBinding& binding : t_more_bindings) {
-    if (binding.instance_id == instance_id_) return binding.slot == nullptr;
-  }
-  return false;
-}
-
 EpochManager::Slot* EpochManager::Enter() {
   // Accesses under an epoch guard are §4.1 traversal-phase accesses;
   // TSPRace exempts them from the lockset discipline.
@@ -149,10 +135,6 @@ EpochManager::Slot* EpochManager::Enter() {
     slot = static_cast<Slot*>(t_fast_binding.slot);
   } else {
     slot = BindSlow();
-  }
-  if (TSP_PREDICT_FALSE(slot == nullptr)) {
-    EnterShared();
-    return nullptr;
   }
   // Announce-and-revalidate: after the (seq_cst) announcement becomes
   // visible, re-read the global epoch; if it moved, re-announce. Once
@@ -169,11 +151,6 @@ EpochManager::Slot* EpochManager::Enter() {
 }
 
 void EpochManager::Exit(Slot* slot) {
-  if (TSP_PREDICT_FALSE(slot == nullptr)) {
-    ExitShared();
-    analysis::HookEpochExit();
-    return;
-  }
   slot->state.store(0, std::memory_order_release);
   // Amortized drain for read-mostly phases: once this thread stops
   // retiring, no retirement calls TryAdvance for it, so the occasional
@@ -189,55 +166,12 @@ void EpochManager::Exit(Slot* slot) {
   analysis::HookEpochExit();
 }
 
-void EpochManager::EnterShared() {
-  std::lock_guard<std::mutex> lock(shared_mutex_);
-  if (shared_count_++ == 0) {
-    // First thread in an episode announces exactly like a private slot.
-    // Later piggybackers are covered by the continuously-active
-    // announcement: the global epoch cannot advance more than once past
-    // it while the episode lasts.
-    std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
-    for (;;) {
-      shared_state_.store((epoch << 1) | 1, std::memory_order_seq_cst);
-      const std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
-      if (now == epoch) break;
-      epoch = now;
-    }
-  }
-}
-
-void EpochManager::ExitShared() {
-  std::lock_guard<std::mutex> lock(shared_mutex_);
-  TSP_CHECK_GT(shared_count_, 0u);
-  if (--shared_count_ == 0) {
-    shared_state_.store(0, std::memory_order_release);
-  }
-}
-
-void EpochManager::RetireShared(void* p) {
-  bool advance;
-  {
-    std::lock_guard<std::mutex> lock(shared_mutex_);
-    shared_limbo_.emplace_back(global_epoch_.load(std::memory_order_acquire),
-                               p);
-    ++shared_retired_;
-    shared_limbo_peak_ = std::max<std::uint64_t>(shared_limbo_peak_,
-                                                 shared_limbo_.size());
-    advance = shared_retired_ % kAdvanceEveryRetires == 0;
-  }
-  if (advance) TryAdvance(nullptr);
-}
-
 void EpochManager::Retire(void* p) {
   Slot* slot;
   if (TSP_PREDICT_TRUE(t_fast_binding.instance_id == instance_id_)) {
     slot = static_cast<Slot*>(t_fast_binding.slot);
   } else {
     slot = BindSlow();
-  }
-  if (TSP_PREDICT_FALSE(slot == nullptr)) {
-    RetireShared(p);
-    return;
   }
   const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
   const std::size_t bucket = epoch % 3;
@@ -267,16 +201,15 @@ void EpochManager::DrainBucket(Slot* slot, std::size_t bucket) {
 void EpochManager::TryAdvance(Slot* self) {
   advance_attempts_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
-  for (const Slot& slot : slots_) {
-    // seq_cst so this scan is ordered after announcements in Enter's
-    // seq_cst store (see the lag-one invariant there).
-    const std::uint64_t state = slot.state.load(std::memory_order_seq_cst);
+  // seq_cst so this scan is ordered after the links in BindSlow and the
+  // announcements in Enter (see the lag-one invariant there).
+  for (const Slot* slot = slots_.load(std::memory_order_seq_cst);
+       slot != nullptr; slot = slot->next) {
+    const std::uint64_t state = slot->state.load(std::memory_order_seq_cst);
     if ((state & 1) != 0 && (state >> 1) != epoch) {
       return;  // a thread is still active in an older epoch
     }
   }
-  const std::uint64_t shared = shared_state_.load(std::memory_order_seq_cst);
-  if ((shared & 1) != 0 && (shared >> 1) != epoch) return;
   std::uint64_t expected = epoch;
   if (!global_epoch_.compare_exchange_strong(expected, epoch + 1,
                                              std::memory_order_acq_rel)) {
@@ -285,59 +218,35 @@ void EpochManager::TryAdvance(Slot* self) {
   advances_.fetch_add(1, std::memory_order_relaxed);
   // Batched reclamation: free everything of ours that has aged out of
   // the three-epoch grace window (no thread can hold a reference to a
-  // node retired at e once the global epoch reaches e+3), plus any aged
-  // shared-slot retirements.
+  // node retired at e once the global epoch reaches e+3).
   const std::uint64_t current = epoch + 1;
-  if (self != nullptr) {
-    for (std::size_t b = 0; b < 3; ++b) {
-      const std::uint64_t e = self->limbo_epoch[b];
-      if (e == 0 || e + 3 > current) continue;
-      DrainBucket(self, b);
-      self->limbo_epoch[b] = 0;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(shared_mutex_, std::try_to_lock);
-    if (lock.owns_lock() && !shared_limbo_.empty()) {
-      std::uint64_t n = 0;
-      auto keep = shared_limbo_.begin();
-      for (auto& entry : shared_limbo_) {
-        if (entry.first + 3 <= current) {
-          deleter_(entry.second);
-          ++n;
-        } else {
-          *keep++ = entry;
-        }
-      }
-      shared_limbo_.erase(keep, shared_limbo_.end());
-      shared_freed_ += n;
-    }
+  for (std::size_t b = 0; b < 3; ++b) {
+    const std::uint64_t e = self->limbo_epoch[b];
+    if (e == 0 || e + 3 > current) continue;
+    DrainBucket(self, b);
+    self->limbo_epoch[b] = 0;
   }
 }
 
 std::size_t EpochManager::LimboCount() const {
   std::size_t total = 0;
-  for (const Slot& slot : slots_) {
-    for (const auto& bucket : slot.limbo) total += bucket.size();
+  for (const Slot* slot = slots_.load(std::memory_order_acquire);
+       slot != nullptr; slot = slot->next) {
+    for (const auto& bucket : slot->limbo) total += bucket.size();
   }
-  std::lock_guard<std::mutex> lock(shared_mutex_);
-  return total + shared_limbo_.size();
+  return total;
 }
 
 EpochStats EpochManager::GetStats() const {
   EpochStats stats;
   stats.epoch_advances = advances_.load(std::memory_order_relaxed);
   stats.advance_attempts = advance_attempts_.load(std::memory_order_relaxed);
-  stats.overflow_threads = overflow_threads_.load(std::memory_order_relaxed);
-  for (const Slot& slot : slots_) {
-    stats.nodes_retired += slot.retired.load(std::memory_order_relaxed);
-    stats.nodes_freed += slot.freed.load(std::memory_order_relaxed);
-    stats.limbo_peak += slot.limbo_peak.load(std::memory_order_relaxed);
+  for (const Slot* slot = slots_.load(std::memory_order_acquire);
+       slot != nullptr; slot = slot->next) {
+    stats.nodes_retired += slot->retired.load(std::memory_order_relaxed);
+    stats.nodes_freed += slot->freed.load(std::memory_order_relaxed);
+    stats.limbo_peak += slot->limbo_peak.load(std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(shared_mutex_);
-  stats.nodes_retired += shared_retired_;
-  stats.nodes_freed += shared_freed_;
-  stats.limbo_peak += shared_limbo_peak_;
   return stats;
 }
 

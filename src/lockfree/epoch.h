@@ -29,9 +29,10 @@
 //     owner-only stores), so retiring writes no line another worker
 //     writes; GetStats sums the slots.
 //
-// Thread-slot exhaustion is graceful: the 65th concurrent thread falls
-// back to a mutex-protected shared overflow slot (correct, slower, and
-// counted in lockfree.slot_overflow) instead of aborting.
+// Every thread that enters gets its own slot. Slots form an
+// append-only list: a registering thread claims a released slot or
+// links a new one at the head, and only the destructor frees slots, so
+// an advance scans just the slots that threads have registered.
 
 #ifndef TSP_LOCKFREE_EPOCH_H_
 #define TSP_LOCKFREE_EPOCH_H_
@@ -40,11 +41,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/macros.h"
 
 namespace tsp::lockfree {
@@ -60,17 +58,15 @@ struct EpochStats {
   /// Sum over slots of each slot's high-water mark of pending nodes:
   /// an upper bound on the manager-wide peak, not the peak itself.
   std::uint64_t limbo_peak = 0;
-  std::uint64_t overflow_threads = 0;  // threads on the shared slot
 };
 
 /// One manager per data structure (or shared across structures living
 /// in one heap — see SkipListMap's sharded composition). Threads
 /// register implicitly on first Guard/Retire and should call
-/// UnregisterCurrentThread before exiting (slots are finite; threads
-/// beyond kMaxThreads degrade to the shared overflow slot).
+/// UnregisterCurrentThread before exiting, so that a later thread
+/// reuses the slot instead of linking another.
 class EpochManager {
  public:
-  static constexpr std::uint32_t kMaxThreads = 64;
   /// TryAdvance cadence on the retire path (garbage-producing ops).
   static constexpr std::uint32_t kAdvanceEveryRetires = 64;
   /// TryAdvance cadence on the guard-exit path, attempted only while
@@ -101,7 +97,7 @@ class EpochManager {
 
    private:
     EpochManager* manager_;
-    Slot* slot_;  // nullptr: shared overflow slot
+    Slot* slot_;
   };
 
   /// Hands `p` to the reclamation machinery; it is freed once no thread
@@ -119,10 +115,6 @@ class EpochManager {
   /// Nodes waiting for reclamation (for tests; approximate).
   std::size_t LimboCount() const;
 
-  /// True if the calling thread is bound to the shared overflow slot
-  /// (i.e. it registered after all kMaxThreads slots were claimed).
-  bool CurrentThreadOnSharedSlot();
-
   EpochStats GetStats() const;
 
   std::uint64_t instance_id() const { return instance_id_; }
@@ -133,6 +125,8 @@ class EpochManager {
     std::atomic<std::uint32_t> claimed{0};
     /// Owner-thread-only fields (no atomics needed).
     std::uint32_t ops_since_advance = 0;
+    /// The slot linked before this one; set once, before the link.
+    Slot* next = nullptr;
     /// Retired pointers, bucketed by epoch % 3 (three-epoch grace).
     std::array<std::vector<void*>, 3> limbo;
     std::array<std::uint64_t, 3> limbo_epoch{0, 0, 0};
@@ -147,15 +141,11 @@ class EpochManager {
  private:
   Slot* Enter();
   void Exit(Slot* slot);
-  /// Slow path of the thread→slot binding: claims a free slot (or falls
-  /// back to the shared overflow slot) and installs the POD TLS cache.
-  /// Returns nullptr for shared-slot threads.
+  /// Slow path of the thread→slot binding: claims a released slot or
+  /// links a new one, and installs the POD TLS cache.
   Slot* BindSlow();
-  void EnterShared();
-  void ExitShared();
-  void RetireShared(void* p);
   /// Scans announcements; on success bumps the epoch and batch-frees
-  /// every aged bucket of `self` (may be null) plus the shared limbo.
+  /// every aged bucket of `self`.
   void TryAdvance(Slot* self);
   void DrainBucket(Slot* slot, std::size_t bucket);
 
@@ -163,26 +153,13 @@ class EpochManager {
   std::atomic<std::uint64_t> global_epoch_{3};
   std::uint64_t instance_id_;
   std::uint64_t metrics_source_id_ = 0;
-  std::vector<Slot> slots_{kMaxThreads};
-
-  /// Shared overflow slot (threads kMaxThreads+1, ...): transitions are
-  /// mutex-serialized; shared_state_ mirrors the announcement so the
-  /// lock-free TryAdvance scan sees it like any other slot.
-  mutable std::mutex shared_mutex_;
-  std::atomic<std::uint64_t> shared_state_{0};
-  std::uint32_t shared_count_ = 0;  // guards shared_state_ episodes
-  std::vector<std::pair<std::uint64_t, void*>> shared_limbo_;
-  bool overflow_warned_ = false;
-  /// The overflow slot's own accounting (under shared_mutex_).
-  std::uint64_t shared_retired_ = 0;
-  std::uint64_t shared_freed_ = 0;
-  std::uint64_t shared_limbo_peak_ = 0;
+  /// Head of the append-only slot list (the slot linked last).
+  std::atomic<Slot*> slots_{nullptr};
 
   /// Stats bumped once per advance scan (every kAdvanceEveryRetires
   /// retirements at most), never per operation.
   std::atomic<std::uint64_t> advances_{0};
   std::atomic<std::uint64_t> advance_attempts_{0};
-  std::atomic<std::uint64_t> overflow_threads_{0};
 };
 
 }  // namespace tsp::lockfree

@@ -287,70 +287,6 @@ Status AnonTestBackend::Remove(const std::string& path) {
   return Status::OK();
 }
 
-// --- SimNvmShadowBackend ---
-
-StatusOr<void*> SimNvmShadowBackend::CreateAndMap(const std::string& path,
-                                                  std::size_t size,
-                                                  std::uintptr_t addr) {
-  TSP_ASSIGN_OR_RETURN(void* base,
-                       PosixFileBackend::CreateAndMap(path, size, addr));
-  shadow_ = std::make_unique<simnvm::SimNvm>(size, options_.cache_capacity,
-                                             options_.eviction_seed);
-  region_base_ = base;
-  region_size_ = size;
-  return base;
-}
-
-StatusOr<void*> SimNvmShadowBackend::MapExisting(const std::string& path,
-                                                 std::size_t size,
-                                                 std::uintptr_t addr,
-                                                 bool read_only) {
-  TSP_ASSIGN_OR_RETURN(
-      void* base, PosixFileBackend::MapExisting(path, size, addr, read_only));
-  if (!read_only) {
-    shadow_ = std::make_unique<simnvm::SimNvm>(size, options_.cache_capacity,
-                                               options_.eviction_seed);
-    region_base_ = base;
-    region_size_ = size;
-    // Seed the shadow NVM with the region's current durable contents so
-    // crash images start from reality, not zeroes.
-    Status mirrored = MirrorRegion();
-    if (!mirrored.ok()) return mirrored;
-    shadow_->FlushRange(0, size);
-    shadow_->ResetStats();
-  }
-  return base;
-}
-
-Status SimNvmShadowBackend::MirrorRange(std::uint64_t offset, std::size_t n) {
-  if (shadow_ == nullptr || region_base_ == nullptr) {
-    return Status::FailedPrecondition("no region mapped to mirror");
-  }
-  if (offset + n > region_size_) {
-    return Status::OutOfRange("mirror range exceeds the region");
-  }
-  // 8-byte store granularity, matching SimNvm's program view.
-  const std::uint64_t first = offset & ~7ULL;
-  const std::uint64_t last = (offset + n + 7ULL) & ~7ULL;
-  const char* base = static_cast<const char*>(region_base_);
-  for (std::uint64_t at = first; at < last && at + 8 <= region_size_;
-       at += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, base + at, 8);
-    shadow_->Store(at, word);
-  }
-  return Status::OK();
-}
-
-Status SimNvmShadowBackend::Sync(void* base, std::size_t size) {
-  TSP_RETURN_IF_ERROR(PosixFileBackend::Sync(base, size));
-  // A sync is an explicit durability point: in the shadow model that is
-  // "mirror everything, then flush every line".
-  TSP_RETURN_IF_ERROR(MirrorRegion());
-  shadow_->FlushRange(0, region_size_);
-  return Status::OK();
-}
-
 std::shared_ptr<RegionBackend> DefaultBackend() {
   static std::shared_ptr<RegionBackend> backend =
       std::make_shared<PosixFileBackend>();

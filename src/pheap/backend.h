@@ -16,11 +16,6 @@
 //   AnonTestBackend     anonymous memory with an in-process image kept
 //                       across unmap/remap, so unit tests exercise
 //                       crash/reopen cycles with no filesystem at all.
-//   SimNvmShadowBackend a file-backed region that additionally mirrors
-//                       its bytes into a simnvm::SimNvm cache model, so
-//                       power-outage crash images (lose-unflushed /
-//                       lose-random / TSP-rescue) can be taken of a
-//                       *real* heap, not just the mini-KV model.
 //
 // Raw mmap/MAP_FIXED calls belong in this file's implementation only;
 // tsp_lint's raw-mmap rule flags them anywhere else.
@@ -37,7 +32,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "simnvm/sim_nvm.h"
 
 namespace tsp::pheap {
 
@@ -127,51 +121,6 @@ class AnonTestBackend : public RegionBackend {
 
   std::mutex mutex_;
   std::map<std::string, Store> stores_;
-};
-
-/// A file-backed region whose bytes are additionally pushed through a
-/// simulated write-back cache into simulated NVM (simnvm::SimNvm), so
-/// experiments can ask "what would this heap look like after a power
-/// outage?" while the heap itself stays a real, mappable file.
-///
-/// The shadow is *pull-based*: call MirrorRegion (or Sync, which
-/// mirrors then flushes) at the points whose cache state you want to
-/// model; then TakeCrashImage for the kLoseAllUnflushed /
-/// kLoseRandomSubset / kTspRescue views. Offsets in the shadow are
-/// region offsets. Mirroring is not thread-safe; quiesce mutators
-/// first.
-class SimNvmShadowBackend : public PosixFileBackend {
- public:
-  struct Options {
-    /// Dirty-line capacity of the simulated cache (0 = unbounded).
-    std::size_t cache_capacity = 0;
-    std::uint64_t eviction_seed = 1;
-  };
-
-  SimNvmShadowBackend() = default;
-  explicit SimNvmShadowBackend(Options options) : options_(options) {}
-
-  const char* name() const override { return "simnvm-shadow"; }
-  StatusOr<void*> CreateAndMap(const std::string& path, std::size_t size,
-                               std::uintptr_t addr) override;
-  StatusOr<void*> MapExisting(const std::string& path, std::size_t size,
-                              std::uintptr_t addr, bool read_only) override;
-  Status Sync(void* base, std::size_t size) override;
-
-  /// Pushes the current bytes of [offset, offset+n) of the mapped
-  /// region through the simulated cache (stores only; no flush — the
-  /// lines stay dirty until FlushRange or an eviction).
-  Status MirrorRange(std::uint64_t offset, std::size_t n);
-  Status MirrorRegion() { return MirrorRange(0, region_size_); }
-
-  /// The shadow NVM, or nullptr before the first map.
-  simnvm::SimNvm* shadow() { return shadow_.get(); }
-
- private:
-  Options options_;
-  std::unique_ptr<simnvm::SimNvm> shadow_;
-  void* region_base_ = nullptr;
-  std::size_t region_size_ = 0;
 };
 
 /// The process-wide default PosixFileBackend used when RegionOptions

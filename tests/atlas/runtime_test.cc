@@ -198,12 +198,19 @@ TEST_F(AtlasRuntimeTest, SyncFlushModeFlushesEveryEntry) {
     PMutexLock lock(&mutex);
     thread->Store(value, std::uint64_t{1});
   }
-  // The store arms a counter slot (one line + one fence: the slot is
-  // the undo record and must be durable before the guarded store), and
-  // arming publishes the staged kAcquire bracket (one line + one
-  // ordering fence). The fast-path commit elides the kRelease entirely.
-  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 2u);
-  EXPECT_EQ(GlobalFlushStats().fences.load(), 2u);
+  // Four write-backs, each fenced:
+  //   1. the counter slot the store arms (the slot is the undo record
+  //      and must be durable before the guarded store);
+  //   2. the staged kAcquire entry that arming publishes, durable
+  //      before tail covers it;
+  //   3. the ring tail that publishes it, durable before the guarded
+  //      store;
+  //   4. the log header the fast-path commit rewinds (tail, head and
+  //      stable_ocs share its line), durable before the lock word
+  //      vouches for the OCS's stability.
+  // The fast-path commit elides the kRelease entry.
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 4u);
+  EXPECT_EQ(GlobalFlushStats().fences.load(), 4u);
   runtime_->UnregisterCurrentThread();
 }
 

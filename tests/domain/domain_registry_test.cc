@@ -1,7 +1,7 @@
 // Copyright 2026 The TSP Authors.
 // Multi-domain persistence: one process holding many domains open at
-// once — on distinct address slots and distinct backends (posix file,
-// anonymous test memory, simnvm shadow) — plus sharded domains and the
+// once — on distinct address slots and both backends (posix file and
+// anonymous test memory) — plus sharded domains and the
 // refusals that keep a shard set and its address slots consistent.
 
 #include <unistd.h>
@@ -49,13 +49,13 @@ PersistenceDomain::Options BaseOptions(
 }
 
 // Four domains open concurrently in one process, each in its own
-// address slot; a /dev/shm heap is a plain path on the default
-// PosixFileBackend, used as given.
+// address slot, two on each backend: a /dev/shm heap is a plain path on
+// the default PosixFileBackend, used as given, and each anonymous domain
+// has its own AnonTestBackend instance.
 TEST(DomainRegistryTest, FourConcurrentDomainsOnDistinctBackends) {
   const pheap::TypeRegistry registry = MakeRegistry();
   ScopedRegionFile posix_file("reg_posix");
   ScopedRegionFile shm_file("reg_shm");
-  ScopedRegionFile shadow_file("reg_shadow");
   ASSERT_EQ(shm_file.path().rfind("/dev/shm/", 0), 0u);
 
   auto posix = PersistenceDomain::Open(BaseOptions(posix_file.path()),
@@ -65,19 +65,18 @@ TEST(DomainRegistryTest, FourConcurrentDomainsOnDistinctBackends) {
   auto anon = PersistenceDomain::Open(
       BaseOptions("anon:reg", std::make_shared<pheap::AnonTestBackend>()),
       &registry);
-  auto shadow = PersistenceDomain::Open(
-      BaseOptions(shadow_file.path(),
-                  std::make_shared<pheap::SimNvmShadowBackend>()),
+  auto anon2 = PersistenceDomain::Open(
+      BaseOptions("anon:reg2", std::make_shared<pheap::AnonTestBackend>()),
       &registry);
 
   ASSERT_TRUE(posix.ok()) << posix.status().ToString();
   ASSERT_TRUE(shm.ok()) << shm.status().ToString();
   ASSERT_TRUE(anon.ok()) << anon.status().ToString();
-  ASSERT_TRUE(shadow.ok()) << shadow.status().ToString();
+  ASSERT_TRUE(anon2.ok()) << anon2.status().ToString();
   const std::vector<PersistenceDomain*> domains = {
-      posix->get(), shm->get(), anon->get(), shadow->get()};
+      posix->get(), shm->get(), anon->get(), anon2->get()};
 
-  // Three backends among them, each domain in its own address slot.
+  // Both backends among them, each domain in its own address slot.
   std::set<std::string> backends;
   std::set<std::uint32_t> slots;
   std::set<void*> bases;
@@ -86,8 +85,7 @@ TEST(DomainRegistryTest, FourConcurrentDomainsOnDistinctBackends) {
     slots.insert(domain->heap()->region()->address_slot());
     bases.insert(domain->heap()->region()->base());
   }
-  EXPECT_EQ(backends, (std::set<std::string>{"posix-file", "anon-test",
-                                             "simnvm-shadow"}));
+  EXPECT_EQ(backends, (std::set<std::string>{"posix-file", "anon-test"}));
   EXPECT_EQ(slots.size(), 4u);
   EXPECT_EQ(bases.size(), 4u);
   EXPECT_EQ((*shm)->heap()->region()->path(), shm_file.path());

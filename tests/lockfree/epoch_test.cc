@@ -153,15 +153,26 @@ TEST(EpochTest, StatsSumEveryThreadsRetirements) {
   for (auto& thread : threads) thread.join();
 }
 
+// A thread that unregisters hands its slot, with the slot's retire
+// count, to the next thread. 256 sequential threads then share one
+// slot, whose count reaches the advance cadence: if each thread linked
+// a fresh slot instead, no slot would ever attempt an advance and all
+// 256 nodes would stay in limbo.
 TEST(EpochTest, SlotsRecycledAfterUnregister) {
   EpochManager manager([](void*) {});
-  for (std::uint32_t i = 0; i < EpochManager::kMaxThreads * 2; ++i) {
-    std::thread([&manager] {
-      { EpochManager::Guard guard(&manager); }
+  int dummy;
+  for (int i = 0; i < 256; ++i) {
+    std::thread([&manager, &dummy] {
+      {
+        EpochManager::Guard guard(&manager);
+        manager.Retire(&dummy);
+      }
       manager.UnregisterCurrentThread();
     }).join();
   }
-  SUCCEED() << "no slot exhaustion";
+  const EpochStats stats = manager.GetStats();
+  EXPECT_EQ(stats.nodes_retired, 256u);
+  EXPECT_GT(stats.nodes_freed, 0u);
 }
 
 // The batching contract: advances are attempted every
@@ -214,56 +225,118 @@ TEST(EpochTest, ExitPathDrainsLimboUnderReadOnlyLoad) {
   manager.UnregisterCurrentThread();
 }
 
-// Slot exhaustion is graceful: with all kMaxThreads slots pinned by
-// live threads, the next thread lands on the shared overflow slot and
-// still gets correct (mutex-serialized) epoch protection — no FATAL.
-TEST(EpochTest, OverflowThreadsFallBackToSharedSlot) {
-  std::atomic<std::uint64_t> freed{0};
-  EpochManager manager([&freed](void*) { ++freed; });
-  std::atomic<std::uint32_t> pinned{0};
+// Every live thread gets its own slot, however many there are: 80
+// threads hold guards at once, and a node retired meanwhile survives
+// any number of advance attempts until they all release.
+TEST(EpochTest, EveryLiveThreadGetsItsOwnSlot) {
+  constexpr int kThreads = 80;
+  int target = 0;
+  int filler = 0;
+  std::atomic<int> target_frees{0};
+  EpochManager manager([&](void* p) {
+    if (p == &target) target_frees.fetch_add(1);
+  });
+  std::atomic<int> pinned{0};
   std::atomic<bool> release{false};
   std::vector<std::thread> holders;
-  holders.reserve(EpochManager::kMaxThreads);
-  for (std::uint32_t i = 0; i < EpochManager::kMaxThreads; ++i) {
+  holders.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
     holders.emplace_back([&] {
       {
-        EpochManager::Guard guard(&manager);  // claims a private slot
+        EpochManager::Guard guard(&manager);
         pinned.fetch_add(1);
         while (!release.load()) std::this_thread::yield();
       }
       manager.UnregisterCurrentThread();
     });
   }
-  while (pinned.load() < EpochManager::kMaxThreads) {
-    std::this_thread::yield();
-  }
+  while (pinned.load() < kThreads) std::this_thread::yield();
 
-  std::thread overflow([&] {
-    int dummy[4];
-    for (int round = 0; round < 100; ++round) {
+  manager.Retire(&target);
+  auto retire_rounds = [&] {
+    for (std::uint32_t i = 0; i < 8 * EpochManager::kAdvanceEveryRetires;
+         ++i) {
       EpochManager::Guard guard(&manager);
-      manager.Retire(&dummy[round % 4]);
+      manager.Retire(&filler);
     }
-    EXPECT_TRUE(manager.CurrentThreadOnSharedSlot())
-        << "65th concurrent thread should be on the overflow slot";
-    manager.UnregisterCurrentThread();
-  });
-  overflow.join();
-  EXPECT_GE(manager.GetStats().overflow_threads, 1u);
-  EXPECT_EQ(manager.GetStats().nodes_retired, 100u)
-      << "the overflow slot counts its own retirements";
+  };
+  retire_rounds();
+  EXPECT_EQ(target_frees.load(), 0)
+      << "a node was freed while live threads held guards";
 
   release.store(true);
   for (auto& t : holders) t.join();
-  // Quiesced: a few more retire rounds from this thread must be able to
-  // advance past the overflow garbage and free it.
-  int dummy;
-  for (int i = 0; i < 64 * 8; ++i) {
-    EpochManager::Guard guard(&manager);
-    manager.Retire(&dummy);
-  }
-  EXPECT_GT(freed.load(), 0u);
+  retire_rounds();
+  EXPECT_EQ(target_frees.load(), 1) << "quiesced threads must not pin it";
   manager.UnregisterCurrentThread();
+}
+
+// Slots linked while other threads scan them: each round, 8 new threads
+// register (claiming a released slot or linking a new one), read a
+// node the long-lived threads keep replacing, retire their own nodes
+// and unregister, while 2 long-lived threads retire and advance. At
+// most 10 threads are alive at once. Built for the TSan leg.
+TEST(EpochTest, ThreadsRegisterWhileOthersScan) {
+  struct Node {
+    std::atomic<std::uint64_t> canary{0xABCD};
+  };
+  constexpr int kRounds = 64;
+  constexpr int kJoiners = 8;
+  constexpr int kLongLived = 2;
+  std::atomic<std::uint64_t> deleted{0};
+  std::atomic<std::uint64_t> poison_reads{0};
+  std::uint64_t retired = 0;
+  {
+    EpochManager manager([&deleted](void* p) {
+      static_cast<Node*>(p)->canary.store(0xDEAD, std::memory_order_release);
+      delete static_cast<Node*>(p);
+      deleted.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::atomic<Node*> shared{new Node};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> long_lived;
+    for (int t = 0; t < kLongLived; ++t) {
+      long_lived.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          Node* old = shared.exchange(new Node, std::memory_order_acq_rel);
+          EpochManager::Guard guard(&manager);
+          manager.Retire(old);
+        }
+        manager.UnregisterCurrentThread();
+      });
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::thread> joiners;
+      for (int t = 0; t < kJoiners; ++t) {
+        joiners.emplace_back([&] {
+          for (std::uint32_t i = 0; i <= EpochManager::kAdvanceEveryRetires;
+               ++i) {
+            EpochManager::Guard guard(&manager);
+            const Node* node = shared.load(std::memory_order_acquire);
+            if (node->canary.load(std::memory_order_acquire) == 0xDEAD) {
+              poison_reads.fetch_add(1);
+            }
+            manager.Retire(new Node);
+          }
+          manager.UnregisterCurrentThread();
+        });
+      }
+      for (auto& t : joiners) t.join();
+    }
+    stop.store(true);
+    for (auto& t : long_lived) t.join();
+    delete shared.load();
+
+    const EpochStats stats = manager.GetStats();
+    retired = stats.nodes_retired;
+    EXPECT_GE(retired, std::uint64_t{kRounds} * kJoiners *
+                           (EpochManager::kAdvanceEveryRetires + 1));
+    EXPECT_EQ(retired, stats.nodes_freed + manager.LimboCount());
+    EXPECT_EQ(stats.nodes_freed, deleted.load());
+  }
+  EXPECT_EQ(poison_reads.load(), 0u)
+      << "a reader observed memory freed under its feet";
+  EXPECT_EQ(deleted.load(), retired) << "destruction frees the rest";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Copyright 2026 The TSP Authors.
-// RegionBackend implementations: the anonymous crash/reopen cycle, the
-// simnvm shadow, mapping-conflict diagnostics, and the
+// RegionBackend implementations: the anonymous crash/reopen cycle,
+// mapping-conflict diagnostics, and the
 // no-silent-clobber / retry-at-next-slot behavior of region open/create
 // on top of them.
 
@@ -33,7 +33,6 @@ RegionOptions SmallRegion(std::shared_ptr<RegionBackend> backend = nullptr) {
 TEST(BackendTest, BackendNamesAreStable) {
   EXPECT_STREQ(PosixFileBackend().name(), "posix-file");
   EXPECT_STREQ(AnonTestBackend().name(), "anon-test");
-  EXPECT_STREQ(SimNvmShadowBackend().name(), "simnvm-shadow");
 }
 
 // The AnonTestBackend's whole purpose: crash/reopen cycles with no
@@ -79,24 +78,6 @@ TEST(BackendTest, AnonBackendDistinctStoresAreIndependent) {
   EXPECT_NE((*a)->region()->base(), (*b)->region()->base());
   EXPECT_NE((*a)->region()->address_slot(),
             (*b)->region()->address_slot());
-}
-
-TEST(BackendTest, SimNvmShadowMirrorsOnSync) {
-  ScopedRegionFile file("shadow");
-  auto backend = std::make_shared<SimNvmShadowBackend>();
-  auto heap = PersistentHeap::Create(file.path(), SmallRegion(backend));
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  ASSERT_NE(backend->shadow(), nullptr);
-  EXPECT_EQ(backend->shadow()->size(), SmallRegion().size);
-
-  auto* value = static_cast<std::uint64_t*>((*heap)->Alloc(8));
-  ASSERT_NE(value, nullptr);
-  *value = 0xDEADBEEFCAFEF00DULL;
-  const std::uint64_t offset = (*heap)->region()->ToOffset(value);
-  ASSERT_TRUE((*heap)->region()->SyncToBacking().ok());
-  // After a sync the shadow NVM holds the same durable bytes.
-  EXPECT_EQ(backend->shadow()->Load(offset), 0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(backend->shadow()->DirtyLineCount(), 0u);
 }
 
 TEST(BackendTest, DescribeMappingConflictNamesTheOccupant) {
